@@ -3,8 +3,33 @@
 #include <algorithm>
 #include <cmath>
 #include <cassert>
+#include <limits>
 
 namespace qsp {
+namespace {
+
+/// Extents of the `n` cells of one axis over [lo, hi] (cell size `step`),
+/// as QueryPassing reports them. Cell k spans [lo + k*step,
+/// lo + (k+1)*step], widened on both sides by a slack far above the
+/// rounding CellOf's floor((x - lo) / step) can make, so a rectangle
+/// bucketed into cell k always meets the reported extent. The first
+/// cell opens to -inf and the last to +inf: CellOf clamps every
+/// coordinate beyond the bounds into them.
+void EdgesOf(double lo, double hi, double step, int n,
+             std::vector<double>* cell_lo, std::vector<double>* cell_hi) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double slack = 1e-12 * (std::abs(lo) + std::abs(hi));
+  cell_lo->resize(static_cast<size_t>(n));
+  cell_hi->resize(static_cast<size_t>(n));
+  for (size_t k = 0; k < cell_lo->size(); ++k) {
+    (*cell_lo)[k] = lo + static_cast<double>(k) * step - slack;
+    (*cell_hi)[k] = lo + static_cast<double>(k + 1) * step + slack;
+  }
+  cell_lo->front() = -kInf;
+  cell_hi->back() = kInf;
+}
+
+}  // namespace
 
 SpatialGrid::SpatialGrid(const Rect& bounds, int cells_x, int cells_y)
     : bounds_(bounds),
@@ -19,7 +44,17 @@ SpatialGrid::SpatialGrid(const Rect& bounds, int cells_x, int cells_y)
   }
   cell_w_ = bounds_.Width() / cells_x_;
   cell_h_ = bounds_.Height() / cells_y_;
-  cells_.resize(static_cast<size_t>(cells_x_) * cells_y_);
+  const size_t cells = static_cast<size_t>(cells_x_) * cells_y_;
+  cells_.resize(cells);
+  constexpr double kNoWeight = -std::numeric_limits<double>::infinity();
+  cell_max_.assign(cells, kNoWeight);
+  blocks_x_ = (cells_x_ + kBlock - 1) / kBlock;
+  const int blocks_y = (cells_y_ + kBlock - 1) / kBlock;
+  block_max_.assign(static_cast<size_t>(blocks_x_) * blocks_y, kNoWeight);
+  EdgesOf(bounds_.x_lo(), bounds_.x_hi(), cell_w_, cells_x_, &col_lo_,
+          &col_hi_);
+  EdgesOf(bounds_.y_lo(), bounds_.y_hi(), cell_h_, cells_y_, &row_lo_,
+          &row_hi_);
 }
 
 SpatialGrid SpatialGrid::ForRects(const std::vector<Rect>& rects) {
@@ -92,7 +127,7 @@ void SpatialGrid::CellRange(const Rect& rect, int* cx_lo, int* cy_lo,
   CellOf(rect.x_hi(), rect.y_hi(), cx_hi, cy_hi);
 }
 
-void SpatialGrid::Insert(uint32_t id, const Rect& rect) {
+void SpatialGrid::Insert(uint32_t id, const Rect& rect, double weight) {
   if (rect.IsEmpty()) {
     boundless_.push_back(id);
     ++size_;
@@ -102,9 +137,14 @@ void SpatialGrid::Insert(uint32_t id, const Rect& rect) {
   CellRange(rect, &cx_lo, &cy_lo, &cx_hi, &cy_hi);
   for (int cy = cy_lo; cy <= cy_hi; ++cy) {
     for (int cx = cx_lo; cx <= cx_hi; ++cx) {
-      cells_[static_cast<size_t>(cy) * cells_x_ + cx].push_back({id, rect});
+      const size_t c = CellIndex(cx, cy);
+      cells_[c].push_back({id, weight, rect});
+      cell_max_[c] = std::max(cell_max_[c], weight);
+      double& block = block_max_[BlockIndex(cx, cy)];
+      block = std::max(block, weight);
     }
   }
+  id_limit_ = std::max<size_t>(id_limit_, static_cast<size_t>(id) + 1);
   ++size_;
 }
 
@@ -119,37 +159,54 @@ void SpatialGrid::Remove(uint32_t id, const Rect& rect) {
   }
   int cx_lo, cy_lo, cx_hi, cy_hi;
   CellRange(rect, &cx_lo, &cy_lo, &cx_hi, &cy_hi);
+  constexpr double kNoWeight = -std::numeric_limits<double>::infinity();
   bool found = false;
+  double weight = kNoWeight;
   for (int cy = cy_lo; cy <= cy_hi; ++cy) {
     for (int cx = cx_lo; cx <= cx_hi; ++cx) {
-      auto& cell = cells_[static_cast<size_t>(cy) * cells_x_ + cx];
-      for (auto it = cell.begin(); it != cell.end(); ++it) {
-        if (it->id == id) {
-          cell.erase(it);
-          found = true;
-          break;
+      const size_t c = CellIndex(cx, cy);
+      auto& cell = cells_[c];
+      auto it = std::find_if(cell.begin(), cell.end(),
+                             [id](const Entry& e) { return e.id == id; });
+      if (it == cell.end()) continue;
+      found = true;
+      weight = it->weight;
+      cell.erase(it);
+      if (weight < cell_max_[c]) continue;
+      cell_max_[c] = kNoWeight;
+      for (const Entry& e : cell) {
+        cell_max_[c] = std::max(cell_max_[c], e.weight);
+      }
+    }
+  }
+  if (!found) return;
+  --size_;
+  // Blocks the rectangle touched, recomputed from their cells' maxima.
+  for (int by0 = cy_lo - cy_lo % kBlock; by0 <= cy_hi; by0 += kBlock) {
+    for (int bx0 = cx_lo - cx_lo % kBlock; bx0 <= cx_hi; bx0 += kBlock) {
+      double& block = block_max_[BlockIndex(bx0, by0)];
+      if (weight < block) continue;
+      block = kNoWeight;
+      for (int cy = by0; cy < std::min(by0 + kBlock, cells_y_); ++cy) {
+        for (int cx = bx0; cx < std::min(bx0 + kBlock, cells_x_); ++cx) {
+          block = std::max(block, cell_max_[CellIndex(cx, cy)]);
         }
       }
     }
   }
-  if (found) --size_;
 }
 
-void SpatialGrid::Query(const Rect& window, std::vector<uint32_t>* out) const {
-  const size_t base = out->size();
-  out->insert(out->end(), boundless_.begin(), boundless_.end());
-  if (!window.IsEmpty()) {
-    int cx_lo, cy_lo, cx_hi, cy_hi;
-    CellRange(window, &cx_lo, &cy_lo, &cx_hi, &cy_hi);
-    for (int cy = cy_lo; cy <= cy_hi; ++cy) {
-      for (int cx = cx_lo; cx <= cx_hi; ++cx) {
-        const auto& cell = cells_[static_cast<size_t>(cy) * cells_x_ + cx];
-        for (const Entry& e : cell) out->push_back(e.id);
-      }
-    }
+void SpatialGrid::Query(const Rect& window, Seen* seen,
+                        std::vector<uint32_t>* out) const {
+  if (window.IsEmpty()) {
+    // No position, so no cell matches: only the boundless ids return.
+    Walk(0, 0, 0, 0, [](const Rect&, double) { return false; }, seen, out);
+    return;
   }
-  std::sort(out->begin() + base, out->end());
-  out->erase(std::unique(out->begin() + base, out->end()), out->end());
+  int cx_lo, cy_lo, cx_hi, cy_hi;
+  CellRange(window, &cx_lo, &cy_lo, &cx_hi, &cy_hi);
+  Walk(cx_lo, cy_lo, cx_hi, cy_hi, [](const Rect&, double) { return true; },
+       seen, out);
 }
 
 double SpatialGrid::LoadInRange(const Rect& rect) const {
@@ -160,7 +217,7 @@ double SpatialGrid::LoadInRange(const Rect& rect) const {
   for (int cy = cy_lo; cy <= cy_hi; ++cy) {
     for (int cx = cx_lo; cx <= cx_hi; ++cx) {
       load += static_cast<double>(
-          cells_[static_cast<size_t>(cy) * cells_x_ + cx].size());
+          cells_[CellIndex(cx, cy)].size());
     }
   }
   return load;
@@ -199,7 +256,7 @@ void SpatialGrid::ForEachNearbyPair(
   }
   for (int cy = 0; cy < cells_y_; ++cy) {
     for (int cx = 0; cx < cells_x_; ++cx) {
-      const auto& cell = cells_[static_cast<size_t>(cy) * cells_x_ + cx];
+      const auto& cell = cells_[CellIndex(cx, cy)];
       for (size_t i = 0; i < cell.size(); ++i) {
         for (size_t j = i + 1; j < cell.size(); ++j) {
           const Entry& ea = cell[i];

@@ -1,6 +1,5 @@
 #include "merge/directed_search_merger.h"
 
-#include <algorithm>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -54,6 +53,7 @@ double Descend(const MergeContext& ctx, const CostModel& model,
                const plan::BenefitBounder* bounder) {
   double cost = model.PartitionCost(ctx, *partition);
   std::vector<uint32_t> cands;
+  SpatialGrid::Seen seen;
   while (true) {
     ++counters->iterations;
     double best_delta = 0.0;
@@ -70,19 +70,17 @@ double Descend(const MergeContext& ctx, const CostModel& model,
       const size_t p = partition->size();
       std::vector<plan::GroupSummary> sums(p);
       std::vector<Rect> bboxes(p);
-      double max_cost = 0.0;
       for (size_t i = 0; i < p; ++i) {
         sums[i] = bounder->Summarize((*partition)[i]);
         bboxes[i] = sums[i].bbox;
-        max_cost = std::max(max_cost, sums[i].cost);
       }
       SpatialGrid grid = SpatialGrid::ForRects(bboxes);
       for (size_t i = 0; i < p; ++i) {
-        grid.Insert(static_cast<uint32_t>(i), bboxes[i]);
+        grid.Insert(static_cast<uint32_t>(i), bboxes[i], sums[i].cost);
       }
       for (size_t i = 0; i < p; ++i) {
         cands.clear();
-        grid.Query(bounder->SearchWindow(sums[i], max_cost), &cands);
+        grid.QueryPassing(bounder->PartnerTestFor(sums[i]), &seen, &cands);
         for (uint32_t j : cands) {
           if (j <= i) continue;
           const double ub = bounder->UpperBound(sums[i], sums[j]);

@@ -89,7 +89,7 @@ void IncrementalMerger::RebuildGrid() {
   for (size_t i = 0; i < m; ++i) bboxes[i] = summaries_[i].bbox;
   grid_ = SpatialGrid::ForRects(bboxes);
   for (size_t i = 0; i < m; ++i) {
-    grid_->Insert(static_cast<uint32_t>(i), bboxes[i]);
+    grid_->Insert(static_cast<uint32_t>(i), bboxes[i], summaries_[i].cost);
   }
   grid_built_groups_ = m;
   obs::Count("merge.incremental.grid_rebuilds");
@@ -105,8 +105,7 @@ void IncrementalMerger::AppendGroup(QueryGroup group,
   for (QueryId q : group) key_of_query_[q] = key;
   partition_.push_back(std::move(group));
   if (use_bounds_) {
-    max_cost_ = std::max(max_cost_, summary.cost);
-    if (grid_) grid_->Insert(key, summary.bbox);
+    if (grid_) grid_->Insert(key, summary.bbox, summary.cost);
     summaries_.push_back(std::move(summary));
   }
 }
@@ -115,9 +114,8 @@ void IncrementalMerger::UpdateGroup(size_t slot, plan::GroupSummary summary) {
   if (grid_) {
     const uint32_t key = key_of_slot_[slot];
     grid_->Remove(key, summaries_[slot].bbox);
-    grid_->Insert(key, summary.bbox);
+    grid_->Insert(key, summary.bbox, summary.cost);
   }
-  max_cost_ = std::max(max_cost_, summary.cost);
   summaries_[slot] = std::move(summary);
 }
 
@@ -143,7 +141,7 @@ void IncrementalMerger::CandidateSlots(const plan::GroupSummary& summary,
       RebuildGrid();
     }
     std::vector<uint32_t> keys;
-    grid_->Query(bounder_->SearchWindow(summary, max_cost_), &keys);
+    grid_->QueryPassing(bounder_->PartnerTestFor(summary), &seen_, &keys);
     // Keys ascend in creation order which equals slot order, so the
     // result visits groups in the exhaustive scan's ascending order.
     for (uint32_t key : keys) {
@@ -446,12 +444,10 @@ void IncrementalMerger::Reset(Partition partition) {
     bounder_.emplace(*ctx_, model_, universe_);
     summaries_.clear();
     summaries_.reserve(m);
-    max_cost_ = 0.0;
     grid_.reset();
     grid_built_groups_ = 0;  // Grid is rebuilt lazily on first probe.
     for (size_t i = 0; i < m; ++i) {
       summaries_.push_back(Summarize(partition_[i]));
-      max_cost_ = std::max(max_cost_, summaries_.back().cost);
       cost_ += summaries_.back().cost;
     }
   } else {

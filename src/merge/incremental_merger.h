@@ -31,8 +31,9 @@ namespace qsp {
 /// are (DESIGN.md §8): cached GroupSummary per live group, admissible
 /// BenefitBounder upper bounds skip candidates that provably cannot beat
 /// the current best, and — when the bounder is distance-aware — a
-/// SpatialGrid over group bounding boxes restricts candidates to each
-/// probe's search window. Candidates are visited in the same ascending
+/// SpatialGrid over group bounding boxes, weighted by group cost,
+/// restricts candidates to the cells BenefitBounder::PartnerTest lets
+/// through. Candidates are visited in the same ascending
 /// order as the exhaustive scans and skipped only when the bound proves
 /// they cannot *strictly* improve, so the pruned paths pick the identical
 /// groups and moves (same tie-breaks) as `pruning = false`; only
@@ -138,8 +139,8 @@ class IncrementalMerger {
   std::optional<plan::BenefitBounder> bounder_;
   std::optional<SpatialGrid> grid_;
   size_t grid_built_groups_ = 0;
-  /// Running max group cost; only grows (conservative for SearchWindow).
-  double max_cost_ = 0.0;
+  /// Deduplication scratch of the grid's partner queries.
+  SpatialGrid::Seen seen_;
   /// Bounding union of every id ever added; only grows.
   Rect universe_ = Rect::Empty();
 };

@@ -203,9 +203,9 @@ MergeOutcome PairMerger::MergeFromPruned(const MergeContext& ctx,
   // The accelerated greedy loop (DESIGN.md §8). Differences from the
   // exhaustive path above, none of which change the output:
   //  * candidate pairs come from a SpatialGrid over group bounding boxes
-  //    — pairs outside a group's search window provably have a
-  //    non-positive benefit bound, and the exhaustive path never applies
-  //    non-positive merges;
+  //    weighted by group cost — partners in cells the bounder's partner
+  //    test rejects provably have a non-positive benefit bound, and the
+  //    exhaustive path never applies non-positive merges;
   //  * the heap holds admissible upper bounds; popping a bound refines
   //    it to the exact benefit (the identical arithmetic expression the
   //    exhaustive path evaluates) and re-pushes, so only pairs whose
@@ -222,34 +222,33 @@ MergeOutcome PairMerger::MergeFromPruned(const MergeContext& ctx,
   std::vector<bool> alive(groups.size(), true);
   std::vector<double> group_cost(groups.size());
   std::vector<plan::GroupSummary> summaries(groups.size());
-  double max_cost = 0.0;
   for (size_t i = 0; i < groups.size(); ++i) {
     summaries[i] = bounder.Summarize(groups[i]);
     group_cost[i] = summaries[i].cost;
-    max_cost = std::max(max_cost, summaries[i].cost);
   }
 
   std::vector<Rect> bboxes(groups.size());
   for (size_t i = 0; i < groups.size(); ++i) bboxes[i] = summaries[i].bbox;
   SpatialGrid grid = SpatialGrid::ForRects(bboxes);
   for (size_t i = 0; i < groups.size(); ++i) {
-    grid.Insert(static_cast<uint32_t>(i), bboxes[i]);
+    grid.Insert(static_cast<uint32_t>(i), bboxes[i], group_cost[i]);
   }
 
   std::priority_queue<BoundedEntry> heap;
   size_t live_count = groups.size();
 
-  // Bounds the pairs (i, j) for every live candidate j != i drawn from
-  // i's search window, keeping only j `above` (j > i at seeding, where
-  // the loop covers each unordered pair once from its smaller side; the
-  // fresh group is the largest index, so incremental re-pairing passes
-  // above = false and bounds (j, i) instead). Pairs skipped by the
-  // window or by a non-positive bound are counted against `possible`,
-  // the number of live partners an exhaustive scan would have evaluated.
+  // Bounds the pairs (i, j) for every live candidate partner j != i of
+  // i, keeping only j `above` (j > i at seeding, where the loop covers
+  // each unordered pair once from its smaller side; the fresh group is
+  // the largest index, so incremental re-pairing passes above = false
+  // and bounds (j, i) instead). Pairs skipped by the partner query or by
+  // a non-positive bound are counted against `possible`, the number of
+  // live partners an exhaustive scan would have evaluated.
   std::vector<uint32_t> cands;
+  SpatialGrid::Seen seen;
   auto bound_pairs_of = [&](size_t i, bool above, size_t possible) {
     cands.clear();
-    grid.Query(bounder.SearchWindow(summaries[i], max_cost), &cands);
+    grid.QueryPassing(bounder.PartnerTestFor(summaries[i]), &seen, &cands);
     size_t considered = 0;
     for (uint32_t j : cands) {
       if (j == i || !alive[j]) continue;
@@ -322,8 +321,8 @@ MergeOutcome PairMerger::MergeFromPruned(const MergeContext& ctx,
     alive.push_back(true);
     summaries.push_back(bounder.Summarize(groups[new_index]));
     group_cost.push_back(summaries[new_index].cost);
-    max_cost = std::max(max_cost, summaries[new_index].cost);
-    grid.Insert(static_cast<uint32_t>(new_index), summaries[new_index].bbox);
+    grid.Insert(static_cast<uint32_t>(new_index), summaries[new_index].bbox,
+                group_cost[new_index]);
     bound_pairs_of(new_index, /*above=*/false, /*possible=*/live_count - 1);
   }
 

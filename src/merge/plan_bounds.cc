@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <vector>
-
-#include "geom/spatial_grid.h"
 
 namespace qsp {
 namespace plan {
@@ -99,27 +96,18 @@ double BenefitBounder::UpperBound(const GroupSummary& a,
   return ub;
 }
 
-Rect BenefitBounder::SearchWindow(const GroupSummary& g,
-                                  double max_partner_cost) const {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const Rect everything(-kInf, -kInf, kInf, kInf);
-  if (!distance_aware_ || g.bbox.IsEmpty()) return everything;
-  // A partner p can only have UpperBound > 0 if
-  //   cost_g + cost_p - K_M - K_T * kSlack * density * Area(BU) > 0,
-  // so Area(BU(bbox_g, bbox_p)) must stay under the area cap. A gap of
-  // gx in x forces Area(BU) >= (w + gx) * h, hence gx <= cap/h - w; same
-  // for y. Degenerate extents give no leverage on that axis (the BU's
-  // extent there comes from the unknown partner), so the reach is
-  // unbounded on it.
-  const double budget = g.cost + max_partner_cost - model_->k_m;
-  if (budget <= 0.0) return Rect::Empty();
-  const double cap = budget / (model_->k_t * kSlack * density_);
-  const double w = g.bbox.Width();
-  const double h = g.bbox.Height();
-  const double rx = h > 0.0 ? std::max(0.0, cap / h - w) : kInf;
-  const double ry = w > 0.0 ? std::max(0.0, cap / w - h) : kInf;
-  return Rect(g.bbox.x_lo() - rx, g.bbox.y_lo() - ry, g.bbox.x_hi() + rx,
-              g.bbox.y_hi() + ry);
+BenefitBounder::PartnerTest BenefitBounder::PartnerTestFor(
+    const GroupSummary& g) const {
+  PartnerTest test;
+  if (!distance_aware_ || g.bbox.IsEmpty()) return test;
+  test.accept_all_ = false;
+  test.box_ = g.bbox;
+  test.width_ = g.bbox.Width();
+  test.height_ = g.bbox.Height();
+  test.scale_ = model_->k_t * kSlack * density_;
+  test.k_m_ = model_->k_m;
+  test.cost_ = g.cost;
+  return test;
 }
 
 double FreshPlanCostLowerBound(const MergeContext& ctx, const CostModel& model,
@@ -133,6 +121,7 @@ double FreshPlanCostLowerBound(const MergeContext& ctx, const CostModel& model,
   SpatialGrid grid = SpatialGrid::ForRects(rects);
   std::vector<Rect> chosen;
   std::vector<uint32_t> candidates;
+  SpatialGrid::Seen seen;
   double chosen_size_sum = 0.0;
   for (size_t i = 0; i < ordered.size(); ++i) {
     const Rect& rect = rects[i];
@@ -140,7 +129,7 @@ double FreshPlanCostLowerBound(const MergeContext& ctx, const CostModel& model,
     // weakens the bound (size 0 anyway under a measure-like estimator).
     if (rect.IsEmpty()) continue;
     candidates.clear();
-    grid.Query(rect, &candidates);
+    grid.Query(rect, &seen, &candidates);
     bool disjoint = true;
     for (uint32_t c : candidates) {
       if (chosen[c].Intersects(rect)) {

@@ -1,8 +1,13 @@
 #ifndef QSP_MERGE_PLAN_BOUNDS_H_
 #define QSP_MERGE_PLAN_BOUNDS_H_
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "cost/cost_model.h"
 #include "geom/rect.h"
+#include "geom/spatial_grid.h"
 #include "query/merge_context.h"
 #include "query/merge_procedure.h"
 #include "query/query.h"
@@ -68,7 +73,7 @@ class BenefitBounder {
   /// True when the density-floor distance term is active: the procedure
   /// covers the bounding union, the estimator guarantees a positive
   /// density on a support containing every query, and K_T > 0. Only then
-  /// can far-apart pairs be pruned without any evaluation (SearchWindow).
+  /// can far-apart pairs be pruned without any evaluation (PartnerTest).
   [[nodiscard]] bool distance_aware() const { return distance_aware_; }
 
   /// Builds the summary of a group, computing (or re-reading memoized)
@@ -78,20 +83,62 @@ class BenefitBounder {
   /// Admissible upper bound: UpperBound(a, b) >= MergeBenefit(a, b).
   [[nodiscard]] double UpperBound(const GroupSummary& a, const GroupSummary& b) const;
 
-  /// Window around g's bounding box outside which no partner group of
-  /// cost <= max_partner_cost can have a positive benefit bound. Returns
-  /// an unbounded rectangle when !distance_aware() or g has no box (no
-  /// pruning possible), and may return an empty rectangle when no partner
-  /// anywhere qualifies. Partners with empty bounding boxes are exempt —
-  /// SpatialGrid keeps those in its boundless bucket, which every query
-  /// returns.
-  [[nodiscard]] Rect SearchWindow(const GroupSummary& g, double max_partner_cost) const;
+  /// The admissible partner test for one group g (DESIGN.md §8), with
+  /// g's quantities folded in. test(region, max_partner_cost) is false
+  /// only when every partner p whose bounding box meets `region` and
+  /// whose cost is <= max_partner_cost has UpperBound(g, p) <= 0, so
+  /// SpatialGrid::QueryPassing with this test, over a grid whose entries
+  /// are weighted with their group's exact cost, returns every partner
+  /// with a positive bound: the one candidate query of every pruned
+  /// planner. It rejects when
+  ///   K_M + K_T * kSlack * density * (w + g_x) * (h + g_y)
+  ///     >= cost_g + max_partner_cost,
+  /// with w x h g's box and g_x, g_y the gaps from g's box to `region`;
+  /// the left side is scaled down by kMargin, so the test's own rounding
+  /// can never make it bolder than UpperBound. Accepts everything when
+  /// !distance_aware() or g has no box: no partner can then be dismissed
+  /// by distance. Monotone, as SpatialGrid::QueryPassing requires.
+  class PartnerTest {
+   public:
+    bool operator()(const Rect& region, double max_partner_cost) const {
+      if (accept_all_) return true;
+      // A partner p whose box meets `region` lies at least gap_x / gap_y
+      // away from g's box, so Area(BoundingUnion(g, p)) >= (w + gap_x) *
+      // (h + gap_y), and UpperBound's density-floor term gives
+      //   UpperBound(g, p) <= cost_g + cost_p - K_M - scale * Area(BU).
+      // Every quantity here is non-negative, so relative rounding errors
+      // compose, and kMargin covers them many times over.
+      const double gap_x = std::max(
+          {0.0, region.x_lo() - box_.x_hi(), box_.x_lo() - region.x_hi()});
+      const double gap_y = std::max(
+          {0.0, region.y_lo() - box_.y_hi(), box_.y_lo() - region.y_hi()});
+      const double merged_lb =
+          k_m_ + scale_ * ((width_ + gap_x) * (height_ + gap_y));
+      return merged_lb * (1.0 - kMargin) < cost_ + max_partner_cost;
+    }
+
+   private:
+    friend class BenefitBounder;
+    bool accept_all_ = true;
+    Rect box_;
+    double width_ = 0.0;
+    double height_ = 0.0;
+    /// K_T * kSlack * density.
+    double scale_ = 0.0;
+    double k_m_ = 0.0;
+    double cost_ = 0.0;
+  };
+  [[nodiscard]] PartnerTest PartnerTestFor(const GroupSummary& g) const;
 
   /// Multiplier under 1 applied to every merged-size lower bound, so the
   /// bounds stay admissible under floating-point rounding (the bound and
   /// the estimator compute "the same" quantity via different operation
   /// orders; 1e-7 relative slack dwarfs any accumulated ulps).
   static constexpr double kSlack = 1.0 - 1e-7;
+
+  /// Relative margin of PartnerTest: it absorbs the rounding of the
+  /// test's own arithmetic against UpperBound's (a few ulps).
+  static constexpr double kMargin = 1e-9;
 
  private:
   const MergeContext* ctx_;

@@ -53,9 +53,9 @@ struct Message {
   std::vector<ClientId> recipients;
   /// Per-recipient extraction instructions.
   std::vector<HeaderEntry> extractors;
-  /// The merged answer: row ids into the server's table. (A real system
-  /// ships tuples; row ids keep the simulator cheap while byte accounting
-  /// uses real tuple sizes.)
+  /// The merged answer: row ids into the server's table, ascending and
+  /// unique. (A real system ships tuples; row ids keep the simulator
+  /// cheap while byte accounting uses real tuple sizes.)
   std::vector<RowId> payload;
   /// Member queries of the merged query this message answers, defining
   /// the bit positions of payload_tags. Only set under kServerTags.

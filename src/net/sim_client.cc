@@ -1,6 +1,7 @@
 #include "net/sim_client.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "query/extractor.h"
 #include "util/status.h"
@@ -17,6 +18,10 @@ SimClient::SimClient(ClientId id, size_t channel, const QuerySet* queries,
       enable_cache_(enable_cache),
       reliable_(reliable) {
   QSP_CHECK(queries != nullptr);
+}
+
+void SimClient::SetSubscriptions(const std::vector<QueryId>& subscriptions) {
+  subscriptions_ = subscriptions;
 }
 
 void SimClient::StartRound() {
@@ -42,9 +47,11 @@ void SimClient::Receive(const Message& msg, const Table& table) {
   if (!addressed) return;
   ++stats_.messages_processed;
 
-  // Track which payload rows land in at least one of this client's
-  // answers, to count irrelevant rows once per message.
-  std::set<RowId> used;
+  // Flag the payload rows that land in at least one of this client's
+  // answers, to count irrelevant rows once per message. The payload is
+  // unique, so one flag per index is one flag per row.
+  std::vector<uint8_t> used(msg.payload.size(), 0);
+  size_t used_rows = 0;
   for (const HeaderEntry& entry : msg.extractors) {
     if (entry.client != id_) continue;
 
@@ -71,12 +78,15 @@ void SimClient::Receive(const Message& msg, const Table& table) {
               : entry.spec.rect.Contains(table.PositionOf(row));
       if (mine) {
         part.push_back(row);
-        used.insert(row);
+        if (used[i] == 0) {
+          used[i] = 1;
+          ++used_rows;
+        }
       }
     }
     partial_answers_[entry.spec.query].push_back(std::move(part));
   }
-  stats_.rows_irrelevant += msg.payload.size() - used.size();
+  stats_.rows_irrelevant += msg.payload.size() - used_rows;
   if (enable_cache_) {
     cache_.insert(msg.payload.begin(), msg.payload.end());
   }

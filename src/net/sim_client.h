@@ -74,6 +74,11 @@ class SimClient {
   std::vector<RowId> AnswerFor(QueryId query) const;
 
   const std::vector<QueryId>& subscriptions() const { return subscriptions_; }
+
+  /// Replaces the subscription list (ascending), e.g. after the client
+  /// subscribed or retired queries between rounds; the cache persists.
+  void SetSubscriptions(const std::vector<QueryId>& subscriptions);
+
   const ClientStats& stats() const { return stats_; }
 
   /// Clears per-round answers, counters, sequence state, and answer

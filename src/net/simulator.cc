@@ -221,7 +221,10 @@ RoundStats MulticastSimulator::RunRound(const DisseminationPlan& plan,
 
   // Build the client processes per the allocation; when the allocation
   // is unchanged between rounds the same processes are reused so their
-  // caches persist (the dynamic-scenario extension).
+  // caches persist (the dynamic-scenario extension). A reused client
+  // still takes its current subscriptions: the ClientSet can change
+  // under one allocation (the live service subscribes and retires
+  // between rounds, always on AllClients()).
   if (plan.allocation != last_allocation_) {
     sim_clients_.clear();
     for (size_t ch = 0; ch < plan.allocation.size(); ++ch) {
@@ -232,6 +235,10 @@ RoundStats MulticastSimulator::RunRound(const DisseminationPlan& plan,
       }
     }
     last_allocation_ = plan.allocation;
+  } else {
+    for (SimClient& client : sim_clients_) {
+      client.SetSubscriptions(clients_->QueriesOf(client.id()));
+    }
   }
   for (SimClient& client : sim_clients_) client.StartRound();
 

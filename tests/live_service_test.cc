@@ -426,6 +426,36 @@ TEST(LiveFacadeTest, LeasedLifecycleThroughTheService) {
   EXPECT_EQ(service.live()->LiveIds(), std::vector<QueryId>{q2.value()});
 }
 
+TEST(LiveFacadeTest, RoundsVerifyTheCurrentSubscriptions) {
+  // Regression: the simulator reuses its clients while the allocation is
+  // unchanged, and in live mode it is always AllClients(). Each client
+  // used to keep the subscriptions it was built with, so after churn a
+  // round checked the retired query (which no longer gets data) and
+  // never checked the new one.
+  ServiceConfig config;
+  config.live.enabled = true;
+  config.live.default_ttl_ms = 0;
+  SubscriptionService service(LiveWorldTable(4), Rect(0, 0, 100, 100),
+                              config);
+  const ClientId c1 = service.AddClient();
+  const ClientId c2 = service.AddClient();
+  Result<QueryId> q1 = service.SubscribeLeased(c1, Rect(0, 0, 30, 30));
+  ASSERT_TRUE(service.SubscribeLeased(c2, Rect(50, 50, 80, 80)).ok());
+  ASSERT_TRUE(q1.ok());
+  service.DrainAdmissions();
+  Result<RoundStats> first = service.RunRound();
+  ASSERT_TRUE(first.ok());
+  EXPECT_TRUE(first->all_answers_correct);
+
+  ASSERT_TRUE(service.Unsubscribe(q1.value()).ok());
+  Result<QueryId> q3 = service.SubscribeLeased(c1, Rect(60, 0, 95, 40));
+  ASSERT_TRUE(q3.ok());
+  service.DrainAdmissions();
+  Result<RoundStats> second = service.RunRound();
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(second->all_answers_correct);
+}
+
 TEST(LiveFacadeTest, BackgroundTickMirrorsPlacementsIntoClientSet) {
   // Regression: with the background sweep-and-drain tick on, batches
   // used to be processed inside LivePlanManager without the facade's

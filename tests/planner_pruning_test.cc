@@ -3,12 +3,15 @@
 // pruning on, every heuristic merger must return the exact partition and
 // cost the exhaustive evaluation returns, for every merge procedure,
 // estimator, and seed. The bounds themselves are checked as properties:
-// UpperBound never falls below the exact MergeBenefit, and no group
-// outside a SearchWindow can carry a positive bound.
+// UpperBound never falls below the exact MergeBenefit, and the partner
+// query never drops a group that carries a positive bound.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -17,8 +20,10 @@
 #include "bench/bench_common.h"
 #include "cost/cost_model.h"
 #include "geom/region.h"
+#include "geom/spatial_grid.h"
 #include "merge/clustering_merger.h"
 #include "merge/directed_search_merger.h"
+#include "merge/incremental_merger.h"
 #include "merge/pair_merger.h"
 #include "merge/plan_bounds.h"
 #include "query/merge_context.h"
@@ -206,53 +211,231 @@ TEST(PlannerPruningTest, UpperBoundNeverBelowExactBenefit) {
   }
 }
 
-// Window soundness: a partner whose bounding box misses SearchWindow(g)
-// must have a non-positive benefit bound against g (otherwise the grid
-// query would wrongly prune a viable merge).
-TEST(PlannerPruningTest, GroupsOutsideSearchWindowHaveNonPositiveBounds) {
+// A dense clustered population: ten near-duplicate rectangles around
+// each of twelve centres in [0, 1000]^2, plus zero-width, zero-height and
+// empty boxes and two clusters outside the domain. Under a uniform
+// density of 0.5 a partner more than about one box width away can never
+// pay for the empty space a merge would cover, so the partner query has
+// most cells to reject, while cluster mates still merge.
+std::vector<Rect> DenseRects(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Rect> rects;
+  auto cluster = [&](double cx, double cy) {
+    for (int k = 0; k < 10; ++k) {
+      const double x = cx + rng.UniformDouble(-6, 6);
+      const double y = cy + rng.UniformDouble(-6, 6);
+      rects.push_back(Rect(x, y, x + rng.UniformDouble(6, 14),
+                           y + rng.UniformDouble(6, 14)));
+    }
+  };
+  for (int c = 0; c < 12; ++c) {
+    cluster(rng.UniformDouble(50, 950), rng.UniformDouble(50, 950));
+  }
+  cluster(-300, 500);
+  cluster(1300, 1250);
+  for (int k = 0; k < 3; ++k) {
+    const double x = rects[10 * k].x_lo();
+    const double y = rects[10 * k].y_lo();
+    rects.push_back(Rect(x, y, x, y + 10));  // zero width
+    rects.push_back(Rect(x, y, x + 10, y));  // zero height
+  }
+  rects.push_back(Rect::Empty());
+  rects.push_back(Rect::Empty());
+  return rects;
+}
+
+struct DenseInstance {
+  QuerySet queries;
+  UniformDensityEstimator estimator{0.5};
+  BoundingRectProcedure procedure;
+  MergeContext ctx{&queries, &estimator, &procedure};
+
+  explicit DenseInstance(uint64_t seed) : queries(DenseRects(seed)) {}
+};
+
+// Sorted, unique output of the partner query for `g` over `grid`.
+std::vector<uint32_t> PartnersOf(const plan::BenefitBounder& bounder,
+                                 const plan::GroupSummary& g,
+                                 const SpatialGrid& grid,
+                                 SpatialGrid::Seen* seen) {
+  std::vector<uint32_t> out;
+  grid.QueryPassing(bounder.PartnerTestFor(g), seen, &out);
+  EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+  EXPECT_EQ(std::adjacent_find(out.begin(), out.end()), out.end());
+  return out;
+}
+
+// Admissibility of the partner query: every group with a positive benefit
+// bound against the probe comes back, for singletons, cluster groups and
+// a group spanning two clusters, under grids sized to the population,
+// fixed to the domain (the outside clusters clamp into edge cells) and
+// far smaller than it (most boxes lie outside the bounds). The query must
+// also actually reject cells, or the property would hold vacuously.
+TEST(PlannerPruningTest, PartnerQueryReturnsEveryPositiveBound) {
   const CostModel model = bench::Fig16CostModel();
   for (const uint64_t seed : kSeeds) {
-    // Uniform estimator + bounding rect: the distance-aware
-    // configuration. High density makes covering empty space expensive,
-    // so the windows are actually selective (the Fig16 density is so low
-    // that every window covers the whole domain and the assertions would
-    // pass vacuously).
-    Rng qrng(seed);
-    std::vector<Rect> rects;
-    for (int i = 0; i < 40; ++i) {
-      const double x = qrng.UniformDouble(0, 950);
-      const double y = qrng.UniformDouble(0, 950);
-      rects.push_back(Rect(x, y, x + qrng.UniformDouble(5, 15),
-                           y + qrng.UniformDouble(5, 15)));
-    }
-    QuerySet queries(rects);
-    UniformDensityEstimator estimator(5.0);
-    BoundingRectProcedure procedure;
-    MergeContext ctx(&queries, &estimator, &procedure);
-    const plan::BenefitBounder bounder(ctx, model);
-    ASSERT_TRUE(bounder.enabled());
+    DenseInstance inst(seed);
+    const plan::BenefitBounder bounder(inst.ctx, model);
     ASSERT_TRUE(bounder.distance_aware());
-    std::vector<plan::GroupSummary> sums;
-    double max_cost = 0.0;
-    for (QueryId q = 0; q < 40; ++q) {
-      sums.push_back(bounder.Summarize({q}));
-      max_cost = std::max(max_cost, sums.back().cost);
+    const QueryId n = static_cast<QueryId>(inst.queries.size());
+    std::vector<QueryGroup> groups;
+    for (QueryId q = 0; q < n; ++q) groups.push_back({q});
+    Rng rng(seed * 3 + 1);
+    for (int k = 0; k < 12; ++k) {
+      // Cluster mates (ids are generated cluster by cluster).
+      const QueryId first = static_cast<QueryId>(10 * rng.UniformInt(0, 13) +
+                                                 rng.UniformInt(0, 7));
+      groups.push_back({first, first + 1, first + 2});
     }
-    size_t outside_pairs = 0;
-    for (size_t i = 0; i < sums.size(); ++i) {
-      const Rect window = bounder.SearchWindow(sums[i], max_cost);
-      for (size_t j = 0; j < sums.size(); ++j) {
-        if (j == i) continue;
-        if (!sums[j].bbox.IsEmpty() && !window.Intersects(sums[j].bbox)) {
-          ++outside_pairs;
-          EXPECT_LE(bounder.UpperBound(sums[i], sums[j]), 0.0)
-              << "seed " << seed << " pair (" << i << ", " << j << ")";
+    // The two nearest in-domain clusters, joined by one group.
+    QueryGroup across = {0, 10};
+    double nearest = std::numeric_limits<double>::infinity();
+    for (QueryId a = 0; a < 120; a += 10) {
+      for (QueryId b = a + 10; b < 120; b += 10) {
+        const Point pa = inst.queries.rect(a).Center();
+        const Point pb = inst.queries.rect(b).Center();
+        const double d = std::hypot(pa.x - pb.x, pa.y - pb.y);
+        if (d < nearest) {
+          nearest = d;
+          across = {a, b};
         }
       }
     }
-    // The workload spreads clusters across the domain, so the window must
-    // actually exclude something for this test to mean anything.
-    EXPECT_GT(outside_pairs, 0u) << "seed " << seed;
+    groups.push_back(across);
+    std::vector<plan::GroupSummary> sums;
+    std::vector<Rect> bboxes;
+    for (const QueryGroup& g : groups) {
+      sums.push_back(bounder.Summarize(g));
+      bboxes.push_back(sums.back().bbox);
+    }
+    const SpatialGrid grids[] = {SpatialGrid::ForRects(bboxes),
+                                 SpatialGrid(Rect(0, 0, 1000, 1000), 30, 30),
+                                 SpatialGrid(Rect(400, 400, 600, 600), 7, 5)};
+    for (size_t k = 0; k < std::size(grids); ++k) {
+      SpatialGrid grid = grids[k];
+      for (size_t i = 0; i < groups.size(); ++i) {
+        grid.Insert(static_cast<uint32_t>(i), bboxes[i], sums[i].cost);
+      }
+      SpatialGrid::Seen seen;
+      size_t omitted = 0;
+      for (size_t i = 0; i < groups.size(); ++i) {
+        const std::vector<uint32_t> partners =
+            PartnersOf(bounder, sums[i], grid, &seen);
+        omitted += groups.size() - partners.size();
+        for (size_t j = 0; j < groups.size(); ++j) {
+          if (j == i || bounder.UpperBound(sums[i], sums[j]) <= 0.0) continue;
+          EXPECT_TRUE(std::binary_search(partners.begin(), partners.end(),
+                                         static_cast<uint32_t>(j)))
+              << "seed " << seed << " grid " << k << " probe "
+              << GroupToString(groups[i]) << " lost partner "
+              << GroupToString(groups[j]);
+        }
+      }
+      EXPECT_GT(omitted, 0u) << "seed " << seed << " grid " << k;
+    }
+  }
+}
+
+// The partner test itself on hand-made regions: it accepts the probe's
+// own box for an equally costly partner, rejects a region without
+// entries (weight -inf) and a far one, measures no gap on a region's open
+// side, and accepts everything for a probe without a box or a bounder
+// without the distance term.
+TEST(PlannerPruningTest, PartnerTestRejectsOnlyUnprofitableRegions) {
+  const CostModel model = bench::Fig16CostModel();
+  DenseInstance inst(kSeeds[0]);
+  const plan::BenefitBounder bounder(inst.ctx, model);
+  ASSERT_TRUE(bounder.distance_aware());
+  const plan::GroupSummary g = bounder.Summarize({0});
+  const auto test = bounder.PartnerTestFor(g);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(test(g.bbox, g.cost));
+  EXPECT_FALSE(test(g.bbox, -kInf));
+  const Rect far(g.bbox.x_hi() + 500, g.bbox.y_lo(), g.bbox.x_hi() + 510,
+                 g.bbox.y_hi());
+  EXPECT_FALSE(test(far, g.cost));
+  // A heavy enough partner pays for any gap.
+  EXPECT_TRUE(test(far, 1e9));
+  // Regions open outward (edge cells) have no gap on their open side.
+  EXPECT_TRUE(test(Rect(-kInf, -kInf, g.bbox.x_lo(), kInf), g.cost));
+
+  const QueryId empty = static_cast<QueryId>(inst.queries.size() - 1);
+  ASSERT_TRUE(inst.queries.rect(empty).IsEmpty());
+  const auto boxless = bounder.PartnerTestFor(bounder.Summarize({empty}));
+  EXPECT_TRUE(boxless(far, -kInf));
+  ExactCoverProcedure cover;
+  MergeContext cover_ctx(&inst.queries, &inst.estimator, &cover);
+  const plan::BenefitBounder flat(cover_ctx, model);
+  ASSERT_FALSE(flat.distance_aware());
+  EXPECT_TRUE(flat.PartnerTestFor(flat.Summarize({0}))(far, -kInf));
+}
+
+// Plan identity where the partner query bites: on the dense instances,
+// pruned pair, directed and incremental merging equal their exhaustive
+// paths. Pair merging's effort counters are pinned: they depend only on
+// which pairs reach its heap (those with a positive bound), never on how
+// many candidates the partner query returns, so a sharper query must
+// leave them unchanged.
+TEST(PlannerPruningTest, DenseInstancesMatchExhaustivePlans) {
+  const CostModel model = bench::Fig16CostModel();
+  struct Counters {
+    uint64_t candidates, bounds_refined, bounds_pruned;
+  };
+  const Counters kPinned[] = {
+      {56, 56, 17372}, {56, 56, 17386}, {58, 58, 17562}};
+  for (size_t s = 0; s < std::size(kSeeds); ++s) {
+    const uint64_t seed = kSeeds[s];
+    DenseInstance exhaustive_inst(seed);
+    DenseInstance pruned_inst(seed);
+    const auto pair_exhaustive = PairMerger(/*use_heap=*/true,
+                                            /*pruning=*/false)
+                                     .Merge(exhaustive_inst.ctx, model);
+    const auto pair_pruned =
+        PairMerger(/*use_heap=*/true, /*pruning=*/true)
+            .Merge(pruned_inst.ctx, model);
+    ASSERT_TRUE(pair_exhaustive.ok());
+    ASSERT_TRUE(pair_pruned.ok());
+    EXPECT_EQ(pair_pruned->partition, pair_exhaustive->partition);
+    EXPECT_EQ(pair_pruned->cost, pair_exhaustive->cost);
+    EXPECT_LT(pair_pruned->partition.size(), exhaustive_inst.queries.size())
+        << "seed " << seed << ": nothing merged";
+    EXPECT_EQ(pair_pruned->candidates, kPinned[s].candidates);
+    EXPECT_EQ(pair_pruned->bounds_refined, kPinned[s].bounds_refined);
+    EXPECT_EQ(pair_pruned->bounds_pruned, kPinned[s].bounds_pruned);
+
+    const auto directed_exhaustive =
+        DirectedSearchMerger(2, seed, /*pruning=*/false)
+            .Merge(exhaustive_inst.ctx, model);
+    const auto directed_pruned = DirectedSearchMerger(2, seed,
+                                                      /*pruning=*/true)
+                                     .Merge(pruned_inst.ctx, model);
+    ASSERT_TRUE(directed_exhaustive.ok());
+    ASSERT_TRUE(directed_pruned.ok());
+    EXPECT_EQ(directed_pruned->partition, directed_exhaustive->partition);
+    EXPECT_EQ(directed_pruned->cost, directed_exhaustive->cost);
+
+    // Arrivals, departures and repairs, decision by decision.
+    IncrementalMerger plain(&exhaustive_inst.ctx, model, /*pruning=*/false);
+    IncrementalMerger pruned(&pruned_inst.ctx, model, /*pruning=*/true);
+    const QueryId n = static_cast<QueryId>(pruned_inst.queries.size());
+    for (QueryId id = 0; id < n; ++id) {
+      plain.AddQuery(id);
+      pruned.AddQuery(id);
+      if (id % 5 == 4) {
+        plain.RemoveQuery(id - 3);
+        pruned.RemoveQuery(id - 3);
+      }
+      if (id % 16 == 15) {
+        plain.Repair(4);
+        pruned.Repair(4);
+      }
+      ASSERT_EQ(pruned.partition(), plain.partition())
+          << "seed " << seed << " after id " << id;
+    }
+    plain.Repair();
+    pruned.Repair();
+    EXPECT_EQ(pruned.partition(), plain.partition()) << "seed " << seed;
+    EXPECT_LT(pruned.evaluations(), plain.evaluations()) << "seed " << seed;
   }
 }
 

@@ -104,6 +104,7 @@ TEST(RectSoATest, BatchShardOfMatchesGridCellOfCenters) {
   // Oracle: a SpatialGrid over the same bounds; a point rect at each
   // center must land in exactly the cell the batch kernel computed.
   SpatialGrid grid(bounds, cells_x, cells_y);
+  SpatialGrid::Seen seen;
   for (size_t i = 0; i < rects.size(); ++i) {
     if (rects[i].IsEmpty()) {
       EXPECT_EQ(shard[i], RectSoA::kBoundlessShard) << "index " << i;
@@ -114,7 +115,7 @@ TEST(RectSoATest, BatchShardOfMatchesGridCellOfCenters) {
     const Point c = rects[i].Center();
     grid.Insert(static_cast<uint32_t>(i), Rect(c.x, c.y, c.x, c.y));
     std::vector<uint32_t> out;
-    grid.Query(Rect(c.x, c.y, c.x, c.y), &out);
+    grid.Query(Rect(c.x, c.y, c.x, c.y), &seen, &out);
     EXPECT_TRUE(std::count(out.begin(), out.end(),
                            static_cast<uint32_t>(i)))
         << "center lookup disagrees at index " << i;

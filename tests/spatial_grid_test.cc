@@ -3,12 +3,15 @@
 // returns a superset of the true window overlaps, ForEachNearbyPair is
 // the exact spatial join over placed rects plus every boundless pair
 // (an id the index cannot localize is a candidate against everything,
-// mirroring Query) — and deterministic (sorted, deduplicated, each
-// pair once).
+// mirroring Query), and QueryPassing sees exact per-cell and per-block
+// weight maxima — and deterministic (sorted, deduplicated, each pair
+// once).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <limits>
 #include <set>
 #include <utility>
@@ -47,13 +50,14 @@ TEST(SpatialGridTest, QueryReturnsSupersetOfTrueOverlaps) {
 
   Rng rng(8);
   std::vector<uint32_t> out;
+  SpatialGrid::Seen seen;
   for (int trial = 0; trial < 50; ++trial) {
     const double x = rng.UniformDouble(-50, 950);
     const double y = rng.UniformDouble(-50, 950);
     const Rect window(x, y, x + rng.UniformDouble(1, 300),
                       y + rng.UniformDouble(1, 300));
     out.clear();
-    grid.Query(window, &out);
+    grid.Query(window, &seen, &out);
     // Sorted and deduplicated.
     EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
     EXPECT_EQ(std::adjacent_find(out.begin(), out.end()), out.end());
@@ -125,7 +129,8 @@ TEST(SpatialGridTest, ForEachNearbyPairEmitsBoundlessPairs) {
   // disjoint placed pairs are legitimately absent, but every pair
   // involving a boundless id must be present.
   std::vector<uint32_t> out;
-  grid.Query(Rect(0, 0, 100, 100), &out);
+  SpatialGrid::Seen seen;
+  grid.Query(Rect(0, 0, 100, 100), &seen, &out);
   for (size_t i = 0; i < out.size(); ++i) {
     for (size_t j = i + 1; j < out.size(); ++j) {
       const uint32_t a = std::min(out[i], out[j]);
@@ -150,7 +155,8 @@ TEST(SpatialGridTest, RemoveDropsIdFromQueriesAndJoin) {
   EXPECT_EQ(grid.size(), 1u);
 
   std::vector<uint32_t> out;
-  grid.Query(Rect(0, 0, 100, 100), &out);
+  SpatialGrid::Seen seen;
+  grid.Query(Rect(0, 0, 100, 100), &seen, &out);
   EXPECT_EQ(out, std::vector<uint32_t>({0}));
   size_t pairs = 0;
   grid.ForEachNearbyPair([&](uint32_t, uint32_t) { ++pairs; });
@@ -159,7 +165,7 @@ TEST(SpatialGridTest, RemoveDropsIdFromQueriesAndJoin) {
   // Reinsert under a different rect; the id is live again.
   grid.Insert(1, Rect(25, 25, 35, 35));
   out.clear();
-  grid.Query(Rect(24, 24, 26, 26), &out);
+  grid.Query(Rect(24, 24, 26, 26), &seen, &out);
   EXPECT_EQ(out, std::vector<uint32_t>({0, 1}));
 }
 
@@ -168,10 +174,11 @@ TEST(SpatialGridTest, OutOfBoundsRectsClampToEdgeCellsAndAreFound) {
   grid.Insert(0, Rect(-500, -500, -400, -400));
   grid.Insert(1, Rect(400, 400, 500, 500));
   std::vector<uint32_t> out;
-  grid.Query(Rect(-450, -450, -440, -440), &out);
+  SpatialGrid::Seen seen;
+  grid.Query(Rect(-450, -450, -440, -440), &seen, &out);
   EXPECT_TRUE(std::count(out.begin(), out.end(), 0u));
   out.clear();
-  grid.Query(Rect(440, 440, 450, 450), &out);
+  grid.Query(Rect(440, 440, 450, 450), &seen, &out);
   EXPECT_TRUE(std::count(out.begin(), out.end(), 1u));
 }
 
@@ -182,7 +189,8 @@ TEST(SpatialGridTest, DegenerateBoundsCollapseToOneCell) {
   grid.Insert(0, Rect(0, 0, 1, 1));
   grid.Insert(1, Rect(1000, 1000, 1001, 1001));
   std::vector<uint32_t> out;
-  grid.Query(Rect(500, 500, 501, 501), &out);
+  SpatialGrid::Seen seen;
+  grid.Query(Rect(500, 500, 501, 501), &seen, &out);
   // One cell holds everything: unselective but never wrong.
   EXPECT_EQ(out, std::vector<uint32_t>({0, 1}));
 }
@@ -195,15 +203,16 @@ TEST(SpatialGridTest, InfiniteAndEmptyWindowsAreSafe) {
   }
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<uint32_t> out;
+  SpatialGrid::Seen seen;
   // The unbounded window a non-distance-aware bounder produces.
-  grid.Query(Rect(-kInf, -kInf, kInf, kInf), &out);
+  grid.Query(Rect(-kInf, -kInf, kInf, kInf), &seen, &out);
   EXPECT_EQ(out.size(), rects.size());
   // An empty window returns only boundless ids — here, none.
   out.clear();
-  grid.Query(Rect::Empty(), &out);
+  grid.Query(Rect::Empty(), &seen, &out);
   EXPECT_TRUE(out.empty());
   grid.Insert(99, Rect::Empty());
-  grid.Query(Rect::Empty(), &out);
+  grid.Query(Rect::Empty(), &seen, &out);
   EXPECT_EQ(out, std::vector<uint32_t>({99}));
 }
 
@@ -214,14 +223,16 @@ TEST(SpatialGridTest, ForRectsHandlesDegeneratePopulations) {
         {Rect::Empty(), Rect::Empty(), Rect::Empty()});
     grid.Insert(0, Rect::Empty());
     std::vector<uint32_t> out;
-    grid.Query(Rect(0, 0, 1, 1), &out);
+    SpatialGrid::Seen seen;
+    grid.Query(Rect(0, 0, 1, 1), &seen, &out);
     EXPECT_EQ(out, std::vector<uint32_t>({0}));
   }
   // No rects at all.
   {
     SpatialGrid grid = SpatialGrid::ForRects({});
     std::vector<uint32_t> out;
-    grid.Query(Rect(0, 0, 1, 1), &out);
+    SpatialGrid::Seen seen;
+    grid.Query(Rect(0, 0, 1, 1), &seen, &out);
     EXPECT_TRUE(out.empty());
   }
   // One point-like rect.
@@ -229,8 +240,171 @@ TEST(SpatialGridTest, ForRectsHandlesDegeneratePopulations) {
     SpatialGrid grid = SpatialGrid::ForRects({Rect(5, 5, 5, 5)});
     grid.Insert(0, Rect(5, 5, 5, 5));
     std::vector<uint32_t> out;
-    grid.Query(Rect(4, 4, 6, 6), &out);
+    SpatialGrid::Seen seen;
+    grid.Query(Rect(4, 4, 6, 6), &seen, &out);
     EXPECT_EQ(out, std::vector<uint32_t>({0}));
+  }
+}
+
+// Brute-force model of a weighted grid over [0, 100]^2 in 20 x 12 cells:
+// blocks of 8 x 8 cells, so the last block column and row are partial.
+// Cell membership replays CellOf's arithmetic on the same bounds.
+struct GridModel {
+  static constexpr int kCellsX = 20;
+  static constexpr int kCellsY = 12;
+  struct Item {
+    uint32_t id;
+    Rect rect;
+    double weight;
+  };
+  std::vector<Item> items;
+
+  static int Cell(double v, double step, int n) {
+    double f = std::floor(v / step);
+    if (!(f > 0.0)) f = 0.0;
+    return static_cast<int>(std::min(f, static_cast<double>(n - 1)));
+  }
+  static bool Covers(const Rect& r, int cx, int cy) {
+    constexpr double kW = 100.0 / kCellsX;
+    constexpr double kH = 100.0 / kCellsY;
+    return !r.IsEmpty() && Cell(r.x_lo(), kW, kCellsX) <= cx &&
+           cx <= Cell(r.x_hi(), kW, kCellsX) &&
+           Cell(r.y_lo(), kH, kCellsY) <= cy &&
+           cy <= Cell(r.y_hi(), kH, kCellsY);
+  }
+  std::vector<const Item*> InCell(int cx, int cy) const {
+    std::vector<const Item*> in;
+    for (const Item& it : items) {
+      if (Covers(it.rect, cx, cy)) in.push_back(&it);
+    }
+    return in;
+  }
+  static double MaxOf(const std::vector<const Item*>& in) {
+    double m = -std::numeric_limits<double>::infinity();
+    for (const Item* it : in) m = std::max(m, it->weight);
+    return m;
+  }
+};
+
+// Weighted grid under random Insert/Remove churn, with ids reused after
+// removal, out-of-bounds, zero-width and empty rectangles. After every
+// operation the walk must report each block's and each cell's exact
+// maximum weight, in walk order, with a region every rectangle in the
+// cell meets; and a weight-filtered query must return exactly the
+// ascending unique ids of the entries in passing cells plus every
+// boundless id, leaving the caller's flags clear.
+TEST(SpatialGridTest, WeightedMaximaStayExactUnderChurn) {
+  using Model = GridModel;
+  SpatialGrid grid(Rect(0, 0, 100, 100), Model::kCellsX, Model::kCellsY);
+  Model model;
+  Rng rng(31);
+  SpatialGrid::Seen seen;
+  std::vector<uint32_t> free_ids;
+  uint32_t next_id = 0;
+  for (int op = 0; op < 600; ++op) {
+    if (model.items.empty() || rng.UniformDouble(0, 1) < 0.6) {
+      Rect rect = Rect::Empty();
+      const double kind = rng.UniformDouble(0, 1);
+      if (kind >= 0.1) {
+        const double x = rng.UniformDouble(-30, 120);
+        const double y = rng.UniformDouble(-30, 120);
+        const double w = kind < 0.2 ? 0.0 : rng.UniformDouble(0, 40);
+        rect = Rect(x, y, x + w, y + rng.UniformDouble(0, 25));
+      }
+      uint32_t id = next_id;
+      if (!free_ids.empty() && rng.UniformDouble(0, 1) < 0.5) {
+        id = free_ids.back();
+        free_ids.pop_back();
+      } else {
+        ++next_id;
+      }
+      const double weight = std::floor(rng.UniformDouble(0, 50));
+      grid.Insert(id, rect, weight);
+      model.items.push_back({id, rect, weight});
+    } else {
+      const size_t k = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(model.items.size()) - 1));
+      grid.Remove(model.items[k].id, model.items[k].rect);
+      free_ids.push_back(model.items[k].id);
+      model.items.erase(model.items.begin() + static_cast<ptrdiff_t>(k));
+    }
+    ASSERT_EQ(grid.size(), model.items.size());
+
+    // The expected walk: blocks in row-major order, each followed by its
+    // cells in row-major order.
+    std::vector<double> want_max;
+    std::vector<std::pair<int, int>> want_cell;  // (-1, -1) for a block
+    for (int by = 0; by < Model::kCellsY; by += SpatialGrid::kBlock) {
+      for (int bx = 0; bx < Model::kCellsX; bx += SpatialGrid::kBlock) {
+        std::vector<const Model::Item*> block;
+        for (int cy = by; cy < std::min(by + 8, Model::kCellsY); ++cy) {
+          for (int cx = bx; cx < std::min(bx + 8, Model::kCellsX); ++cx) {
+            for (const Model::Item* it : model.InCell(cx, cy)) {
+              block.push_back(it);
+            }
+          }
+        }
+        want_max.push_back(Model::MaxOf(block));
+        want_cell.push_back({-1, -1});
+        for (int cy = by; cy < std::min(by + 8, Model::kCellsY); ++cy) {
+          for (int cx = bx; cx < std::min(bx + 8, Model::kCellsX); ++cx) {
+            want_max.push_back(Model::MaxOf(model.InCell(cx, cy)));
+            want_cell.push_back({cx, cy});
+          }
+        }
+      }
+    }
+    std::vector<double> got_max;
+    std::vector<uint32_t> out;
+    grid.QueryPassing(
+        [&](const Rect& region, double max_weight) {
+          const size_t k = got_max.size();
+          got_max.push_back(max_weight);
+          if (k < want_cell.size() && want_cell[k].first >= 0) {
+            for (const Model::Item* it :
+                 model.InCell(want_cell[k].first, want_cell[k].second)) {
+              EXPECT_TRUE(it->rect.Intersects(region))
+                  << "op " << op << ": id " << it->id << " "
+                  << it->rect.ToString() << " misses its cell's region "
+                  << region.ToString();
+            }
+          }
+          return true;
+        },
+        &seen, &out);
+    ASSERT_EQ(got_max, want_max) << "op " << op;
+    std::vector<uint32_t> all;
+    for (const Model::Item& it : model.items) all.push_back(it.id);
+    std::sort(all.begin(), all.end());
+    ASSERT_EQ(out, all) << "op " << op;
+
+    // Filtered: a cell passes when its heaviest entry reaches the
+    // threshold (monotone: a block's maximum is its cells' maximum).
+    const double threshold = std::floor(rng.UniformDouble(0, 55));
+    std::vector<uint32_t> want;
+    for (const Model::Item& it : model.items) {
+      bool passes = it.rect.IsEmpty();
+      for (int cy = 0; cy < Model::kCellsY && !passes; ++cy) {
+        for (int cx = 0; cx < Model::kCellsX && !passes; ++cx) {
+          passes = Model::Covers(it.rect, cx, cy) &&
+                   Model::MaxOf(model.InCell(cx, cy)) >= threshold;
+        }
+      }
+      if (passes) want.push_back(it.id);
+    }
+    std::sort(want.begin(), want.end());
+    out.assign({7u});  // queries append after what the caller holds
+    grid.QueryPassing(
+        [threshold](const Rect&, double max_weight) {
+          return max_weight >= threshold;
+        },
+        &seen, &out);
+    ASSERT_EQ(out.front(), 7u);
+    ASSERT_EQ(std::vector<uint32_t>(out.begin() + 1, out.end()), want)
+        << "op " << op << " threshold " << threshold;
+    ASSERT_EQ(std::count(seen.begin(), seen.end(), 0),
+              static_cast<ptrdiff_t>(seen.size()))
+        << "op " << op << ": the query left flags set";
   }
 }
 
@@ -255,7 +429,8 @@ TEST(SpatialGridTest, ForRectsTerminatesOnDegenerateAspectRatios) {
       grid.Insert(static_cast<uint32_t>(i), rects[i]);
     }
     std::vector<uint32_t> out;
-    grid.Query(Rect(-1, -1, 1, 1), &out);
+    SpatialGrid::Seen seen;
+    grid.Query(Rect(-1, -1, 1, 1), &seen, &out);
     EXPECT_TRUE(std::count(out.begin(), out.end(), 0u));
   }
   // Coordinate span that overflows double subtraction: the bounding
@@ -272,7 +447,8 @@ TEST(SpatialGridTest, ForRectsTerminatesOnDegenerateAspectRatios) {
       grid.Insert(static_cast<uint32_t>(i), rects[i]);
     }
     std::vector<uint32_t> out;
-    grid.Query(Rect(0, 0, 2, 2), &out);
+    SpatialGrid::Seen seen;
+    grid.Query(Rect(0, 0, 2, 2), &seen, &out);
     EXPECT_EQ(out, std::vector<uint32_t>({0, 1}));
   }
   // Hairline strip: denormal heights must not break sizing or lookups.
@@ -291,7 +467,8 @@ TEST(SpatialGridTest, ForRectsTerminatesOnDegenerateAspectRatios) {
       grid.Insert(static_cast<uint32_t>(i), rects[i]);
     }
     std::vector<uint32_t> out;
-    grid.Query(Rect(0, -1, 2e6, 1), &out);
+    SpatialGrid::Seen seen;
+    grid.Query(Rect(0, -1, 2e6, 1), &seen, &out);
     EXPECT_TRUE(std::count(out.begin(), out.end(), 0u));
     EXPECT_TRUE(std::count(out.begin(), out.end(), 1u));
   }
