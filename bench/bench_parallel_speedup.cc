@@ -1,9 +1,11 @@
-// Parallel speedup of the planner's hottest kernel: profit-table
-// construction for the Pair Merging Algorithm (DESIGN.md §7). Times
-// PairMerger::EvaluatePairBenefits — all C(n,2) pair benefits of a
-// 200-query workload — at 1/2/4/8 threads, and cross-checks the
+// Parallel speedup of profit-table construction for the Pair Merging
+// Algorithm (DESIGN.md §7). The kernel serves only the paper's Profit
+// Table, PairMerger(/*use_heap=*/false), which the tests use as the
+// reference for the bounded heap every planner runs (DESIGN.md §8).
+// Times PairMerger::EvaluatePairBenefits — all C(n,2) pair benefits of
+// a 200-query workload — at 1/2/4/8 threads, and cross-checks the
 // determinism contract: every thread count must produce bit-identical
-// benefits and an identical final merge plan.
+// benefits and an identical Profit Table merge plan.
 //
 // Usage: bench_parallel_speedup [--smoke]
 //   --smoke: small instance, one repetition, no speedup assertion — the
@@ -70,10 +72,11 @@ KernelResult RunAtThreads(int threads, size_t num_queries, uint64_t seed,
   }
   result.millis = best_ms;
 
-  // Full plan at this thread count, for the equality cross-check.
+  // Full Profit Table plan at this thread count, for the equality
+  // cross-check.
   bench::Instance inst(bench::Fig16WorkloadConfig(num_queries), seed,
                        bench::kFig16Density);
-  const PairMerger merger;
+  const PairMerger merger(/*use_heap=*/false);
   auto outcome = merger.Merge(*inst.ctx, model);
   if (outcome.ok()) result.partition = outcome->partition;
   exec::SetDefaultThreads(1);

@@ -1,13 +1,16 @@
 // Planner scaling sweep (DESIGN.md §8): wall time and exact-evaluation
 // counts of the heuristic mergers with the spatial candidate index and
-// admissible benefit bounds on versus off, as |Q| grows. The pruned
-// planner must return the byte-identical partition and cost — that
-// invariant is checked here at every size where both modes run (nonzero
-// exit on violation); the payoff columns are the speedup and the shrink
-// in exact GroupCost evaluations.
+// admissible benefit bounds on versus off, as |Q| grows. "off" times the
+// same bounded loop with bounds that prune nothing: it evaluates every
+// candidate exactly, but through the heap, grid and per-pair bound
+// tests, so its time is that loop's, not a dedicated exhaustive scan's
+// (EXPERIMENTS.md). The pruned planner must return the byte-identical
+// partition and cost — that invariant is checked here at every size
+// where both modes run (nonzero exit on violation); the payoff columns
+// are the speedup and the shrink in exact GroupCost evaluations.
 //
 //   evals     = MergeOutcome::candidates — exact profit evaluations the
-//               merger performed (under pruning: bound refinements only).
+//               merger performed (bound refinements).
 //   groups    = MergeContext::groups_evaluated() — distinct groups whose
 //               statistics were computed (the memo's size).
 //

@@ -1,7 +1,8 @@
 // Implementation ablation: the paper's Profit Table with a full rescan
-// per round vs the lazy max-heap over the same benefits inside the Pair
-// Merging Algorithm. Identical results by construction (asserted in
-// tests); this measures the constant-factor difference.
+// per round (PairMerger(/*use_heap=*/false)) vs the default lazy max-heap
+// of admissible benefit bounds (DESIGN.md §8) inside the Pair Merging
+// Algorithm. Identical plans (asserted in tests); this measures what the
+// heap and its bounds save.
 
 #include <benchmark/benchmark.h>
 

@@ -1,0 +1,38 @@
+#!/usr/bin/env bash
+# Figure goldens: the stdout of the Figure 16 and 17 harnesses and of the
+# dynamic-scenario bench must match tests/golden/{fig16,fig17,dynamic}.txt
+# byte for byte. Planner changes that claim to keep every plan identical
+# are checked by this diff. A mismatch means the plans or the table format
+# changed; if that was deliberate, regenerate with:
+#   build/bench/bench_fig16_pair_optimality > tests/golden/fig16.txt
+#   build/bench/bench_fig17_pair_distance > tests/golden/fig17.txt
+#   build/bench/bench_dynamic > tests/golden/dynamic.txt
+# fig16 and fig17 take about 10 s each, so this is a CI step, not a ctest.
+#
+#   check_figure_goldens.sh [bench_dir] [golden_dir]
+set -euo pipefail
+
+root="$(cd "$(dirname "$0")/.." && pwd)"
+BENCH_DIR="${1:-$root/build/bench}"
+GOLDEN_DIR="${2:-$root/tests/golden}"
+
+actual="$(mktemp)"
+trap 'rm -f "$actual"' EXIT
+
+status=0
+for check in fig16:bench_fig16_pair_optimality \
+             fig17:bench_fig17_pair_distance \
+             dynamic:bench_dynamic; do
+  golden="${check%%:*}"
+  bench="${check#*:}"
+  # Without QSP_BENCH_REPORT a bench writes no report and its stdout is
+  # the table alone.
+  env -u QSP_BENCH_REPORT "$BENCH_DIR/$bench" > "$actual"
+  if diff -u "$GOLDEN_DIR/$golden.txt" "$actual"; then
+    echo "$golden: ok"
+  else
+    echo "golden mismatch for $golden (see diff above)" >&2
+    status=1
+  fi
+done
+exit "$status"

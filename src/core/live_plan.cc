@@ -24,7 +24,7 @@ LivePlanManager::LivePlanManager(QuerySet* queries, const MergeContext* ctx,
       model_(model),
       opts_(opts),
       clock_(clock != nullptr ? clock : opts.clock),
-      merger_(ctx, model, opts.pruning) {
+      merger_(ctx, model) {
   QSP_CHECK(queries != nullptr);
   QSP_CHECK(ctx != nullptr);
   QSP_CHECK(&ctx->queries() == queries);

@@ -67,9 +67,10 @@ struct LiveServiceConfig {
   /// the old plan; the result is adopted at the start of a later batch).
   /// Off = replans run inline in ProcessBatch.
   bool replan_background = false;
-  /// Pruning (DESIGN.md §8) for the incremental merger's scans.
-  bool pruning = true;
-  /// Pruning for the from-scratch replans (PairMerger).
+  /// Pruning (DESIGN.md §8) for the from-scratch replans (PairMerger);
+  /// off runs the same loop with bounds that prune nothing, so a replan
+  /// evaluates every pair. The incremental merger's scans are always
+  /// bounded.
   bool replan_pruning = true;
   /// Sharded from-scratch replans (DESIGN.md §13): with a value N > 1,
   /// drift replans and ReplanNow plan their dense snapshot through

@@ -91,10 +91,11 @@ struct ServiceConfig {
   /// the same partitions and costs, only faster (DESIGN.md §7).
   int threads = 1;
   /// Planner acceleration (DESIGN.md §8): spatial candidate pruning and
-  /// lazy bound→exact profit evaluation in the heuristic mergers. The
-  /// planner's output — partitions, allocations, costs — is bit-identical
-  /// with pruning on or off; only planning time and the number of exact
-  /// group evaluations change. On by default; this is the kill switch.
+  /// lazy bound→exact profit evaluation in the heuristic mergers. Off
+  /// runs the same bounded loops with bounds that prune nothing, so every
+  /// candidate is evaluated exactly. The planner's output — partitions,
+  /// allocations, costs — is bit-identical with pruning on or off; only
+  /// planning time and the number of exact group evaluations change.
   bool pruning = true;
   /// Sharded parallel planning (DESIGN.md §12–§13): with a value N > 1
   /// and a single channel, Plan() partitions the object space into ~N

@@ -161,9 +161,9 @@ Result<MergeOutcome> ClusteringMerger::DoMerge(const MergeContext& ctx,
   }
 
   // Solve each cluster independently. Greedy subsolves inherit this
-  // merger's pruning setting so that pruning = false really is the
-  // end-to-end exhaustive baseline (the result is identical either way;
-  // only the evaluation counts differ).
+  // merger's pruning setting so that pruning = false evaluates every
+  // pair end to end (the result is identical either way; only the
+  // evaluation counts differ).
   const PairMerger pair_merger(/*use_heap=*/true, pruning_);
   for (const auto& cluster : clusters) {
     if (cluster.empty()) continue;

@@ -25,8 +25,9 @@ namespace qsp {
 /// positive — pairs skipped either way are provably non-mergeable, and
 /// the surviving pairs are evaluated with the identical expression, so
 /// the components (and the final partition) are unchanged. Falls back to
-/// the exhaustive scan when the model/procedure cannot justify the
-/// shortcuts.
+/// evaluating every pair when the model/procedure cannot justify the
+/// shortcuts. Greedy subsolves run PairMerger's bounded heap with the
+/// same `pruning` setting; off, its bounds prune nothing.
 class ClusteringMerger : public Merger {
  public:
   explicit ClusteringMerger(int exact_component_limit = 10,

@@ -34,23 +34,24 @@ struct DescentCounters {
   uint64_t iterations = 0;
   uint64_t accepted_merges = 0;
   uint64_t accepted_extracts = 0;
-  /// Merge candidates skipped by the benefit bound (pruned mode only).
+  /// Merge candidates skipped by the benefit bound.
   uint64_t bounds_pruned = 0;
   /// Merge candidates whose bound survived and were evaluated exactly.
   uint64_t bounds_refined = 0;
 };
 
 /// Steepest-descent to a local minimum; returns the local cost and the
-/// number of candidate moves evaluated. A non-null `bounder` prunes the
-/// merge-move scan: a pair whose admissible upper bound cannot beat the
-/// running best delta (or pass the improvement filter) is skipped without
-/// an exact evaluation — it could never have been selected, so the chosen
-/// move (same i-then-ascending-j scan order, same strict-> argmax) is
-/// identical to the exhaustive scan's.
+/// number of candidate moves evaluated. The bounder prunes the merge-move
+/// scan: a pair whose admissible upper bound cannot beat the running best
+/// delta (or pass the improvement filter) is skipped without an exact
+/// evaluation — it could never have been selected, so the chosen move
+/// (i-then-ascending-j scan order, strict-> argmax) is the one a scan
+/// evaluating every pair would choose. A bounder that prunes nothing
+/// evaluates every pair.
 double Descend(const MergeContext& ctx, const CostModel& model,
                Partition* partition, uint64_t* candidates,
                DescentCounters* counters,
-               const plan::BenefitBounder* bounder) {
+               const plan::BenefitBounder& bounder) {
   double cost = model.PartitionCost(ctx, *partition);
   std::vector<uint32_t> cands;
   SpatialGrid::Seen seen;
@@ -62,58 +63,41 @@ double Descend(const MergeContext& ctx, const CostModel& model,
     size_t best_i = 0, best_j = 0;
     QueryId best_q = 0;
 
-    // Merge moves.
-    if (bounder != nullptr) {
-      // Summaries and grid are rebuilt per step: every accepted move
-      // reshapes the partition, and group costs are memoized so the
-      // rebuild is O(p) cheap lookups.
-      const size_t p = partition->size();
-      std::vector<plan::GroupSummary> sums(p);
-      std::vector<Rect> bboxes(p);
-      for (size_t i = 0; i < p; ++i) {
-        sums[i] = bounder->Summarize((*partition)[i]);
-        bboxes[i] = sums[i].bbox;
-      }
-      SpatialGrid grid = SpatialGrid::ForRects(bboxes);
-      for (size_t i = 0; i < p; ++i) {
-        grid.Insert(static_cast<uint32_t>(i), bboxes[i], sums[i].cost);
-      }
-      for (size_t i = 0; i < p; ++i) {
-        cands.clear();
-        grid.QueryPassing(bounder->PartnerTestFor(sums[i]), &seen, &cands);
-        for (uint32_t j : cands) {
-          if (j <= i) continue;
-          const double ub = bounder->UpperBound(sums[i], sums[j]);
-          if (ub <= best_delta || !IsImprovement(ub, cost)) {
-            ++counters->bounds_pruned;
-            continue;
-          }
-          ++counters->bounds_refined;
-          ++*candidates;
-          const double delta =
-              model.MergeBenefit(ctx, (*partition)[i], (*partition)[j]);
-          if (delta > best_delta && IsImprovement(delta, cost)) {
-            best_delta = delta;
-            best_kind = Kind::kMerge;
-            best_i = i;
-            best_j = j;
-          }
+    // Merge moves. Summaries and grid are rebuilt per step: every
+    // accepted move reshapes the partition, and group costs are memoized
+    // so the rebuild is O(p) cheap lookups.
+    const size_t p = partition->size();
+    std::vector<plan::GroupSummary> sums(p);
+    std::vector<Rect> bboxes(p);
+    for (size_t i = 0; i < p; ++i) {
+      sums[i] = bounder.Summarize((*partition)[i]);
+      bboxes[i] = sums[i].bbox;
+    }
+    SpatialGrid grid = SpatialGrid::ForRects(bboxes);
+    for (size_t i = 0; i < p; ++i) {
+      grid.Insert(static_cast<uint32_t>(i), bboxes[i], sums[i].cost);
+    }
+    for (size_t i = 0; i < p; ++i) {
+      cands.clear();
+      grid.QueryPassing(bounder.PartnerTestFor(sums[i]), &seen, &cands);
+      for (uint32_t j : cands) {
+        if (j <= i) continue;
+        const double ub = bounder.UpperBound(sums[i], sums[j]);
+        if (ub <= best_delta || !IsImprovement(ub, cost)) {
+          ++counters->bounds_pruned;
+          continue;
         }
-      }
-    } else {
-      for (size_t i = 0; i < partition->size(); ++i) {
-        for (size_t j = i + 1; j < partition->size(); ++j) {
-          ++*candidates;
-          const double delta =
-              model.MergeBenefit(ctx, (*partition)[i], (*partition)[j]);
-          // IsImprovement filters rounding-level "gains" that would make
-          // a merge and its inverse extract move both look beneficial.
-          if (delta > best_delta && IsImprovement(delta, cost)) {
-            best_delta = delta;
-            best_kind = Kind::kMerge;
-            best_i = i;
-            best_j = j;
-          }
+        ++counters->bounds_refined;
+        ++*candidates;
+        const double delta =
+            model.MergeBenefit(ctx, (*partition)[i], (*partition)[j]);
+        // IsImprovement filters rounding-level "gains" that would make a
+        // merge and its inverse extract move both look beneficial.
+        if (delta > best_delta && IsImprovement(delta, cost)) {
+          best_delta = delta;
+          best_kind = Kind::kMerge;
+          best_i = i;
+          best_j = j;
         }
       }
     }
@@ -177,9 +161,7 @@ Result<MergeOutcome> DirectedSearchMerger::DoMerge(
   // random scatters. All starts are drawn up front from the single seeded
   // stream (the draw order never depends on how descents are scheduled),
   // then the independent descents fan out across the exec pool.
-  const plan::BenefitBounder bounder(ctx, model);
-  const plan::BenefitBounder* bounder_ptr =
-      pruning_ && bounder.enabled() ? &bounder : nullptr;
+  const plan::BenefitBounder bounder(ctx, model, pruning_);
   Rng rng(seed_);
   const size_t restarts = static_cast<size_t>(restarts_);
   std::vector<Partition> starts(restarts);
@@ -199,7 +181,7 @@ Result<MergeOutcome> DirectedSearchMerger::DoMerge(
         result.partition = std::move(starts[t]);
         result.cost = Descend(ctx, model, &result.partition,
                               &result.candidates, &result.counters,
-                              bounder_ptr);
+                              bounder);
         return result;
       });
 

@@ -14,14 +14,15 @@ namespace qsp {
 /// singleton — until no move lowers the cost. The best of T restarts is
 /// returned; the first restart starts from singletons so the result is
 /// never worse than plain pair merging. O(T * |Q|^2) per descent step.
-/// `pruning` accelerates the merge-move scan inside each descent step
-/// (DESIGN.md §8): candidate partners come from a spatial grid over group
-/// bounding boxes, and a pair's exact MergeBenefit is only evaluated when
-/// its admissible upper bound beats both the best move found so far and
-/// the improvement threshold — pairs skipped on either ground could never
-/// have been selected, so every descent walks the identical move
-/// sequence. Falls back to the exhaustive scan when the model cannot
-/// support admissible bounds.
+/// The merge-move scan inside each descent step is bounded (DESIGN.md
+/// §8): candidate partners come from a spatial grid over group bounding
+/// boxes, and a pair's exact MergeBenefit is only evaluated when its
+/// plan::BenefitBounder upper bound beats both the best move found so far
+/// and the improvement threshold — pairs skipped on either ground could
+/// never have been selected, so every descent walks the move sequence a
+/// scan of every pair would. `pruning = false`, or a cost model the
+/// bounder cannot bound, runs the same scan with bounds that prune
+/// nothing.
 class DirectedSearchMerger : public Merger {
  public:
   explicit DirectedSearchMerger(int restarts = 8, uint64_t seed = 42,

@@ -26,30 +26,28 @@ namespace qsp {
 ///  * Repair: one steepest-descent pass (merge / extract moves, as the
 ///    directed search) to undo accumulated drift; call periodically.
 ///
-/// With `pruning` on (the default) and a cost model that supports benefit
-/// bounds, every scan is accelerated the same way the one-shot planners
-/// are (DESIGN.md §8): cached GroupSummary per live group, admissible
-/// BenefitBounder upper bounds skip candidates that provably cannot beat
+/// Every scan is bounded the same way the one-shot planners are
+/// (DESIGN.md §8): cached GroupSummary per live group, admissible
+/// plan::BenefitBounder bounds skip candidates that provably cannot beat
 /// the current best, and — when the bounder is distance-aware — a
 /// SpatialGrid over group bounding boxes, weighted by group cost,
 /// restricts candidates to the cells BenefitBounder::PartnerTest lets
-/// through. Candidates are visited in the same ascending
-/// order as the exhaustive scans and skipped only when the bound proves
-/// they cannot *strictly* improve, so the pruned paths pick the identical
-/// groups and moves (same tie-breaks) as `pruning = false`; only
-/// evaluations() differs. Because the query population grows after
-/// construction, the merger maintains the bounding union of every id it
-/// has seen and re-derives its bounder as that universe grows, dropping
-/// the distance term the moment a query escapes the estimator's
-/// density-floor support.
+/// through. Candidates are visited in ascending slot order and skipped
+/// only when the bound proves they cannot *strictly* improve, so every
+/// decision (and tie-break) is the one a scan evaluating every candidate
+/// would make; only evaluations() depends on the bounds. Under a cost
+/// model the bounder cannot bound, nothing is skipped. Because the query
+/// population grows after construction, the merger maintains the
+/// bounding union of every id it has seen and re-derives its bounder as
+/// that universe grows, dropping the distance term the moment a query
+/// escapes the estimator's density-floor support.
 ///
 /// The underlying MergeContext must wrap the same QuerySet that grows as
 /// ids are added; ids passed to AddQuery must already exist in the set.
 /// Not thread-safe; the live service serializes calls under its own lock.
 class IncrementalMerger {
  public:
-  IncrementalMerger(const MergeContext* ctx, const CostModel& model,
-                    bool pruning = true);
+  IncrementalMerger(const MergeContext* ctx, const CostModel& model);
 
   /// Places a new query; returns the resulting total cost.
   double AddQuery(QueryId id);
@@ -81,15 +79,15 @@ class IncrementalMerger {
   /// Group evaluations performed so far (work metric vs from-scratch).
   uint64_t evaluations() const { return evaluations_; }
 
-  /// Candidates skipped by an admissible bound (pruned mode only).
+  /// Candidates skipped by an admissible bound.
   uint64_t bounds_pruned() const { return bounds_pruned_; }
 
  private:
   static constexpr uint32_t kNoKey = 0xffffffffu;
   static constexpr size_t kNoSlot = static_cast<size_t>(-1);
 
-  double GroupCost(const QueryGroup& group);
-  /// Summarize + evaluation accounting (the pruned GroupCost).
+  /// Summarize + evaluation accounting: every exact group cost the
+  /// merger computes goes through here.
   plan::GroupSummary Summarize(const QueryGroup& group);
   /// Exact singleton cost without touching the group memo: a singleton's
   /// stats are by construction {messages 1, size(q), irrelevant 0}, and
@@ -99,8 +97,6 @@ class IncrementalMerger {
 
   /// Folds rect(id) into the seen-universe and re-derives the bounder.
   void ExtendUniverse(QueryId id);
-  /// True when candidate generation may consult the spatial grid.
-  bool DistanceAware() const;
   /// (Re)builds the grid over live group bboxes, compacting stale keys.
   void RebuildGrid();
   /// Appends a new group (fresh key) with its summary.
@@ -117,8 +113,10 @@ class IncrementalMerger {
 
   const MergeContext* ctx_;
   CostModel model_;
-  /// Pruning requested AND valid for the model; fixed at construction.
-  bool use_bounds_;
+  /// Bounding union of every id ever added; only grows.
+  Rect universe_ = Rect::Empty();
+  /// Re-derived from universe_ whenever it grows.
+  plan::BenefitBounder bounder_;
   Partition partition_;
   double cost_ = 0.0;
   uint64_t evaluations_ = 0;
@@ -128,21 +126,19 @@ class IncrementalMerger {
   /// and the id->group map speak stable keys. Keys are assigned in
   /// creation order and groups are only appended, so key order == slot
   /// order — candidate keys sorted ascending are slots sorted ascending,
-  /// which is what keeps pruned scans in the exhaustive scan order.
+  /// which is what keeps grid-driven scans in ascending slot order.
   std::vector<uint32_t> key_of_slot_;
   std::vector<size_t> slot_of_key_;
   std::vector<uint32_t> key_of_query_;
   uint32_t next_key_ = 0;
 
-  /// Pruned mode only (empty / unused otherwise).
+  /// Summary of each live group, parallel to partition_.
   std::vector<plan::GroupSummary> summaries_;
-  std::optional<plan::BenefitBounder> bounder_;
+  /// Built only while the bounder is distance-aware.
   std::optional<SpatialGrid> grid_;
   size_t grid_built_groups_ = 0;
   /// Deduplication scratch of the grid's partner queries.
   SpatialGrid::Seen seen_;
-  /// Bounding union of every id ever added; only grows.
-  Rect universe_ = Rect::Empty();
 };
 
 }  // namespace qsp

@@ -14,32 +14,17 @@
 namespace qsp {
 namespace {
 
-/// One profit-table entry: the benefit of merging live groups a and b.
-struct ProfitEntry {
-  double benefit;
-  size_t a;
-  size_t b;
-  bool operator<(const ProfitEntry& other) const {
-    // Max-heap on benefit; equal benefits rank the smaller (a, b) first.
-    // The tie-break must come from the stable group ids — never from
-    // push order, which is a scheduling artifact — so the heap variant
-    // picks the same pair as the table variant's ordered scan and the
-    // chosen merge sequence is reproducible run to run.
-    if (benefit != other.benefit) return benefit < other.benefit;
-    if (a != other.a) return a > other.a;
-    return b > other.b;
-  }
-};
-
-/// Pruned-path heap entry: `benefit` is the exact merge benefit when
-/// `exact`, else an admissible upper bound on it. The ordering is the
-/// same as ProfitEntry's, which is what makes lazy refinement exact:
-/// when an exact entry surfaces at the top, every other live pair's
-/// entry — bound or exact — carries a key >= its true benefit, so no
-/// other pair can beat the popped one, and among equal benefits the
-/// stable-id tie-break still ranks the smallest pair first (an
-/// equal-valued bound of a smaller pair would have surfaced and been
-/// refined before this pop).
+/// Heap entry: `benefit` is the exact merge benefit when `exact`, else an
+/// admissible upper bound on it. Max-heap on benefit; equal keys rank the
+/// smaller (a, b) first. The tie-break must come from the stable group
+/// ids — never from push order, which is a scheduling artifact — so the
+/// heap picks the same pair as the Profit Table's ordered scan. This
+/// ordering is what makes lazy refinement exact: when an exact entry
+/// surfaces at the top, every other live pair's entry — bound or exact —
+/// carries a key >= its true benefit, so no other pair can beat the
+/// popped one, and among equal benefits the stable-id tie-break still
+/// ranks the smallest pair first (an equal-valued bound of a smaller pair
+/// would have surfaced and been refined before this pop).
 struct BoundedEntry {
   double benefit;
   size_t a;
@@ -73,108 +58,68 @@ std::vector<double> PairMerger::EvaluatePairBenefits(
 MergeOutcome PairMerger::MergeFrom(const MergeContext& ctx,
                                    const CostModel& model,
                                    Partition start) const {
-  if (pruning_ && model.SupportsBenefitBounds()) {
-    return MergeFromPruned(ctx, model, std::move(start));
-  }
+  return use_heap_ ? MergeFromHeap(ctx, model, std::move(start))
+                   : MergeFromTable(ctx, model, std::move(start));
+}
+
+MergeOutcome PairMerger::MergeFromTable(const MergeContext& ctx,
+                                        const CostModel& model,
+                                        Partition start) const {
+  // The paper's Profit Table: the benefit of merging each live pair,
+  // rescanned for the best pair every round.
   MergeOutcome outcome;
   uint64_t merges_applied = 0;
-  uint64_t stale_heap_pops = 0;
   std::vector<QueryGroup> groups = std::move(start);
   std::vector<bool> alive(groups.size(), true);
   std::vector<double> group_cost(groups.size());
   for (size_t i = 0; i < groups.size(); ++i) {
     group_cost[i] = model.GroupCost(ctx, groups[i]);
   }
-
-  // Profit Table: benefit of merging each live pair. The map variant is
-  // the paper's table; the heap variant keeps the same values in a lazy
-  // priority queue.
   std::map<std::pair<size_t, size_t>, double> table;
-  std::priority_queue<ProfitEntry> heap;
-
-  auto record_benefit = [&](size_t i, size_t j, double benefit) {
-    if (use_heap_) {
-      if (benefit > 0) heap.push({benefit, i, j});
-    } else {
-      table[{i, j}] = benefit;
-    }
-  };
 
   // Benefits are evaluated in bulk (parallel across the exec pool), then
-  // recorded serially in ascending (i, j) order, so heap and table
-  // contents never depend on scheduling.
+  // recorded serially, so the table never depends on scheduling.
   std::vector<std::pair<size_t, size_t>> pending;
   auto flush_pending = [&] {
     const std::vector<double> benefits =
         EvaluatePairBenefits(ctx, model, groups, group_cost, pending);
     outcome.candidates += pending.size();
-    for (size_t k = 0; k < pending.size(); ++k) {
-      record_benefit(pending[k].first, pending[k].second, benefits[k]);
-    }
+    for (size_t k = 0; k < pending.size(); ++k) table[pending[k]] = benefits[k];
     pending.clear();
   };
 
   for (size_t i = 0; i < groups.size(); ++i) {
-    if (!alive[i]) continue;
-    for (size_t j = i + 1; j < groups.size(); ++j) {
-      if (alive[j]) pending.emplace_back(i, j);
-    }
+    for (size_t j = i + 1; j < groups.size(); ++j) pending.emplace_back(i, j);
   }
   flush_pending();
 
   while (true) {
+    // std::map iterates keys in ascending (i, j) order, so the strict `>`
+    // keeps the smallest pair among equal benefits.
     size_t best_a = 0, best_b = 0;
     double best_benefit = 0.0;
-    if (use_heap_) {
-      // Pop until a live, still-accurate entry surfaces. Entries are
-      // immutable once pushed; merging marks groups dead, which
-      // invalidates their entries lazily — every entry whose endpoints
-      // are both alive is accurate, because a group's cost never changes
-      // after creation (merges only create fresh indices).
-      bool found = false;
-      while (!heap.empty()) {
-        const ProfitEntry top = heap.top();
-        heap.pop();
-        if (!alive[top.a] || !alive[top.b]) {
-          ++stale_heap_pops;
-          continue;
-        }
-        best_a = top.a;
-        best_b = top.b;
-        best_benefit = top.benefit;
-        found = true;
-        break;
+    for (const auto& [pair, benefit] : table) {
+      if (benefit > best_benefit) {
+        best_benefit = benefit;
+        best_a = pair.first;
+        best_b = pair.second;
       }
-      if (!found) break;
-    } else {
-      // std::map iterates keys in ascending (i, j) order, so the strict
-      // `>` keeps the smallest pair among equal benefits — the same
-      // stable-id tie-break as the heap comparator above.
-      for (const auto& [pair, benefit] : table) {
-        if (benefit > best_benefit) {
-          best_benefit = benefit;
-          best_a = pair.first;
-          best_b = pair.second;
-        }
-      }
-      if (best_benefit <= 0.0) break;
     }
+    if (best_benefit <= 0.0) break;
 
-    // Merge best_a and best_b into a fresh group.
+    // Merge best_a and best_b into a fresh group. Entries referencing the
+    // two dead groups are erased eagerly, so the table never carries
+    // stale rows into the next argmax.
     ++merges_applied;
     QueryGroup merged = UnionGroups(groups[best_a], groups[best_b]);
     alive[best_a] = false;
     alive[best_b] = false;
-    if (!use_heap_) {
-      // Entries referencing the two dead groups are erased eagerly, so
-      // the table never carries stale rows into the next argmax.
-      for (auto it = table.begin(); it != table.end();) {
-        const auto& [i, j] = it->first;
-        if (i == best_a || i == best_b || j == best_a || j == best_b) {
-          it = table.erase(it);
-        } else {
-          ++it;
-        }
+    for (auto it = table.begin(); it != table.end();) {
+      const auto& [i, j] = it->first;
+      if (i == best_a || i == best_b || j == best_a || j == best_b) {
+        it = table.erase(it);
+      } else {
+        ++it;
       }
     }
     const size_t new_index = groups.size();
@@ -193,31 +138,32 @@ MergeOutcome PairMerger::MergeFrom(const MergeContext& ctx,
   CanonicalizePartition(&outcome.partition);
   outcome.cost = model.PartitionCost(ctx, outcome.partition);
   obs::Count("merge.pair-merging.merges_applied", merges_applied);
-  obs::Count("merge.pair-merging.stale_heap_pops", stale_heap_pops);
   return outcome;
 }
 
-MergeOutcome PairMerger::MergeFromPruned(const MergeContext& ctx,
-                                         const CostModel& model,
-                                         Partition start) const {
-  // The accelerated greedy loop (DESIGN.md §8). Differences from the
-  // exhaustive path above, none of which change the output:
+MergeOutcome PairMerger::MergeFromHeap(const MergeContext& ctx,
+                                       const CostModel& model,
+                                       Partition start) const {
+  // The bounded greedy loop (DESIGN.md §8). It applies the merges the
+  // Profit Table would, in the same order:
   //  * candidate pairs come from a SpatialGrid over group bounding boxes
   //    weighted by group cost — partners in cells the bounder's partner
   //    test rejects provably have a non-positive benefit bound, and the
-  //    exhaustive path never applies non-positive merges;
+  //    table never applies non-positive merges;
   //  * the heap holds admissible upper bounds; popping a bound refines
-  //    it to the exact benefit (the identical arithmetic expression the
-  //    exhaustive path evaluates) and re-pushes, so only pairs whose
-  //    bound ever reaches the global top pay an exact GroupCost;
-  //  * refinement is inherently one-at-a-time, so this path does not use
+  //    it to the exact benefit (the identical arithmetic expression
+  //    EvaluatePairBenefits uses) and re-pushes, so only pairs whose
+  //    bound ever reaches the global top pay an exact GroupCost. When
+  //    the bounder prunes nothing every bound is +infinity, so every
+  //    pair is refined;
+  //  * refinement is inherently one-at-a-time, so this loop does not use
   //    the exec pool — its output is trivially thread-count-invariant.
   MergeOutcome outcome;
   uint64_t merges_applied = 0;
   uint64_t stale_heap_pops = 0;
   uint64_t& bounds_pruned = outcome.bounds_pruned;
   uint64_t& bounds_refined = outcome.bounds_refined;
-  const plan::BenefitBounder bounder(ctx, model);
+  const plan::BenefitBounder bounder(ctx, model, pruning_);
   std::vector<QueryGroup> groups = std::move(start);
   std::vector<bool> alive(groups.size(), true);
   std::vector<double> group_cost(groups.size());
@@ -243,7 +189,7 @@ MergeOutcome PairMerger::MergeFromPruned(const MergeContext& ctx,
   // the largest index, so incremental re-pairing passes above = false
   // and bounds (j, i) instead). Pairs skipped by the partner query or by
   // a non-positive bound are counted against `possible`, the number of
-  // live partners an exhaustive scan would have evaluated.
+  // live partners the Profit Table would have evaluated.
   std::vector<uint32_t> cands;
   SpatialGrid::Seen seen;
   auto bound_pairs_of = [&](size_t i, bool above, size_t possible) {
@@ -289,9 +235,9 @@ MergeOutcome PairMerger::MergeFromPruned(const MergeContext& ctx,
       }
       if (!top.exact) {
         // Refine: the exact expression is the one EvaluatePairBenefits
-        // uses, so the refined value is bit-identical to the exhaustive
-        // table's. Non-positive exact benefits are dropped, exactly as
-        // record_benefit drops them.
+        // uses, so the refined value is bit-identical to the Profit
+        // Table's. Non-positive exact benefits are dropped: the table
+        // never applies them.
         ++bounds_refined;
         ++outcome.candidates;
         const QueryGroup merged = UnionGroups(groups[top.a], groups[top.b]);

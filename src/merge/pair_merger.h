@@ -11,24 +11,27 @@ namespace qsp {
 /// The greedy Pair Merging Algorithm of Section 6.2.1. Starts from
 /// singleton groups, repeatedly merges the pair of groups with the largest
 /// positive benefit Cost_old - Cost_new, and stops when no merge helps.
-/// Benefits are kept in a Profit Table so only the pairs involving the
-/// freshly merged group are re-evaluated each round, exactly as the paper
-/// prescribes; `use_heap` selects between the paper's table-with-rescan
-/// and a lazy max-heap over the same table (identical results, different
-/// constants — compared in bench_profit_table).
+/// Equal benefits go to the smallest pair of stable group indices.
 ///
-/// O(|Q|^2) group evaluations; guaranteed optimal for |Q| <= 2.
+/// `use_heap = false` runs the paper's Profit Table: every pair's benefit
+/// is evaluated exactly, only the pairs involving the freshly merged
+/// group are re-evaluated each round, and each round rescans the table
+/// for the best pair. O(|Q|^2) group evaluations; it is the reference
+/// the heap is tested against.
+///
+/// `use_heap = true` (the default, which every planner runs) applies the
+/// identical merge sequence through a lazy max-heap of admissible benefit
+/// bounds (DESIGN.md §8): candidate pairs come from a spatial grid over
+/// group bounding boxes, the heap holds plan::BenefitBounder upper
+/// bounds, and a pair's exact benefit is evaluated only when its bound
+/// surfaces at the top. The partition and cost equal the table's; only
+/// the number of exact evaluations differs. `pruning = false`, or a cost
+/// model the bounder cannot bound, runs the same loop with bounds that
+/// prune nothing, so every pair is evaluated.
+///
+/// Guaranteed optimal for |Q| <= 2.
 class PairMerger : public Merger {
  public:
-  /// `pruning` enables the planning-acceleration layer (DESIGN.md §8):
-  /// candidate pairs come from a spatial grid over group bounding boxes,
-  /// the profit heap holds cheap admissible upper bounds, and the exact
-  /// benefit is evaluated lazily only when a bound surfaces at the top of
-  /// the heap. The chosen merge sequence — and therefore the partition
-  /// and cost — is bit-identical to the exhaustive path; only the number
-  /// of exact GroupCost evaluations changes. Automatically falls back to
-  /// the exhaustive path when the cost model or estimator cannot support
-  /// admissible bounds (plan::BenefitBounder::enabled()).
   explicit PairMerger(bool use_heap = true, bool pruning = true)
       : use_heap_(use_heap), pruning_(pruning) {}
 
@@ -42,8 +45,8 @@ class PairMerger : public Merger {
   /// groups[i] with groups[j] for every requested (i, j), given each
   /// group's precomputed cost. Evaluations fan out across the qsp::exec
   /// default executor; result k corresponds to pairs[k] for any thread
-  /// count. Exposed for bench_parallel_speedup, which measures exactly
-  /// this kernel.
+  /// count. Only the Profit Table (`use_heap = false`) runs it; exposed
+  /// for bench_parallel_speedup, which measures exactly this kernel.
   static std::vector<double> EvaluatePairBenefits(
       const MergeContext& ctx, const CostModel& model,
       const std::vector<QueryGroup>& groups,
@@ -57,8 +60,10 @@ class PairMerger : public Merger {
                                const CostModel& model) const override;
 
  private:
-  MergeOutcome MergeFromPruned(const MergeContext& ctx, const CostModel& model,
-                               Partition start) const;
+  MergeOutcome MergeFromTable(const MergeContext& ctx, const CostModel& model,
+                              Partition start) const;
+  MergeOutcome MergeFromHeap(const MergeContext& ctx, const CostModel& model,
+                             Partition start) const;
 
   bool use_heap_;
   bool pruning_;

@@ -2,24 +2,29 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace qsp {
 namespace plan {
 
-BenefitBounder::BenefitBounder(const MergeContext& ctx, const CostModel& model)
+BenefitBounder::BenefitBounder(const MergeContext& ctx, const CostModel& model,
+                               bool pruning)
     : BenefitBounder(ctx, model, [&ctx] {
         Rect universe = Rect::Empty();
         for (QueryId id = 0; id < ctx.num_queries(); ++id) {
           universe = universe.BoundingUnion(ctx.queries().rect(id));
         }
         return universe;
-      }()) {}
+      }(), pruning) {}
 
 BenefitBounder::BenefitBounder(const MergeContext& ctx, const CostModel& model,
-                               const Rect& universe)
+                               const Rect& universe, bool pruning)
     : ctx_(&ctx), model_(&model), traits_(ctx.procedure().traits()) {
-  enabled_ = model.SupportsBenefitBounds();
+  // The bounds lower-bound a merged group's cost by dropping the K_U term
+  // and under-estimating its size, which is conservative only when every
+  // coefficient is non-negative.
+  enabled_ = pruning && model.SupportsBenefitBounds();
   if (!enabled_) return;
   if (!traits_.covers_bounding_union || model.k_t <= 0.0) return;
   const SizeEstimator::DensityFloor floor = ctx.estimator().Floor();
@@ -51,6 +56,7 @@ GroupSummary BenefitBounder::Summarize(const QueryGroup& group) const {
 
 double BenefitBounder::UpperBound(const GroupSummary& a,
                                   const GroupSummary& b) const {
+  if (!enabled_) return std::numeric_limits<double>::infinity();
   // Merged-size lower bounds, strongest applicable wins. Every candidate
   // is justified by region coverage under a measure-like estimator:
   //  * max member singleton: the merged regions cover each member rect;
@@ -108,6 +114,29 @@ BenefitBounder::PartnerTest BenefitBounder::PartnerTestFor(
   test.k_m_ = model_->k_m;
   test.cost_ = g.cost;
   return test;
+}
+
+BenefitBounder::ExtractBound BenefitBounder::ExtractBoundFor(
+    const QueryGroup& group, double group_cost) const {
+  ExtractBound bound;
+  if (!enabled_) return bound;
+  bound.model_ = model_;
+  bound.group_cost_ = group_cost;
+  bound.max1_ = -std::numeric_limits<double>::infinity();
+  bound.max2_ = bound.max1_;
+  for (QueryId q : group) {
+    const double s = ctx_->Size(q);
+    if (s > bound.max1_) {
+      bound.max2_ = bound.max1_;
+      bound.max1_ = s;
+      bound.max_count_ = 1;
+    } else if (s == bound.max1_) {
+      ++bound.max_count_;
+    } else if (s > bound.max2_) {
+      bound.max2_ = s;
+    }
+  }
+  return bound;
 }
 
 double FreshPlanCostLowerBound(const MergeContext& ctx, const CostModel& model,

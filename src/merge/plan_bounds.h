@@ -2,7 +2,9 @@
 #define QSP_MERGE_PLAN_BOUNDS_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "cost/cost_model.h"
@@ -43,6 +45,13 @@ struct GroupSummary {
 /// the exact value, so a lazy bound→exact refinement heap selects exactly
 /// the merges the exhaustive profit table would.
 ///
+/// The bounder is total: it is the one place that decides whether a
+/// bound is valid. When the caller turns pruning off, or the cost model
+/// has a negative coefficient (CostModel::SupportsBenefitBounds), it
+/// prunes nothing — every bound is +infinity and every partner test
+/// accepts — so a bounded loop then evaluates every candidate exactly
+/// and needs no exhaustive twin.
+///
 /// All bounds derive from one inequality: for any merged group M,
 ///   GroupCost(M) >= K_M * 1 + K_T * size_lb(M),
 /// with size_lb(M) the best available merged-size lower bound. Which
@@ -53,7 +62,9 @@ struct GroupSummary {
 /// estimator's own evaluation order.
 class BenefitBounder {
  public:
-  BenefitBounder(const MergeContext& ctx, const CostModel& model);
+  /// `pruning = false` makes a bounder that prunes nothing.
+  BenefitBounder(const MergeContext& ctx, const CostModel& model,
+                 bool pruning = true);
 
   /// Same, but takes the bounding union of every query the caller will
   /// ever pass through Summarize/UpperBound instead of scanning the
@@ -63,15 +74,15 @@ class BenefitBounder {
   /// distance term must be dropped the moment a query escapes the
   /// estimator's density-floor support.
   BenefitBounder(const MergeContext& ctx, const CostModel& model,
-                 const Rect& universe);
+                 const Rect& universe, bool pruning = true);
 
-  /// True when the bounds are valid for this cost model (requires
-  /// non-negative K_M, K_T, K_U — see CostModel::SupportsBenefitBounds).
-  /// When false, callers must fall back to exhaustive evaluation.
+  /// True when the bounds can prune: pruning was requested and the cost
+  /// model has no negative coefficient. When false, UpperBound and every
+  /// ExtractBound return +infinity and every PartnerTest accepts.
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  /// True when the density-floor distance term is active: the procedure
-  /// covers the bounding union, the estimator guarantees a positive
+  /// True when the density-floor distance term is active: enabled(), the
+  /// procedure covers the bounding union, the estimator guarantees a positive
   /// density on a support containing every query, and K_T > 0. Only then
   /// can far-apart pairs be pruned without any evaluation (PartnerTest).
   [[nodiscard]] bool distance_aware() const { return distance_aware_; }
@@ -80,7 +91,8 @@ class BenefitBounder {
   /// exact group statistics.
   [[nodiscard]] GroupSummary Summarize(const QueryGroup& group) const;
 
-  /// Admissible upper bound: UpperBound(a, b) >= MergeBenefit(a, b).
+  /// Admissible upper bound: UpperBound(a, b) >= MergeBenefit(a, b);
+  /// +infinity when !enabled().
   [[nodiscard]] double UpperBound(const GroupSummary& a, const GroupSummary& b) const;
 
   /// The admissible partner test for one group g (DESIGN.md §8), with
@@ -129,6 +141,39 @@ class BenefitBounder {
     double cost_ = 0.0;
   };
   [[nodiscard]] PartnerTest PartnerTestFor(const GroupSummary& g) const;
+
+  /// The admissible bound on extract moves out of one group g (the
+  /// incremental repair's second move kind): for every member q of g,
+  /// with singleton size size_q and exact singleton cost cost_q,
+  ///   bound(size_q, cost_q) >= GroupCost(g) - GroupCost(g \ {q}) - cost_q.
+  /// The rest keeps g's largest other member, so its merged size is at
+  /// least that member's singleton size. +infinity when !enabled().
+  class ExtractBound {
+   public:
+    double operator()(double size_q, double cost_q) const {
+      if (model_ == nullptr) return std::numeric_limits<double>::infinity();
+      // Removing q leaves the largest surviving member: the second-largest
+      // size when q is the unique largest, the largest otherwise.
+      const double rest_lb =
+          std::max(0.0, (size_q == max1_ && max_count_ == 1) ? max2_ : max1_);
+      return group_cost_ - model_->MergedCostLowerBound(kSlack * rest_lb) -
+             cost_q;
+    }
+
+   private:
+    friend class BenefitBounder;
+    /// Null when the bounder prunes nothing.
+    const CostModel* model_ = nullptr;
+    double group_cost_ = 0.0;
+    /// Largest and second-largest member sizes, and how many members
+    /// share the largest.
+    double max1_ = 0.0;
+    double max2_ = 0.0;
+    size_t max_count_ = 0;
+  };
+  /// `group_cost` is g's exact cost.
+  [[nodiscard]] ExtractBound ExtractBoundFor(const QueryGroup& group,
+                                             double group_cost) const;
 
   /// Multiplier under 1 applied to every merged-size lower bound, so the
   /// bounds stay admissible under floating-point rounding (the bound and

@@ -69,11 +69,12 @@ Result<ContinuousOutcome> RunContinuous(const ContinuousConfig& config) {
       break;
   }
   // kReplanEachRound is the *naive* baseline the incremental policies are
-  // measured against, so its from-scratch replans run the exhaustive
-  // (unpruned) pair merger — their maintenance_evals then count every
-  // pair evaluation, the work a replan fundamentally redoes each round.
-  // (The pruned merger returns the identical partition while evaluating
-  // almost nothing, which would make the baseline meaningless.)
+  // measured against, so its from-scratch replans run the pair merger
+  // with bounds that prune nothing — their maintenance_evals then count
+  // every pair evaluation, the work a replan fundamentally redoes each
+  // round. (The pruned merger returns the identical partition while
+  // evaluating almost nothing, which would make the baseline
+  // meaningless.)
   opts.replan_pruning = false;
   LivePlanManager live(&queries, &ctx, config.cost_model, opts);
 

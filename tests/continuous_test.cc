@@ -3,6 +3,7 @@
 #include <tuple>
 
 #include "sim/continuous.h"
+#include "tests/merge_reference.h"
 
 namespace qsp {
 namespace {
@@ -106,6 +107,24 @@ TEST(ContinuousTest, ReplanSpendsMoreMaintenanceWorkThanIncremental) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_LT(a->total_maintenance_evals, b->total_maintenance_evals);
+}
+
+// The re-plan-every-round baseline runs the pair merger with bounds that
+// prune nothing, so each replan evaluates every pair the Profit Table
+// would. The total is pinned to the value the exhaustive pair loop
+// reported.
+TEST(ContinuousTest, ReplanEachRoundEvaluatesEveryPair) {
+  ContinuousConfig config = SmallConfig(7);
+  config.maintenance = PlanMaintenance::kReplanEachRound;
+  auto outcome = RunContinuous(config);
+  ASSERT_TRUE(outcome.ok());
+  for (const auto& round : outcome->rounds) {
+    EXPECT_EQ(round.maintenance_evals,
+              reference::ProfitTableEvaluations(round.active_queries,
+                                                round.groups))
+        << "round " << round.round;
+  }
+  EXPECT_EQ(outcome->total_maintenance_evals, 785u);
 }
 
 TEST(ContinuousTest, RepairPlansAreNoWorseThanPlainIncremental) {

@@ -11,6 +11,7 @@
 #include "query/merge_context.h"
 #include "query/merge_procedure.h"
 #include "stats/size_estimator.h"
+#include "tests/merge_reference.h"
 #include "util/rng.h"
 #include "workload/query_gen.h"
 
@@ -195,10 +196,10 @@ TEST_F(IncrementalTest, AddRemoveRepairInterleaveKeepsPartitionExact) {
 }
 
 TEST_F(IncrementalTest, PruningNeverChangesInterleavedDecisions) {
-  // Decision identity (DESIGN.md §8 applied incrementally): with and
-  // without the BenefitBounder fast path, the same Add/Remove/Repair
-  // sequence must produce the same partition — pruning may only skip
-  // evaluations whose outcome is already decided.
+  // Decision identity (DESIGN.md §8 applied incrementally): the bounded
+  // merger and the exhaustive reference must produce the same partition
+  // after every step of the same Add/Remove/Repair sequence — the bounds
+  // may only skip evaluations whose outcome is already decided.
   Rng rng(23);
   QueryGenConfig config;
   config.num_queries = 30;
@@ -206,8 +207,8 @@ TEST_F(IncrementalTest, PruningNeverChangesInterleavedDecisions) {
   const std::vector<Rect> rects = GenerateQueries(config, &rng);
   for (const Rect& r : rects) queries_.Add(r);
 
-  IncrementalMerger pruned(&ctx_, model_, /*pruning=*/true);
-  IncrementalMerger plain(&ctx_, model_, /*pruning=*/false);
+  IncrementalMerger pruned(&ctx_, model_);
+  reference::ExhaustiveIncrementalMerger plain(&ctx_, model_);
   for (QueryId id = 0; id < rects.size(); ++id) {
     pruned.AddQuery(id);
     plain.AddQuery(id);

@@ -14,6 +14,7 @@
 #include "query/merge_context.h"
 #include "query/merge_procedure.h"
 #include "stats/size_estimator.h"
+#include "tests/merge_reference.h"
 #include "util/bell.h"
 #include "util/rng.h"
 #include "workload/query_gen.h"
@@ -211,6 +212,25 @@ TEST(PairMergerTest, HeapAndTableVariantsAgree) {
     // The variants must agree on the partition itself, not just its
     // cost — equal-benefit ties are broken by stable group ids in both.
     EXPECT_EQ(a->partition, b->partition) << "seed " << seed;
+  }
+}
+
+TEST(PairMergerTest, TableVariantRunsTheProfitTable) {
+  // use_heap = false must run the paper's Profit Table whatever the
+  // pruning default: no bound is ever refined, and every pair is
+  // evaluated.
+  for (uint64_t seed = 0; seed < 5; ++seed) {
+    // A costly message makes several merges pay.
+    Instance inst(14, 820 + seed, CostModel{400.0, 1.0, 1.0, 0.0});
+    auto result = PairMerger(/*use_heap=*/false).Merge(*inst.ctx, inst.model);
+    ASSERT_TRUE(result.ok());
+    const uint64_t n = inst.queries.size();
+    const uint64_t groups = result->partition.size();
+    ASSERT_LT(groups, n) << "seed " << seed << ": nothing merged";
+    EXPECT_EQ(result->bounds_refined, 0u) << "seed " << seed;
+    EXPECT_EQ(result->bounds_pruned, 0u) << "seed " << seed;
+    EXPECT_EQ(result->candidates, reference::ProfitTableEvaluations(n, groups))
+        << "seed " << seed;
   }
 }
 

@@ -1,10 +1,12 @@
 // Planner pruning golden tests (DESIGN.md §8): the spatial candidate
 // index and the admissible benefit bounds are pure accelerations — with
 // pruning on, every heuristic merger must return the exact partition and
-// cost the exhaustive evaluation returns, for every merge procedure,
-// estimator, and seed. The bounds themselves are checked as properties:
-// UpperBound never falls below the exact MergeBenefit, and the partner
-// query never drops a group that carries a positive bound.
+// cost of an independent exhaustive reference (the Profit Table for pair
+// merging, tests/merge_reference.h for directed search and incremental
+// merging), for every merge procedure, estimator, and seed. The bounds
+// themselves are checked as properties: UpperBound never falls below the
+// exact MergeBenefit, and the partner query never drops a group that
+// carries a positive bound.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +33,7 @@
 #include "relation/generator.h"
 #include "stats/histogram_estimator.h"
 #include "stats/size_estimator.h"
+#include "tests/merge_reference.h"
 #include "util/rng.h"
 #include "workload/query_gen.h"
 
@@ -82,12 +85,18 @@ struct Instance {
 struct MergerCase {
   std::string name;
   std::unique_ptr<Merger> (*make)(uint64_t seed, bool pruning);
+  /// The exhaustive reference; null = make(seed, /*pruning=*/false).
+  std::unique_ptr<Merger> (*reference)(uint64_t seed) = nullptr;
 };
 
 const MergerCase kMergers[] = {
     {"pair-heap",
      [](uint64_t, bool pruning) -> std::unique_ptr<Merger> {
        return std::make_unique<PairMerger>(/*use_heap=*/true, pruning);
+     },
+     // The paper's Profit Table evaluates every pair exactly.
+     [](uint64_t) -> std::unique_ptr<Merger> {
+       return std::make_unique<PairMerger>(/*use_heap=*/false);
      }},
     {"clustering",
      [](uint64_t, bool pruning) -> std::unique_ptr<Merger> {
@@ -121,7 +130,9 @@ TEST(PlannerPruningTest, PrunedPlanMatchesExhaustivePlan) {
                                     estimator + "/seed" +
                                     std::to_string(seed);
           Instance exhaustive_inst(30, seed, procedure, estimator);
-          auto exhaustive = mc.make(seed, /*pruning=*/false)
+          auto exhaustive = (mc.reference != nullptr
+                                 ? mc.reference(seed)
+                                 : mc.make(seed, /*pruning=*/false))
                                 ->Merge(*exhaustive_inst.ctx, model);
           ASSERT_TRUE(exhaustive.ok()) << label;
 
@@ -138,27 +149,58 @@ TEST(PlannerPruningTest, PrunedPlanMatchesExhaustivePlan) {
   }
 }
 
-// A cost model with a negative coefficient invalidates the bounds;
-// SupportsBenefitBounds must route such models to the exhaustive path so
-// the plan is still exact (and identical whether pruning is requested).
-TEST(PlannerPruningTest, NegativeCoefficientModelFallsBackToExhaustive) {
+// A cost model with a negative coefficient invalidates the bounds, so
+// the bounder must prune nothing even with pruning requested: the pair
+// heap refines every pair, and its plan and effort equal the Profit
+// Table's; directed search and the incremental merger make their
+// exhaustive references' decisions without pruning a candidate.
+TEST(PlannerPruningTest, NegativeCoefficientModelPrunesNothing) {
   CostModel model = bench::Fig16CostModel();
   model.k_u = -1.0;
   ASSERT_FALSE(model.SupportsBenefitBounds());
   for (const uint64_t seed : kSeeds) {
     Instance a(20, seed, "bounding-rect", "uniform");
     Instance b(20, seed, "bounding-rect", "uniform");
-    auto off = PairMerger(/*use_heap=*/true, /*pruning=*/false)
-                   .Merge(*a.ctx, model);
+    const plan::BenefitBounder bounder(*b.ctx, model);
+    EXPECT_FALSE(bounder.enabled());
+    auto table = PairMerger(/*use_heap=*/false).Merge(*a.ctx, model);
     auto on =
         PairMerger(/*use_heap=*/true, /*pruning=*/true).Merge(*b.ctx, model);
-    ASSERT_TRUE(off.ok());
+    ASSERT_TRUE(table.ok());
     ASSERT_TRUE(on.ok());
-    EXPECT_EQ(on->partition, off->partition) << "seed " << seed;
-    EXPECT_EQ(on->cost, off->cost) << "seed " << seed;
-    // The fallback path is the exhaustive one, so even the effort metric
-    // matches.
-    EXPECT_EQ(on->candidates, off->candidates) << "seed " << seed;
+    EXPECT_EQ(on->partition, table->partition) << "seed " << seed;
+    EXPECT_EQ(on->cost, table->cost) << "seed " << seed;
+    // Nothing is pruned, so even the effort metric matches.
+    EXPECT_EQ(on->candidates, table->candidates) << "seed " << seed;
+    EXPECT_EQ(on->bounds_refined, on->candidates) << "seed " << seed;
+    EXPECT_EQ(on->bounds_pruned, 0u) << "seed " << seed;
+
+    Partition descent = SingletonPartition(a.queries.size());
+    reference::ExhaustiveDescent(*a.ctx, model, &descent);
+    CanonicalizePartition(&descent);
+    auto directed =
+        DirectedSearchMerger(/*restarts=*/1, seed).Merge(*b.ctx, model);
+    ASSERT_TRUE(directed.ok());
+    EXPECT_EQ(directed->partition, descent) << "seed " << seed;
+    EXPECT_EQ(directed->bounds_pruned, 0u) << "seed " << seed;
+
+    reference::ExhaustiveIncrementalMerger plain(a.ctx.get(), model);
+    IncrementalMerger incremental(b.ctx.get(), model);
+    for (QueryId id = 0; id < a.queries.size(); ++id) {
+      plain.AddQuery(id);
+      incremental.AddQuery(id);
+      if (id % 5 == 4) {
+        plain.RemoveQuery(id - 3);
+        incremental.RemoveQuery(id - 3);
+      }
+      if (id % 8 == 7) {
+        plain.Repair(3);
+        incremental.Repair(3);
+      }
+      ASSERT_EQ(incremental.partition(), plain.partition())
+          << "seed " << seed << " after id " << id;
+    }
+    EXPECT_EQ(incremental.bounds_pruned(), 0u) << "seed " << seed;
   }
 }
 
@@ -177,8 +219,10 @@ std::vector<QueryGroup> RandomGroups(size_t n, size_t blocks, Rng* rng) {
 }
 
 // Admissibility: UpperBound(a, b) >= MergeBenefit(a, b) for random
-// disjoint groups, under every procedure/estimator combination whose
-// traits the bounder exploits differently.
+// disjoint groups, and every ExtractBound >= the exact benefit of
+// extracting that member into a singleton, under every
+// procedure/estimator combination whose traits the bounder exploits
+// differently.
 TEST(PlannerPruningTest, UpperBoundNeverBelowExactBenefit) {
   const CostModel model = bench::Fig16CostModel();
   for (const std::string& procedure :
@@ -204,6 +248,20 @@ TEST(PlannerPruningTest, UpperBoundNeverBelowExactBenefit) {
                 << procedure << "/" << estimator << " seed " << seed
                 << " pair " << GroupToString(groups[i]) << " + "
                 << GroupToString(groups[j]);
+          }
+          if (groups[i].size() < 2) continue;
+          const auto extract = bounder.ExtractBoundFor(groups[i], sums[i].cost);
+          for (QueryId q : groups[i]) {
+            QueryGroup rest;
+            for (QueryId other : groups[i]) {
+              if (other != q) rest.push_back(other);
+            }
+            const double q_cost = model.GroupCost(*inst.ctx, {q});
+            const double exact = sums[i].cost -
+                                 model.GroupCost(*inst.ctx, rest) - q_cost;
+            EXPECT_GE(extract(inst.ctx->Size(q), q_cost), exact)
+                << procedure << "/" << estimator << " seed " << seed
+                << " extract " << q << " from " << GroupToString(groups[i]);
           }
         }
       }
@@ -372,10 +430,11 @@ TEST(PlannerPruningTest, PartnerTestRejectsOnlyUnprofitableRegions) {
 
 // Plan identity where the partner query bites: on the dense instances,
 // pruned pair, directed and incremental merging equal their exhaustive
-// paths. Pair merging's effort counters are pinned: they depend only on
-// which pairs reach its heap (those with a positive bound), never on how
-// many candidates the partner query returns, so a sharper query must
-// leave them unchanged.
+// references (the Profit Table, and the test-local descent and
+// incremental merger). Pair merging's effort counters are pinned: they
+// depend only on which pairs reach its heap (those with a positive
+// bound), never on how many candidates the partner query returns, so a
+// sharper query must leave them unchanged.
 TEST(PlannerPruningTest, DenseInstancesMatchExhaustivePlans) {
   const CostModel model = bench::Fig16CostModel();
   struct Counters {
@@ -387,9 +446,8 @@ TEST(PlannerPruningTest, DenseInstancesMatchExhaustivePlans) {
     const uint64_t seed = kSeeds[s];
     DenseInstance exhaustive_inst(seed);
     DenseInstance pruned_inst(seed);
-    const auto pair_exhaustive = PairMerger(/*use_heap=*/true,
-                                            /*pruning=*/false)
-                                     .Merge(exhaustive_inst.ctx, model);
+    const auto pair_exhaustive =
+        PairMerger(/*use_heap=*/false).Merge(exhaustive_inst.ctx, model);
     const auto pair_pruned =
         PairMerger(/*use_heap=*/true, /*pruning=*/true)
             .Merge(pruned_inst.ctx, model);
@@ -403,20 +461,23 @@ TEST(PlannerPruningTest, DenseInstancesMatchExhaustivePlans) {
     EXPECT_EQ(pair_pruned->bounds_refined, kPinned[s].bounds_refined);
     EXPECT_EQ(pair_pruned->bounds_pruned, kPinned[s].bounds_pruned);
 
-    const auto directed_exhaustive =
-        DirectedSearchMerger(2, seed, /*pruning=*/false)
-            .Merge(exhaustive_inst.ctx, model);
-    const auto directed_pruned = DirectedSearchMerger(2, seed,
+    // One restart descends from singletons only.
+    Partition directed_exhaustive =
+        SingletonPartition(exhaustive_inst.queries.size());
+    reference::ExhaustiveDescent(exhaustive_inst.ctx, model,
+                                 &directed_exhaustive);
+    CanonicalizePartition(&directed_exhaustive);
+    const auto directed_pruned = DirectedSearchMerger(/*restarts=*/1, seed,
                                                       /*pruning=*/true)
                                      .Merge(pruned_inst.ctx, model);
-    ASSERT_TRUE(directed_exhaustive.ok());
     ASSERT_TRUE(directed_pruned.ok());
-    EXPECT_EQ(directed_pruned->partition, directed_exhaustive->partition);
-    EXPECT_EQ(directed_pruned->cost, directed_exhaustive->cost);
+    EXPECT_EQ(directed_pruned->partition, directed_exhaustive);
+    EXPECT_EQ(directed_pruned->cost,
+              model.PartitionCost(exhaustive_inst.ctx, directed_exhaustive));
 
     // Arrivals, departures and repairs, decision by decision.
-    IncrementalMerger plain(&exhaustive_inst.ctx, model, /*pruning=*/false);
-    IncrementalMerger pruned(&pruned_inst.ctx, model, /*pruning=*/true);
+    reference::ExhaustiveIncrementalMerger plain(&exhaustive_inst.ctx, model);
+    IncrementalMerger pruned(&pruned_inst.ctx, model);
     const QueryId n = static_cast<QueryId>(pruned_inst.queries.size());
     for (QueryId id = 0; id < n; ++id) {
       plain.AddQuery(id);

@@ -15,7 +15,9 @@
 //       live     the long-lived service loop: admit the fig16 workload
 //                through leased admission, retire every third query, and
 //                EXPLAIN the incrementally repaired plan it serves
-//                (honors --queries, --seed, --no-pruning, --format)
+//                (honors --queries, --seed, --format; the incremental
+//                merger's scans are always bounded, so --no-pruning
+//                does not apply)
 //   --queries N [12]    --seed N [fig16: 1000*queries; workload: 42]
 //   --merger pair|directed|clustering|exact [pair]
 //   --shards N [1]      plan through the ShardedPlanner (DESIGN.md §12);
@@ -27,7 +29,8 @@
 //                       §13). balanced also emits the bisection cut
 //                       tree and per-shard cost estimates (text + JSON);
 //                       unsharded output never carries either.
-//   --no-pruning        disable the BenefitBounder fast path
+//   --no-pruning        plan with bounds that prune nothing (same plan;
+//                       every pair evaluated exactly)
 //   --exact             also report exact merged sizes, measured against
 //                       a generated table (--objects N [5000])
 //   --format text|json [text]
@@ -129,7 +132,6 @@ int RunLive(const Args& args) {
   opts.admission_batch_max = static_cast<size_t>(-1);
   opts.admission_queue_limit = static_cast<size_t>(-1);
   opts.repair_max_moves = 0;  // Repair each batch to a local minimum.
-  opts.pruning = !args.Has("no-pruning");
   LivePlanManager live(&queries, &ctx, model, opts);
 
   Rng rng(seed);
