@@ -17,19 +17,15 @@
 // `--smoke` runs the small sizes only (CI perf-smoke job).
 //
 // `--shards` switches to the sharded-planning matrix (DESIGN.md §12):
-// assign x shards x threads over the ShardedPlanner at large |Q|,
-// asserting that shards=1 is byte-identical to the unsharded merger and
-// that every multi-shard plan costs within 2% of it. `--assign
-// grid|balanced` restricts the assignment axis (default: both). The
-// fig16-hybrid 16-shard cell is the headline skew number (DESIGN.md
-// §13): grid assignment must show estimated-cost imbalance > 4 (one
-// cell inherits a whole cluster) where balanced stays < 2, and — on
-// machines where timing is meaningful — balanced must be strictly
-// faster end-to-end at equal shard/thread counts. `--shards --big` adds
-// a single 10^6-query cell. The speedup acceptance (>= 3x at >= 4
-// shards and >= 8 threads vs 1x1) engages only on machines with >= 4
-// hardware threads; the identity, cost, and imbalance checks always
-// run.
+// shards x threads over the ShardedPlanner at large |Q|, asserting that
+// shards=1 is byte-identical to the unsharded merger and that every
+// multi-shard plan costs within 2% of it. The fig16-hybrid 16-shard
+// cell is the headline skew number (DESIGN.md §13): its estimated-cost
+// imbalance must stay < 2 even though two clusters hold most of the
+// queries. `--shards --big` adds a single 10^6-query cell. The speedup
+// acceptance (>= 3x at >= 4 shards and >= 8 threads vs 1x1) engages
+// only on machines with >= 4 hardware threads; the identity, cost, and
+// imbalance checks always run.
 
 #include <chrono>
 #include <cstdio>
@@ -217,7 +213,6 @@ int Run(bool smoke) {
 
 struct ShardCell {
   size_t n = 0;
-  ShardAssign assign = ShardAssign::kBalanced;
   int shards = 0;
   int threads = 0;
   double ms = 0.0;
@@ -229,16 +224,11 @@ struct ShardCell {
   Partition partition;
 };
 
-const char* AssignName(ShardAssign assign) {
-  return assign == ShardAssign::kGrid ? "grid" : "balanced";
-}
-
 /// The 10^6-query workload. The fig16 hybrid puts ~40% of all queries
-/// into each of two clusters only ~3% of the domain wide, so one grid
-/// cell inherits the whole cluster and its inner merge never finishes
-/// at this scale — spatial sharding needs spatial dispersion to win.
-/// The big cell keeps a clustered component but spreads it (df=0.25)
-/// and shrinks rects so groups stay interior to 32x32 cells.
+/// into each of two clusters only ~3% of the domain wide; the big cell
+/// keeps a clustered component but spreads it (df=0.25) and shrinks
+/// rects tenfold. It is the workload the recorded 10^6 timings
+/// (EXPERIMENTS.md) ran, so new runs stay comparable with them.
 QueryGenConfig BigWorkloadConfig(size_t n) {
   QueryGenConfig config = bench::Fig16WorkloadConfig(n);
   config.cf = 0.2;
@@ -251,8 +241,8 @@ QueryGenConfig BigWorkloadConfig(size_t n) {
 /// One (n, shards, threads) cell: fresh instance and context (fair
 /// timing, no memo reuse across cells), clustering inner merger (the
 /// one whose grid join scales to these sizes).
-bool RunShardCell(const QueryGenConfig& workload, ShardAssign assign,
-                  int shards, int threads, ShardCell* cell) {
+bool RunShardCell(const QueryGenConfig& workload, int shards, int threads,
+                  ShardCell* cell) {
   const size_t n = workload.num_queries;
   exec::SetDefaultThreads(threads);
   bench::Instance inst(workload, kSeed, bench::kFig16Density);
@@ -260,19 +250,17 @@ bool RunShardCell(const QueryGenConfig& workload, ShardAssign assign,
   const ClusteringMerger inner(/*exact_component_limit=*/10,
                                /*tight_bound=*/true, /*pruning=*/true);
   const ShardedPlanner planner(
-      &inner, ShardedPlanner::Options{shards, assign, /*pruning=*/true});
+      &inner, ShardedPlanner::Options{.shards = shards, .pruning = true});
   const auto start = std::chrono::steady_clock::now();
   auto outcome = planner.Plan(*inst.ctx, model);
   const auto end = std::chrono::steady_clock::now();
   exec::SetDefaultThreads(1);
   if (!outcome.ok()) {
-    std::fprintf(stderr, "assign=%s shards=%d threads=%d n=%zu failed: %s\n",
-                 AssignName(assign), shards, threads, n,
-                 outcome.status().ToString().c_str());
+    std::fprintf(stderr, "shards=%d threads=%d n=%zu failed: %s\n", shards,
+                 threads, n, outcome.status().ToString().c_str());
     return false;
   }
   cell->n = n;
-  cell->assign = assign;
   cell->shards = shards;
   cell->threads = threads;
   cell->ms = std::chrono::duration<double, std::milli>(end - start).count();
@@ -285,18 +273,17 @@ bool RunShardCell(const QueryGenConfig& workload, ShardAssign assign,
   return true;
 }
 
-int RunShards(bool smoke, bool big, const std::vector<ShardAssign>& assigns) {
+int RunShards(bool smoke, bool big) {
   bench::EnableTelemetryIfReportRequested();
   const unsigned hw = std::thread::hardware_concurrency();
 
   bench::PrintHeader(
-      "Sharded parallel planning — assign x shards x threads (DESIGN.md "
-      "12-13)",
+      "Sharded parallel planning — shards x threads (DESIGN.md 12-13)",
       "ShardedPlanner over the hybrid workload, clustering inner merger, "
       "pruning on. shards=1 must be byte-identical to the unsharded "
       "merger; every multi-shard plan must cost within 2% of it. The "
-      "16-shard cell pins the skew story: grid imbalance > 4 (one cell "
-      "inherits a cluster), balanced < 2. Fresh instance per cell.");
+      "16-shard cell pins the skew story: cost-balanced bisection keeps "
+      "the imbalance < 2. Fresh instance per cell.");
   std::printf("hardware threads: %u%s%s\n\n", hw, smoke ? "   [smoke]" : "",
               big ? "   [big]" : "");
 
@@ -306,9 +293,9 @@ int RunShards(bool smoke, bool big, const std::vector<ShardAssign>& assigns) {
   const std::vector<int> thread_counts =
       smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 8};
 
-  TablePrinter table({"|Q|", "assign", "shards", "threads", "time ms",
-                      "cost", "imbalance", "groups", "seam in",
-                      "seam merges", "speedup"});
+  TablePrinter table({"|Q|", "shards", "threads", "time ms", "cost",
+                      "imbalance", "groups", "seam in", "seam merges",
+                      "speedup"});
   obs::RunReport report("planner_shards");
   int failures = 0;
 
@@ -316,154 +303,94 @@ int RunShards(bool smoke, bool big, const std::vector<ShardAssign>& assigns) {
   Cell reference;
   if (!RunCell("clustering", n, /*pruning=*/true, &reference)) return 1;
 
-  double baseline_ms = 0.0;  // shards=1, threads=1 (assign-independent)
+  double baseline_ms = 0.0;  // shards=1, threads=1
   double best_parallel_ms = 0.0;
   int best_shards = 0, best_threads = 0;
-  ShardAssign best_assign = ShardAssign::kBalanced;
-  // ms per (assign, shards, threads) for the balanced-vs-grid wall-clock
-  // comparison at equal shard/thread counts; imbalance at the 16-shard
-  // headline cell per assign.
-  std::vector<ShardCell> cells;
-  for (const ShardAssign assign : assigns) {
-    for (const int shards : shard_counts) {
-      // shards=1 delegates before assignment runs, so the cell is the
-      // same under every assign; run it once.
-      if (shards == 1 && assign != assigns.front()) continue;
-      for (const int threads : thread_counts) {
-        ShardCell cell;
-        if (!RunShardCell(bench::Fig16WorkloadConfig(n), assign, shards,
-                          threads, &cell)) {
-          return 1;
+  for (const int shards : shard_counts) {
+    for (const int threads : thread_counts) {
+      ShardCell cell;
+      if (!RunShardCell(bench::Fig16WorkloadConfig(n), shards, threads,
+                        &cell)) {
+        return 1;
+      }
+      if (shards == 1) {
+        // Delegation must be byte-identical to the plain merger run.
+        if (cell.partition != reference.partition ||
+            cell.cost != reference.cost) {
+          std::fprintf(stderr,
+                       "INVARIANT VIOLATED: shards=1 (threads=%d) differs "
+                       "from the unsharded plan at n=%zu\n",
+                       threads, n);
+          ++failures;
         }
-        if (shards == 1) {
-          // Delegation must be byte-identical to the plain merger run.
-          if (cell.partition != reference.partition ||
-              cell.cost != reference.cost) {
-            std::fprintf(stderr,
-                         "INVARIANT VIOLATED: shards=1 (threads=%d) differs "
-                         "from the unsharded plan at n=%zu\n",
-                         threads, n);
-            ++failures;
-          }
-          if (threads == 1) baseline_ms = cell.ms;
-        } else {
-          // Seam reconciliation keeps the plan near the unsharded one.
-          if (!(cell.cost <= reference.cost * 1.02)) {
-            std::fprintf(stderr,
-                         "INVARIANT VIOLATED: assign=%s shards=%d "
-                         "threads=%d cost %.6g exceeds unsharded %.6g by "
-                         "more than 2%%\n",
-                         AssignName(assign), shards, threads, cell.cost,
-                         reference.cost);
-            ++failures;
-          }
-          if (shards >= 4 && threads >= thread_counts.back() &&
-              (best_parallel_ms == 0.0 || cell.ms < best_parallel_ms)) {
-            best_parallel_ms = cell.ms;
-            best_shards = shards;
-            best_threads = threads;
-            best_assign = assign;
-          }
+        if (threads == 1) baseline_ms = cell.ms;
+      } else {
+        // Seam reconciliation keeps the plan near the unsharded one.
+        if (!(cell.cost <= reference.cost * 1.02)) {
+          std::fprintf(stderr,
+                       "INVARIANT VIOLATED: shards=%d threads=%d cost "
+                       "%.6g exceeds unsharded %.6g by more than 2%%\n",
+                       shards, threads, cell.cost, reference.cost);
+          ++failures;
         }
-        const double speedup =
-            (baseline_ms > 0.0 && cell.ms > 0.0) ? baseline_ms / cell.ms
-                                                 : 0.0;
-        table.AddRow({std::to_string(n), AssignName(cell.assign),
-                      std::to_string(shards), std::to_string(threads),
-                      Fmt(cell.ms), Fmt(cell.cost, "%.6g"),
-                      shards > 1 ? Fmt(cell.imbalance, "%.2f") : "",
-                      std::to_string(cell.groups),
-                      std::to_string(cell.seam_groups),
-                      std::to_string(cell.seam_merges),
-                      speedup > 0.0 ? Fmt(speedup, "%.2fx") : ""});
-        // Built with append rather than chained operator+ to sidestep a
-        // spurious GCC 12 -Wrestrict diagnostic on the inlined concat.
-        std::string key = "n";
-        key += std::to_string(n);
-        key += ".";
-        key += AssignName(cell.assign);
-        key += ".s";
-        key += std::to_string(shards);
-        key += ".t";
-        key += std::to_string(threads);
-        report.AddScalar(key + ".ms", cell.ms);
-        report.AddScalar(key + ".cost", cell.cost);
-        report.AddScalar(key + ".imbalance", cell.imbalance);
-        report.AddScalar(key + ".seam_groups",
-                         static_cast<double>(cell.seam_groups));
-        cell.partition.clear();
-        cells.push_back(std::move(cell));
+        if (shards >= 4 && threads >= thread_counts.back() &&
+            (best_parallel_ms == 0.0 || cell.ms < best_parallel_ms)) {
+          best_parallel_ms = cell.ms;
+          best_shards = shards;
+          best_threads = threads;
+        }
+        // Headline skew check at the 16-shard fig16-hybrid cell
+        // (deterministic — the imbalance is a function of the
+        // assignment alone, so it runs in smoke mode too).
+        if (shards == 16 && threads == thread_counts.back() &&
+            !(cell.imbalance < 2.0)) {
+          std::fprintf(stderr, "FAIL: 16-shard imbalance %.2f not < 2.0\n",
+                       cell.imbalance);
+          ++failures;
+        }
       }
-    }
-  }
-
-  // --- Headline skew checks at the 16-shard fig16-hybrid cell
-  // (deterministic — the imbalance is a function of the assignment
-  // alone, so these run in smoke mode too). Grid sharding drops a whole
-  // cluster into one cell (imbalance > 4); balanced bisection splits it
-  // (< 2).
-  for (const ShardCell& cell : cells) {
-    if (cell.shards != 16 || cell.threads != thread_counts.back()) continue;
-    if (cell.assign == ShardAssign::kGrid && !(cell.imbalance > 4.0)) {
-      std::fprintf(stderr,
-                   "FAIL: grid 16-shard imbalance %.2f not > 4.0 — the "
-                   "hybrid workload should be skew-bound under the grid\n",
-                   cell.imbalance);
-      ++failures;
-    }
-    if (cell.assign == ShardAssign::kBalanced && !(cell.imbalance < 2.0)) {
-      std::fprintf(stderr,
-                   "FAIL: balanced 16-shard imbalance %.2f not < 2.0\n",
-                   cell.imbalance);
-      ++failures;
-    }
-  }
-  // Balanced must beat grid end-to-end at equal shard/thread counts —
-  // enforced only where timing is meaningful (full run, real
-  // parallelism), always printed.
-  for (const ShardCell& grid_cell : cells) {
-    if (grid_cell.assign != ShardAssign::kGrid || grid_cell.shards <= 1) {
-      continue;
-    }
-    for (const ShardCell& bal_cell : cells) {
-      if (bal_cell.assign != ShardAssign::kBalanced ||
-          bal_cell.shards != grid_cell.shards ||
-          bal_cell.threads != grid_cell.threads) {
-        continue;
-      }
-      const bool faster = bal_cell.ms < grid_cell.ms;
-      std::printf("balanced vs grid @ shards=%d threads=%d: %.1f ms vs "
-                  "%.1f ms (%s)\n",
-                  grid_cell.shards, grid_cell.threads, bal_cell.ms,
-                  grid_cell.ms, faster ? "balanced faster" : "GRID FASTER");
-      if (!faster && !smoke && hw >= 4 && grid_cell.threads >= 4) {
-        std::fprintf(stderr,
-                     "FAIL: balanced not faster than grid at shards=%d "
-                     "threads=%d\n",
-                     grid_cell.shards, grid_cell.threads);
-        ++failures;
-      }
+      const double speedup =
+          (baseline_ms > 0.0 && cell.ms > 0.0) ? baseline_ms / cell.ms : 0.0;
+      table.AddRow({std::to_string(n), std::to_string(shards),
+                    std::to_string(threads), Fmt(cell.ms),
+                    Fmt(cell.cost, "%.6g"),
+                    shards > 1 ? Fmt(cell.imbalance, "%.2f") : "",
+                    std::to_string(cell.groups),
+                    std::to_string(cell.seam_groups),
+                    std::to_string(cell.seam_merges),
+                    speedup > 0.0 ? Fmt(speedup, "%.2fx") : ""});
+      // Built with append rather than chained operator+ to sidestep a
+      // spurious GCC 12 -Wrestrict diagnostic on the inlined concat.
+      std::string key = "n";
+      key += std::to_string(n);
+      key += ".s";
+      key += std::to_string(shards);
+      key += ".t";
+      key += std::to_string(threads);
+      report.AddScalar(key + ".ms", cell.ms);
+      report.AddScalar(key + ".cost", cell.cost);
+      report.AddScalar(key + ".imbalance", cell.imbalance);
+      report.AddScalar(key + ".seam_groups",
+                       static_cast<double>(cell.seam_groups));
     }
   }
 
   // The 10^6-query cell: completion + accounting, no baseline rerun (an
   // unsharded pass at this size is exactly what sharding exists to
-  // avoid timing). Runs the dispersed big workload — see
-  // BigWorkloadConfig for why the hybrid can't shard at this scale
-  // under the grid; balanced assignment is the default here.
+  // avoid timing). Runs the dispersed big workload (BigWorkloadConfig).
   if (big) {
     const size_t big_n = 1000000;
     const int big_shards = 1024;
     const int big_threads = static_cast<int>(hw > 0 ? hw : 1u);
     ShardCell cell;
-    if (!RunShardCell(BigWorkloadConfig(big_n), assigns.back(), big_shards,
-                      big_threads, &cell)) {
+    if (!RunShardCell(BigWorkloadConfig(big_n), big_shards, big_threads,
+                      &cell)) {
       return 1;
     }
-    table.AddRow({std::to_string(big_n), AssignName(cell.assign),
-                  std::to_string(big_shards), std::to_string(big_threads),
-                  Fmt(cell.ms), Fmt(cell.cost, "%.6g"),
-                  Fmt(cell.imbalance, "%.2f"), std::to_string(cell.groups),
+    table.AddRow({std::to_string(big_n), std::to_string(big_shards),
+                  std::to_string(big_threads), Fmt(cell.ms),
+                  Fmt(cell.cost, "%.6g"), Fmt(cell.imbalance, "%.2f"),
+                  std::to_string(cell.groups),
                   std::to_string(cell.seam_groups),
                   std::to_string(cell.seam_merges), ""});
     report.AddScalar("big.n1000000.ms", cell.ms);
@@ -478,9 +405,9 @@ int RunShards(bool smoke, bool big, const std::vector<ShardAssign>& assigns) {
     const double speedup =
         best_parallel_ms > 0.0 ? baseline_ms / best_parallel_ms : 0.0;
     std::printf(
-        "acceptance: best parallel cell (assign=%s, shards=%d, "
-        "threads=%d) = %.2fx vs 1x1 (need >= 3x)\n",
-        AssignName(best_assign), best_shards, best_threads, speedup);
+        "acceptance: best parallel cell (shards=%d, threads=%d) = %.2fx "
+        "vs 1x1 (need >= 3x)\n",
+        best_shards, best_threads, speedup);
     report.AddScalar("best_parallel_speedup", speedup);
     if (speedup < 3.0) {
       std::fprintf(stderr, "FAIL: sharded speedup below 3x\n");
@@ -494,7 +421,7 @@ int RunShards(bool smoke, bool big, const std::vector<ShardAssign>& assigns) {
   }
 
   report.AddText("description",
-                 "ShardedPlanner assign x shards x threads matrix: wall "
+                 "ShardedPlanner shards x threads matrix: wall "
                  "time, plan cost, imbalance, and seam accounting per "
                  "cell.");
   report.AddBool("smoke", smoke);
@@ -512,25 +439,10 @@ int main(int argc, char** argv) {
   bool smoke = false;
   bool shards = false;
   bool big = false;
-  // Default: both assignments, grid first — the table reads old to new
-  // and the grid-vs-balanced comparisons need both sides.
-  std::vector<qsp::ShardAssign> assigns = {qsp::ShardAssign::kGrid,
-                                           qsp::ShardAssign::kBalanced};
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--shards") == 0) shards = true;
     if (std::strcmp(argv[i], "--big") == 0) big = true;
-    if (std::strcmp(argv[i], "--assign") == 0 && i + 1 < argc) {
-      const char* value = argv[++i];
-      if (std::strcmp(value, "grid") == 0) {
-        assigns = {qsp::ShardAssign::kGrid};
-      } else if (std::strcmp(value, "balanced") == 0) {
-        assigns = {qsp::ShardAssign::kBalanced};
-      } else {
-        std::fprintf(stderr, "unknown --assign '%s'\n", value);
-        return 2;
-      }
-    }
   }
-  return shards ? qsp::RunShards(smoke, big, assigns) : qsp::Run(smoke);
+  return shards ? qsp::RunShards(smoke, big) : qsp::Run(smoke);
 }

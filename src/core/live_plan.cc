@@ -120,30 +120,19 @@ size_t LivePlanManager::SweepExpired() {
 
 void LivePlanManager::RunReplanJob(ReplanJob* job, const CostModel& model,
                                    bool pruning, int shards) {
-  PairMerger merger(/*use_heap=*/true, pruning);
-  if (shards > 1) {
-    // Sharded replan (DESIGN.md §13): the dense snapshot fans out
-    // across the exec pool exactly like an offline sharded plan. The
-    // job's context is private, so this never races the incremental
-    // merger; failure flows into the same abandon path as unsharded.
-    const ShardedPlanner planner(
-        &merger,
-        ShardedPlanner::Options{shards, ShardAssign::kBalanced, pruning});
-    Result<ShardedMergeOutcome> outcome = planner.Plan(*job->ctx, model);
-    if (outcome.ok()) {
-      job->result = std::move(outcome.value().outcome.partition);
-      job->candidates = outcome.value().outcome.candidates;
-    } else {
-      job->failed = true;
-    }
+  // The dense snapshot plans exactly like an offline plan (DESIGN.md
+  // §13): sharded across the exec pool when shards > 1, a plain pair
+  // merge otherwise. The job's context is private, so this never races
+  // the incremental merger; failure flows into the abandon path.
+  const PairMerger merger(/*use_heap=*/true, pruning);
+  const ShardedPlanner planner(
+      &merger, ShardedPlanner::Options{.shards = shards, .pruning = pruning});
+  Result<ShardedMergeOutcome> outcome = planner.Plan(*job->ctx, model);
+  if (outcome.ok()) {
+    job->result = std::move(outcome.value().outcome.partition);
+    job->candidates = outcome.value().outcome.candidates;
   } else {
-    Result<MergeOutcome> outcome = merger.Merge(*job->ctx, model);
-    if (outcome.ok()) {
-      job->result = std::move(outcome.value().partition);
-      job->candidates = outcome.value().candidates;
-    } else {
-      job->failed = true;
-    }
+    job->failed = true;
   }
   job->done.store(true, std::memory_order_release);
 }

@@ -72,15 +72,15 @@ struct LiveServiceConfig {
   /// evaluates every pair. The incremental merger's scans are always
   /// bounded.
   bool replan_pruning = true;
-  /// Sharded from-scratch replans (DESIGN.md §13): with a value N > 1,
-  /// drift replans and ReplanNow plan their dense snapshot through
-  /// ShardedPlanner (cost-balanced assignment) wrapping the PairMerger,
-  /// fanning shards across the exec pool. 1 — the default — plans the
-  /// snapshot unsharded, byte-identical to before. Adoption, lateness
-  /// abandonment, and the never-planless guarantee are unchanged either
-  /// way. SubscriptionService forwards its top-level ServiceConfig::
-  /// shards here when this is left at 1, so the facade knob is honored
-  /// in live mode too.
+  /// Sharded from-scratch replans (DESIGN.md §13): drift replans and
+  /// ReplanNow plan their dense snapshot through ShardedPlanner
+  /// (cost-balanced assignment) wrapping the PairMerger; with a value
+  /// N > 1 the shards fan out across the exec pool. 1 — the default —
+  /// delegates to the PairMerger, byte-identical to an unsharded
+  /// merge. Adoption, lateness abandonment, and the never-planless
+  /// guarantee are the same at every value. SubscriptionService
+  /// forwards its top-level ServiceConfig::shards here when this is
+  /// left at 1, so the facade knob is honored in live mode too.
   int shards = 1;
   /// Test hook: every replan result is discarded as if it had failed,
   /// proving the degradation path (service keeps serving the old plan).
@@ -270,10 +270,10 @@ class LivePlanManager {
   void EnqueueRemove(QueryId id) QSP_REQUIRES(mu_);
   /// Launches a replan (inline or background per the config).
   void TriggerReplan() QSP_REQUIRES(mu_);
-  /// Runs the snapshot merge (no lock held; called on the replan thread
-  /// or inline from ReplanNow). `shards` > 1 routes the snapshot through
-  /// ShardedPlanner; the snapshot context is private, so the sharded
-  /// fan-out never races the incremental merger.
+  /// Runs the snapshot merge through ShardedPlanner (no lock held;
+  /// called on the replan thread or inline from ReplanNow). The snapshot
+  /// context is private, so the sharded fan-out never races the
+  /// incremental merger.
   static void RunReplanJob(ReplanJob* job, const CostModel& model,
                            bool pruning, int shards);
   /// Adopts or abandons a finished job; fills report flags.

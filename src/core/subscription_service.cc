@@ -267,38 +267,27 @@ Result<PlanReport> SubscriptionService::Plan() {
 
   plan_group_shard_.clear();
   if (config_.num_channels <= 1) {
-    // Basic broadcast model: all clients on one channel, one merge run.
+    // Basic broadcast model: all clients on one channel, one planner
+    // run. Sharded parallel planning (DESIGN.md §12): per-shard merges
+    // fan out across the exec pool, then the boundary pass reconciles
+    // the seam-touching groups; shards == 1 delegates to the merger.
     const auto merger =
         MakeMerger(config_.merger, config_.seed, config_.pruning);
+    const ShardedPlanner planner(
+        merger.get(), ShardedPlanner::Options{.shards = config_.shards,
+                                              .pruning = config_.pruning});
+    Result<ShardedMergeOutcome> outcome =
+        planner.Plan(*context_, config_.cost_model);
+    if (!outcome.ok()) return outcome.status();
+    MergeOutcome& merged = outcome.value().outcome;
+    plan_.allocation.push_back(clients_.AllClients());
+    plan_.channel_partitions.push_back(std::move(merged.partition));
     if (config_.shards > 1) {
-      // Sharded parallel planning (DESIGN.md §12): per-shard merges fan
-      // out across the exec pool, then the boundary pass reconciles the
-      // seam-touching groups. shards == 1 takes the branch below and is
-      // byte-identical by construction.
-      const ShardedPlanner planner(
-          merger.get(), ShardedPlanner::Options{config_.shards,
-                                                config_.shard_assign,
-                                                config_.pruning});
-      Result<ShardedMergeOutcome> outcome =
-          planner.Plan(*context_, config_.cost_model);
-      if (!outcome.ok()) return outcome.status();
-      plan_.allocation.push_back(clients_.AllClients());
-      plan_.channel_partitions.push_back(
-          std::move(outcome.value().outcome.partition));
       plan_group_shard_ = std::move(outcome.value().group_shard);
-      report.estimated_cost = outcome.value().outcome.cost;
-      report.bounds_refined = outcome.value().outcome.bounds_refined;
-      report.bounds_pruned = outcome.value().outcome.bounds_pruned;
-    } else {
-      Result<MergeOutcome> outcome =
-          merger->Merge(*context_, config_.cost_model);
-      if (!outcome.ok()) return outcome.status();
-      plan_.allocation.push_back(clients_.AllClients());
-      plan_.channel_partitions.push_back(outcome.value().partition);
-      report.estimated_cost = outcome.value().cost;
-      report.bounds_refined = outcome.value().bounds_refined;
-      report.bounds_pruned = outcome.value().bounds_pruned;
     }
+    report.estimated_cost = merged.cost;
+    report.bounds_refined = merged.bounds_refined;
+    report.bounds_pruned = merged.bounds_pruned;
   } else {
     obs::ScopedSpan allocate_span("allocate");
     ChannelCostEvaluator evaluator(context_.get(), config_.cost_model,

@@ -13,7 +13,6 @@
 #include "cost/cost_model.h"
 #include "geom/rect.h"
 #include "merge/merger.h"
-#include "merge/shard_assign.h"
 #include "net/fault_injector.h"
 #include "net/message.h"
 #include "net/simulator.h"
@@ -101,20 +100,14 @@ struct ServiceConfig {
   /// and a single channel, Plan() partitions the object space into ~N
   /// shards, plans each independently across the exec pool, then
   /// reconciles cross-shard merges with a boundary pass over the groups
-  /// whose MBRs touch a shard seam. 1 — the default — calls the
-  /// configured merger directly: byte-identical partitions and costs, so
-  /// every figure harness is untouched. Ignored with num_channels > 1
+  /// whose MBRs touch a shard seam. 1 — the default — makes the planner
+  /// delegate to the configured merger: byte-identical partitions and
+  /// costs, so every figure harness is untouched. Ignored with num_channels > 1
   /// (allocation already decomposes the problem). In live mode the
   /// incremental maintainer owns the steady-state plan, but from-scratch
   /// drift replans honor this knob (forwarded to LiveServiceConfig::
   /// shards when that is left at its default).
   int shards = 1;
-  /// How a sharded Plan() maps queries to shards (DESIGN.md §13):
-  /// cost-balanced recursive bisection by default — on clustered
-  /// workloads the fixed grid is skew-bound because one cell inherits a
-  /// whole cluster — or the fixed grid for the PR 8 behavior. No effect
-  /// when shards == 1.
-  ShardAssign shard_assign = ShardAssign::kBalanced;
   /// Loss model + recovery budget for the dissemination rounds
   /// (DESIGN.md §6). With the default all-zero policy the simulator runs
   /// the lossless path and every figure stays byte-identical; any nonzero

@@ -10,15 +10,6 @@
 namespace qsp {
 namespace {
 
-/// Grid dimensions whose product approximates `shards` (floor(sqrt)
-/// split: 4 -> 2x2, 8 -> 2x4, 16 -> 4x4). Must stay byte-compatible
-/// with the pre-balanced planner's grid.
-void GridDims(int shards, int* cx, int* cy) {
-  *cx = std::max(1, static_cast<int>(std::floor(
-                        std::sqrt(static_cast<double>(shards)))));
-  *cy = std::max(1, shards / *cx);
-}
-
 /// Cut-quality controls. A cut's damage is the weight of rects that
 /// physically straddle the cut line: every such rect couples the two
 /// sides, lands its group on the seam, and lets the shard-local greedy
@@ -54,12 +45,10 @@ struct CutChoice {
 /// dense [0, num_shards) even when extent-floored nodes return budget.
 /// Returns the child encoding for the parent cut node.
 struct Bisector {
-  const double* cx;
-  const double* cy;
-  const double* rect_lo_x;
-  const double* rect_hi_x;
-  const double* rect_lo_y;
-  const double* rect_hi_y;
+  const std::vector<Rect>& rects;
+  /// Rect::Center() coordinates of the placed rects, one array per axis.
+  const std::vector<double>& cx;
+  const std::vector<double>& cy;
   const std::vector<double>& weight;
   ShardLayout* layout;
   int next_shard = 0;
@@ -92,12 +81,10 @@ struct Bisector {
     const size_t n = hi - lo;
     const size_t s_left = static_cast<size_t>(shards / 2);
     const size_t s_right = static_cast<size_t>(shards) - s_left;
-    const double* c = axis == 0 ? cx : cy;
-    const double* r_lo = axis == 0 ? rect_lo_x : rect_lo_y;
-    const double* r_hi = axis == 0 ? rect_hi_x : rect_hi_y;
+    const std::vector<double>& c = axis == 0 ? cx : cy;
     std::sort(ids->begin() + static_cast<ptrdiff_t>(lo),
               ids->begin() + static_cast<ptrdiff_t>(hi),
-              [c](uint32_t a, uint32_t b) {
+              [&c](uint32_t a, uint32_t b) {
                 if (c[a] != c[b]) return c[a] < c[b];
                 return a < b;
               });
@@ -126,8 +113,9 @@ struct Bisector {
     hi_ev.reserve(n);
     for (size_t i = lo; i < hi; ++i) {
       const uint32_t id = (*ids)[i];
-      lo_ev.emplace_back(r_lo[id], weight[id]);
-      hi_ev.emplace_back(r_hi[id], weight[id]);
+      const Rect& r = rects[id];
+      lo_ev.emplace_back(axis == 0 ? r.x_lo() : r.y_lo(), weight[id]);
+      hi_ev.emplace_back(axis == 0 ? r.x_hi() : r.y_hi(), weight[id]);
     }
     std::sort(lo_ev.begin(), lo_ev.end());
     std::sort(hi_ev.begin(), hi_ev.end());
@@ -242,81 +230,39 @@ double ShardLayout::Imbalance() const {
   return MaxCost() / (total_cost / static_cast<double>(num_shards));
 }
 
-std::vector<double> PlanningCostWeights(const RectSoA& soa) {
-  const size_t n = soa.size();
-  std::vector<Rect> rects;
-  rects.reserve(n);
-  for (size_t i = 0; i < n; ++i) rects.push_back(soa.Get(i));
+std::vector<double> PlanningCostWeights(const std::vector<Rect>& rects) {
   SpatialGrid grid = SpatialGrid::ForRects(rects);
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < rects.size(); ++i) {
     grid.Insert(static_cast<uint32_t>(i), rects[i]);
   }
-  std::vector<double> weights(n);
-  for (size_t i = 0; i < n; ++i) {
+  std::vector<double> weights(rects.size());
+  for (size_t i = 0; i < rects.size(); ++i) {
     weights[i] = 1.0 + grid.LoadInRange(rects[i]);
   }
   return weights;
 }
 
-ShardLayout AssignShards(const RectSoA& soa, int shards, ShardAssign assign) {
-  const size_t n = soa.size();
+ShardLayout AssignShards(const std::vector<Rect>& rects, int shards) {
+  const size_t n = rects.size();
   ShardLayout layout;
-  layout.assign = assign;
-  layout.shard_of.assign(n, RectSoA::kBoundlessShard);
-  const std::vector<double> weight = PlanningCostWeights(soa);
-  layout.total_cost = 0.0;
+  layout.shard_of.assign(n, ShardLayout::kBoundlessShard);
+  const std::vector<double> weight = PlanningCostWeights(rects);
   for (double w : weight) layout.total_cost += w;
-  const Rect bounds = soa.BoundingUnionAll();
-  const int requested =
-      std::min<int>(std::max(1, shards),
-                    static_cast<int>(std::max<size_t>(1, n)));
 
-  if (assign == ShardAssign::kGrid) {
-    int cells_x = 1, cells_y = 1;
-    if (!bounds.IsEmpty()) GridDims(requested, &cells_x, &cells_y);
-    layout.cells_x = cells_x;
-    layout.cells_y = cells_y;
-    layout.num_shards = cells_x * cells_y;
-    soa.BatchShardOf(bounds, cells_x, cells_y, layout.shard_of.data());
-    const size_t num_cells = static_cast<size_t>(layout.num_shards);
-    layout.shard_cost.assign(num_cells, 0.0);
-    layout.shard_queries.assign(num_cells, 0);
-    layout.shard_box.assign(num_cells, Rect::Empty());
-    layout.shard_open.assign(num_cells, ShardLayout::SeamSides{});
-    const double cell_w = bounds.IsEmpty() ? 0.0 : bounds.Width() / cells_x;
-    const double cell_h = bounds.IsEmpty() ? 0.0 : bounds.Height() / cells_y;
-    for (int cj = 0; cj < cells_y; ++cj) {
-      for (int ci = 0; ci < cells_x; ++ci) {
-        const size_t s = static_cast<size_t>(cj) * cells_x + ci;
-        layout.shard_box[s] =
-            Rect(bounds.x_lo() + ci * cell_w, bounds.y_lo() + cj * cell_h,
-                 bounds.x_lo() + (ci + 1) * cell_w,
-                 bounds.y_lo() + (cj + 1) * cell_h);
-        layout.shard_open[s] = {ci > 0, ci < cells_x - 1, cj > 0,
-                                cj < cells_y - 1};
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const int32_t raw = layout.shard_of[i];
-      const size_t s = raw == RectSoA::kBoundlessShard
-                           ? 0
-                           : static_cast<size_t>(raw);
-      layout.shard_cost[s] += weight[i];
-      ++layout.shard_queries[s];
-    }
-    return layout;
-  }
-
-  // Balanced bisection runs over placed rects only; boundless queries
-  // keep kBoundlessShard and are accounted to shard 0 below, mirroring
-  // where the planner parks them.
+  // Bisection runs over placed rects only; boundless queries keep
+  // kBoundlessShard and are accounted to shard 0 below, mirroring where
+  // the planner parks them.
   std::vector<uint32_t> placed;
   placed.reserve(n);
+  Rect bounds = Rect::Empty();
   for (size_t i = 0; i < n; ++i) {
-    if (!soa.IsEmpty(i)) placed.push_back(static_cast<uint32_t>(i));
+    if (rects[i].IsEmpty()) continue;
+    placed.push_back(static_cast<uint32_t>(i));
+    bounds = bounds.BoundingUnion(rects[i]);
   }
-  const int shard_budget = std::min<int>(
-      requested, static_cast<int>(std::max<size_t>(1, placed.size())));
+  const int shard_budget =
+      std::min<int>(std::max(1, shards),
+                    static_cast<int>(std::max<size_t>(1, placed.size())));
   // Allocate at the budget; the bisection may consume less (extent
   // floor), so the per-shard arrays are trimmed to the leaves actually
   // created.
@@ -335,19 +281,12 @@ ShardLayout AssignShards(const RectSoA& soa, int shards, ShardAssign assign) {
     }
   } else {
     std::vector<double> center_x(n), center_y(n);
-    soa.BatchCenters(center_x.data(), center_y.data());
-    std::vector<double> lo_x(n, 0.0), hi_x(n, 0.0);
-    std::vector<double> lo_y(n, 0.0), hi_y(n, 0.0);
     for (uint32_t id : placed) {
-      const Rect rect = soa.Get(id);
-      lo_x[id] = rect.x_lo();
-      hi_x[id] = rect.x_hi();
-      lo_y[id] = rect.y_lo();
-      hi_y[id] = rect.y_hi();
+      const Point center = rects[id].Center();
+      center_x[id] = center.x;
+      center_y[id] = center.y;
     }
-    Bisector bisector{center_x.data(), center_y.data(), lo_x.data(),
-                      hi_x.data(),     lo_y.data(),     hi_y.data(),
-                      weight,          &layout};
+    Bisector bisector{rects, center_x, center_y, weight, &layout};
     bisector.Build(&placed, 0, placed.size(), shard_budget, bounds,
                    ShardLayout::SeamSides{});
     layout.num_shards = bisector.next_shard;
@@ -358,7 +297,7 @@ ShardLayout AssignShards(const RectSoA& soa, int shards, ShardAssign assign) {
     layout.shard_open.resize(shard_count);
   }
   for (size_t i = 0; i < n; ++i) {
-    if (layout.shard_of[i] == RectSoA::kBoundlessShard) {
+    if (layout.shard_of[i] == ShardLayout::kBoundlessShard) {
       layout.shard_cost[0] += weight[i];
       ++layout.shard_queries[0];
     }

@@ -6,25 +6,20 @@
 #include <vector>
 
 #include "geom/rect.h"
-#include "geom/rect_soa.h"
 
 namespace qsp {
 
-/// How ShardedPlanner maps queries to shards (DESIGN.md §13).
+/// How ShardedPlanner maps queries to shards (DESIGN.md §13). There is
+/// one assignment, cost-balanced recursive bisection; the type survives
+/// only because ShardedPlanner::Options still names it.
 enum class ShardAssign {
-  /// Fixed cx x cy object-space grid over the bounding union; a query
-  /// goes to the cell holding its rectangle's center. Cheap and
-  /// cache-friendly, but skew-bound: a dense cluster lands in one cell
-  /// and that shard's merge caps the speedup.
-  kGrid,
-  /// Cost-balanced recursive bisection: KD-style cuts over rectangle
-  /// centers where every cut equalizes the *estimated planning cost* on
-  /// each side, so a cluster holding 40% of the cost is split across
-  /// many shards instead of inheriting one.
+  /// KD-style cuts over rectangle centers where every cut equalizes the
+  /// *estimated planning cost* on each side, so a cluster holding 40% of
+  /// the cost is split across many shards instead of inheriting one.
   kBalanced,
 };
 
-/// One internal node of the balanced-assignment cut tree. Children are
+/// One internal node of the bisection cut tree. Children are
 /// encoded as int32: >= 0 is an index into ShardLayout::cuts, < 0 is a
 /// leaf holding shard id -(child) - 1.
 struct ShardCutNode {
@@ -42,18 +37,17 @@ struct ShardCutNode {
 /// and the requested shard count — assignment is serial arithmetic, so
 /// it is identical at every thread count.
 struct ShardLayout {
-  ShardAssign assign = ShardAssign::kBalanced;
-  /// Actual shard count. kGrid rounds the request to cx * cy; kBalanced
-  /// caps it at the placed-rect count and may come in lower still when
-  /// straddle refusal stops the bisection early (cutting finer than the
-  /// rects are wide only manufactures seam work).
+  /// shard_of value of an empty (boundless) rect, which has no center.
+  static constexpr int32_t kBoundlessShard = -1;
+
+  /// Actual shard count: the request capped at the placed-rect count,
+  /// and lower still when straddle refusal stops the bisection early
+  /// (cutting finer than the rects are wide only manufactures seam
+  /// work).
   int num_shards = 1;
-  /// Grid geometry when assign == kGrid (1 x 1 otherwise).
-  int cells_x = 1;
-  int cells_y = 1;
-  /// Per-query shard id; RectSoA::kBoundlessShard for empty rects (the
-  /// planner parks those in shard 0, and the accounting below already
-  /// counts them there).
+  /// Per-query shard id; kBoundlessShard for empty rects (the planner
+  /// parks those in shard 0, and the accounting below already counts
+  /// them there).
   std::vector<int32_t> shard_of;
   /// Estimated planning cost per shard: sum of per-query candidate-pair
   /// density weights (PlanningCostWeights). Drives scheduling order and
@@ -62,14 +56,12 @@ struct ShardLayout {
   /// Queries per shard, boundless queries counted in shard 0 — exactly
   /// the sub-problem sizes the planner will build.
   std::vector<size_t> shard_queries;
-  /// Region each shard owns (grid cell or bisection leaf box). Groups
-  /// whose MBR reaches a box side that faces a neighbor are seam
-  /// candidates.
+  /// Region each shard owns (its bisection leaf box). Groups whose MBR
+  /// reaches a box side that faces a neighbor are seam candidates.
   std::vector<Rect> shard_box;
-  /// Which sides of shard_box[s] face another shard. A side on the
-  /// domain boundary has no neighbor, so groups touching it stay
-  /// interior — this generalizes the grid's ci == 0 / ci == cells_x - 1
-  /// edge tests to arbitrary bisection leaves.
+  /// Which sides of shard_box[s] face another shard (a cut line). A
+  /// side on the domain boundary has no neighbor, so groups touching it
+  /// stay interior.
   struct SeamSides {
     bool x_lo = false;
     bool x_hi = false;
@@ -77,8 +69,8 @@ struct ShardLayout {
     bool y_hi = false;
   };
   std::vector<SeamSides> shard_open;
-  /// Balanced-assignment cut tree; empty for kGrid or a single shard.
-  /// cuts[0] is the root when non-empty.
+  /// Bisection cut tree; empty for a single shard. cuts[0] is the root
+  /// when non-empty.
   std::vector<ShardCutNode> cuts;
   /// Sum of all per-query weights (== sum of shard_cost).
   double total_cost = 0.0;
@@ -86,7 +78,7 @@ struct ShardLayout {
   double MaxCost() const;
   /// Largest shard estimated cost / mean over num_shards (empty shards
   /// count as zero cost); 0 when there is no cost at all. 1.0 is a
-  /// perfect balance; the grid on a clustered workload shows > 4.
+  /// perfect balance.
   double Imbalance() const;
 };
 
@@ -99,15 +91,12 @@ struct ShardLayout {
 /// from being free. Boundless rects get 1 + population size (they pair
 /// with everything). Deterministic; O(n) grid build + O(cells covered)
 /// per query.
-std::vector<double> PlanningCostWeights(const RectSoA& soa);
+std::vector<double> PlanningCostWeights(const std::vector<Rect>& rects);
 
-/// Computes the shard layout for `soa` under `assign`. `shards` is the
-/// requested count; see ShardLayout::num_shards for what it was capped
-/// to. kGrid reproduces the fixed-grid assignment byte-for-byte
-/// (same floor(sqrt) grid dims, same BatchShardOf arithmetic, same cell
-/// boxes), so plans produced under it match the pre-balanced planner
-/// exactly. kBalanced recursively bisects: at each node the split axis
-/// is the one with the larger center spread (ties pick x), queries are
+/// Computes the shard layout for `rects`. `shards` is the requested
+/// count; see ShardLayout::num_shards for what it was capped to. The
+/// layout is a recursive bisection: at each node the split axis is the
+/// one with the larger center spread (ties pick x), queries are
 /// ordered by (center, id) — the id tie-break makes all-same-center
 /// populations split deterministically — and the cut index is chosen so
 /// the weight prefix best matches the left subtree's fair share of the
@@ -123,7 +112,7 @@ std::vector<double> PlanningCostWeights(const RectSoA& soa);
 /// so num_shards can undershoot the request on tightly clustered data.
 /// Termination is structural: every recursion strictly shrinks the
 /// shard budget, queries never vanish.
-ShardLayout AssignShards(const RectSoA& soa, int shards, ShardAssign assign);
+ShardLayout AssignShards(const std::vector<Rect>& rects, int shards);
 
 }  // namespace qsp
 

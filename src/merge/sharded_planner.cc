@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "exec/thread_pool.h"
-#include "geom/rect_soa.h"
 #include "merge/pair_merger.h"
 #include "obs/metrics.h"
 #include "obs/phase_tracer.h"
@@ -78,33 +77,26 @@ Result<ShardedMergeOutcome> ShardedPlanner::Plan(const MergeContext& ctx,
     if (!outcome.ok()) return outcome.status();
     result.outcome = std::move(outcome.value());
     result.group_shard.assign(result.outcome.partition.size(), 0);
-    ShardStats stats;
-    stats.queries = n;
-    stats.groups = result.outcome.partition.size();
-    stats.cost = result.outcome.cost;
-    result.shards.push_back(stats);
     return result;
   }
 
   obs::ScopedSpan span("plan/sharded");
-  // --- Shard assignment: grid or cost-balanced bisection over SoA
-  // storage (merge/shard_assign), with per-shard estimated planning
-  // costs for scheduling and the imbalance gauge.
-  RectSoA soa;
-  soa.Reserve(n);
-  for (QueryId id = 0; id < n; ++id) soa.PushBack(ctx.queries().rect(id));
-  result.layout = AssignShards(soa, shards, options_.assign);
+  // --- Shard assignment: cost-balanced bisection (merge/shard_assign),
+  // with per-shard estimated planning costs for scheduling and the
+  // imbalance gauge.
+  std::vector<Rect> rects;
+  rects.reserve(n);
+  for (QueryId id = 0; id < n; ++id) rects.push_back(ctx.queries().rect(id));
+  result.layout = AssignShards(rects, shards);
   const ShardLayout& layout = result.layout;
   const int num_shards = layout.num_shards;
   result.imbalance = layout.Imbalance();
-  result.cells_x = layout.cells_x;
-  result.cells_y = layout.cells_y;
 
   std::vector<ShardProblem> problems(static_cast<size_t>(num_shards));
   for (QueryId id = 0; id < n; ++id) {
     // Boundless queries have no center; park them in shard 0 (their
     // groups are always seam-classified, so reconciliation sees them).
-    const int32_t s = layout.shard_of[id] == RectSoA::kBoundlessShard
+    const int32_t s = layout.shard_of[id] == ShardLayout::kBoundlessShard
                           ? 0
                           : layout.shard_of[id];
     problems[static_cast<size_t>(s)].members.push_back(id);
@@ -161,24 +153,17 @@ Result<ShardedMergeOutcome> ShardedPlanner::Plan(const MergeContext& ctx,
   }
 
   // --- Seam classification. A group is interior when its MBR sits
-  // strictly inside its shard's box on every side that faces a neighbor
-  // (box sides on the domain boundary count as interior — there is no
-  // neighbor across them); everything else, boundless groups included,
-  // enters the boundary pass. For grid assignment the boxes and open
-  // sides reproduce the cell-edge tests exactly; for balanced
-  // assignment they are the bisection leaf boxes and cut lines.
+  // strictly inside its shard's bisection leaf box on every side that
+  // faces a neighbor across a cut line (box sides on the domain
+  // boundary count as interior — there is no neighbor across them);
+  // everything else, boundless groups included, enters the boundary
+  // pass.
   Partition interior;
   std::vector<int32_t> interior_shard;
   Partition seam_start;
   for (size_t s = 0; s < runs.size(); ++s) {
     const ShardProblem& problem = problems[s];
     if (problem.members.empty()) continue;
-    ShardStats stats;
-    stats.shard = static_cast<int>(s);
-    stats.queries = problem.members.size();
-    stats.groups = runs[s].outcome.partition.size();
-    stats.cost = runs[s].outcome.cost;
-    stats.est_cost = layout.shard_cost[s];
     result.outcome.candidates += runs[s].outcome.candidates;
     result.outcome.bounds_refined += runs[s].outcome.bounds_refined;
     result.outcome.bounds_pruned += runs[s].outcome.bounds_pruned;
@@ -209,11 +194,9 @@ Result<ShardedMergeOutcome> ShardedPlanner::Plan(const MergeContext& ctx,
         interior.push_back(std::move(group));
         interior_shard.push_back(static_cast<int32_t>(s));
       } else {
-        ++stats.seam_groups;
         seam_start.push_back(std::move(group));
       }
     }
-    result.shards.push_back(stats);
   }
   result.seam_groups_in = seam_start.size();
 
@@ -248,8 +231,7 @@ Result<ShardedMergeOutcome> ShardedPlanner::Plan(const MergeContext& ctx,
   result.outcome.cost = model.PartitionCost(ctx, result.outcome.partition);
 
   if (obs::Enabled()) {
-    obs::SetGauge("plan.shard.count",
-                  static_cast<double>(result.shards.size()));
+    obs::SetGauge("plan.shard.count", static_cast<double>(num_shards));
     obs::SetGauge("plan.shard.seam_groups",
                   static_cast<double>(result.seam_groups_in));
     obs::SetGauge("plan.shard.seam_merges",

@@ -12,26 +12,6 @@
 
 namespace qsp {
 
-/// Per-shard accounting of one sharded planning pass. Everything here is
-/// deterministic in the input (wall times go through obs telemetry, not
-/// through this struct, so outcomes stay byte-comparable across runs).
-struct ShardStats {
-  /// Shard id: row-major cell index under grid assignment, bisection
-  /// leaf id under balanced assignment.
-  int shard = 0;
-  size_t queries = 0;
-  /// Groups the shard-local merge produced (before the seam pass).
-  size_t groups = 0;
-  /// Shard-local partition cost under the model.
-  double cost = 0.0;
-  /// Estimated planning cost from the assignment weights — what the
-  /// scheduler ordered by and the imbalance gauge is computed from.
-  double est_cost = 0.0;
-  /// Of the shard's groups, how many were classified seam-touching and
-  /// handed to the boundary pass.
-  size_t seam_groups = 0;
-};
-
 /// Result of ShardedPlanner::Plan: the standard MergeOutcome plus the
 /// shard attribution EXPLAIN and the benches consume.
 struct ShardedMergeOutcome {
@@ -42,8 +22,6 @@ struct ShardedMergeOutcome {
   /// Parallel to outcome.partition: the shard that produced each group,
   /// or kSeamGroup for groups that went through the boundary pass.
   std::vector<int32_t> group_shard;
-  /// One entry per non-empty shard, ascending by shard index.
-  std::vector<ShardStats> shards;
   /// Full shard assignment (boxes, costs, cut tree) — what EXPLAIN and
   /// the scaling bench render. Default-constructed (num_shards == 1,
   /// empty shard_of) when the planner delegated.
@@ -52,10 +30,6 @@ struct ShardedMergeOutcome {
   /// largest shard estimated cost over the per-shard mean (0 when
   /// delegated).
   double imbalance = 0.0;
-  /// Partitioning grid actually used (1x1 when the planner delegated or
-  /// assignment is balanced — the cut tree is in `layout` then).
-  int cells_x = 1;
-  int cells_y = 1;
   /// Groups entering the boundary pass, and how many merges it applied
   /// (groups in minus groups out).
   size_t seam_groups_in = 0;
@@ -63,39 +37,37 @@ struct ShardedMergeOutcome {
 };
 
 /// Sharded parallel planning (DESIGN.md §12–§13): partitions the object
-/// space into shards — a fixed grid or cost-balanced recursive
-/// bisection (merge/shard_assign) — assigns each query by rectangle
-/// center, plans every shard independently with the wrapped inner
-/// merger (shards fan out across the qsp::exec pool largest estimated
-/// cost first, so the heaviest shard never trails an otherwise-drained
-/// pool; the inner merger's own parallel loops degrade serially inside
+/// space into shards by cost-balanced recursive bisection
+/// (merge/shard_assign), assigning each query by rectangle center,
+/// plans every shard independently with the wrapped inner merger
+/// (shards fan out across the qsp::exec pool largest estimated cost
+/// first, so the heaviest shard never trails an otherwise-drained pool;
+/// the inner merger's own parallel loops degrade serially inside
 /// workers), then reconciles across shards with a boundary pass — a
 /// greedy pair-merge restricted to groups whose MBRs touch a shard
-/// seam (a grid cell edge or a bisection cut line that faces a
-/// neighbor), the only groups that can profitably merge with a
-/// neighbor shard's work.
+/// seam (a bisection cut line that faces a neighbor), the only groups
+/// that can profitably merge with a neighbor shard's work.
 ///
-/// shards <= 1 delegates to the inner merger outright: same call, same
-/// context, byte-identical partition and cost. Multi-shard plans are a
-/// deterministic function of (queries, model, shards, assign) for every
-/// thread count: shard assignment is serial arithmetic, per-shard
-/// merges are independent (scheduling order changes wall-clock, never
-/// results), and the seam pass runs serially over a canonically ordered
-/// start.
+/// This is the single-channel planning call: shards <= 1 delegates to
+/// the inner merger outright — same call, same context, byte-identical
+/// partition and cost — so callers need no unsharded branch of their
+/// own. Multi-shard plans are a deterministic function of (queries,
+/// model, shards) for every thread count: shard assignment is serial
+/// arithmetic, per-shard merges are independent (scheduling order
+/// changes wall-clock, never results), and the seam pass runs serially
+/// over a canonically ordered start.
 ///
 /// Does not own the inner merger; it must outlive the planner.
 class ShardedPlanner {
  public:
   struct Options {
-    /// Target shard count, capped at the query count. Grid assignment
-    /// rounds to cx x cy via floor(sqrt); balanced assignment treats it
-    /// as a budget and may stop short where cutting finer than the
-    /// rects are wide would only manufacture seam work (see
+    /// Target shard count, capped at the query count. Assignment
+    /// treats it as a budget and may stop short where cutting finer
+    /// than the rects are wide would only manufacture seam work (see
     /// ShardLayout::num_shards).
     int shards = 1;
-    /// How queries map to shards. Balanced is the default: on clustered
-    /// workloads the grid is skew-bound (one cell inherits a whole
-    /// cluster), while balanced splits by estimated planning cost.
+    /// Not read: balanced bisection is the only assignment. Kept so
+    /// existing three-field Options initializers still compile.
     ShardAssign assign = ShardAssign::kBalanced;
     /// Pruning for the boundary-pass pair merger (the inner merger
     /// carries its own pruning configuration).

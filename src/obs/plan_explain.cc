@@ -294,12 +294,10 @@ PlanExplain PlanExplainer::Explain(const Partition& partition) const {
   out.initial_cost = initial_cost_;
   out.bounds_refined = bounds_refined_;
   out.bounds_pruned = bounds_pruned_;
-  // Balanced sharded plans carry their cut tree into the EXPLAIN; grid,
-  // single-shard, and unsharded plans emit nothing here, keeping their
-  // goldens byte-identical.
-  if (shard_layout_ != nullptr &&
-      shard_layout_->assign == ShardAssign::kBalanced &&
-      shard_layout_->num_shards > 1 && !shard_layout_->cuts.empty()) {
+  // Sharded plans carry their cut tree into the EXPLAIN; single-shard
+  // and unsharded plans have no cuts and emit nothing here, keeping
+  // their goldens byte-identical.
+  if (shard_layout_ != nullptr && !shard_layout_->cuts.empty()) {
     out.shard_cuts = shard_layout_->cuts;
     out.shard_cost_est = shard_layout_->shard_cost;
     out.shard_queries = shard_layout_->shard_queries;

@@ -96,12 +96,12 @@ struct PlanExplain {
   uint64_t bounds_pruned = 0;
   std::vector<ChannelExplain> channels;
   std::vector<GroupExplain> groups;
-  /// Balanced-assignment shard layout (DESIGN.md §13): the bisection cut
-  /// tree plus per-shard query counts and estimated planning costs. All
-  /// three are populated together, and only when the explainer was
-  /// handed a balanced multi-shard layout — empty vectors render
-  /// nothing, so unsharded (and grid-sharded) EXPLAIN output is
-  /// byte-identical to what it was before balanced assignment existed.
+  /// Shard layout (DESIGN.md §13): the bisection cut tree plus
+  /// per-shard query counts and estimated planning costs. All three are
+  /// populated together, and only when the explainer was handed a
+  /// layout with at least one cut — empty vectors render nothing, so
+  /// unsharded EXPLAIN output is byte-identical to what it was before
+  /// sharding existed.
   std::vector<ShardCutNode> shard_cuts;
   std::vector<double> shard_cost_est;
   std::vector<size_t> shard_queries;
@@ -154,9 +154,9 @@ class PlanExplainer {
 
   /// Shard layout of a sharded single-channel plan
   /// (ShardedMergeOutcome::layout; non-owning, must outlive the Explain
-  /// call). Only a balanced layout with more than one shard emits
-  /// anything — the cut tree and per-shard cost estimates; null, grid,
-  /// or single-shard layouts render exactly as before.
+  /// call). Only a layout with more than one shard emits anything —
+  /// the cut tree and per-shard cost estimates; null or single-shard
+  /// layouts render exactly as unsharded.
   void set_shard_layout(const ShardLayout* layout) { shard_layout_ = layout; }
 
   /// EXPLAIN of a single-channel plan (no allocation, no k_check/K_D

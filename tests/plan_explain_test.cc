@@ -1,19 +1,22 @@
 // obs/plan_explain: the EXPLAIN must report exactly what the planner
 // charged — per-group terms that sum to the group's GroupCost, group
 // costs that sum to the plan's estimated cost (within 1e-9), bound stats
-// from the BenefitBounder, and a JSON form that round-trips through
-// util/json_parser.
+// from the BenefitBounder, a JSON form that round-trips through
+// util/json_parser, and a shard section only for layouts with cuts.
 #include "obs/plan_explain.h"
 
 #include <cmath>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bench/bench_common.h"
 #include "core/subscription_service.h"
 #include "merge/pair_merger.h"
+#include "merge/shard_assign.h"
+#include "merge/sharded_planner.h"
 #include "relation/generator.h"
 #include "relation/grid_index.h"
 #include "stats/exact_estimator.h"
@@ -232,6 +235,59 @@ TEST(PlanExplain, TextIsDeterministic) {
   const std::string a = explainer.Explain(outcome->partition).ToText();
   const std::string b = explainer.Explain(outcome->partition).ToText();
   EXPECT_EQ(a, b);
+}
+
+// Only a layout with cuts renders the shard section: a multi-shard
+// plan's EXPLAIN carries its cut tree, per-shard cost estimates and
+// query counts, while a delegated plan's empty layout and a one-shard
+// assignment render exactly what an EXPLAIN without a layout renders.
+TEST(PlanExplain, ShardSectionOnlyForLayoutsWithCuts) {
+  bench::Instance instance = MakeFig16Instance(40, 40000);
+  const CostModel model = bench::Fig16CostModel();
+  const PairMerger merger(/*use_heap=*/true, /*pruning=*/true);
+
+  const ShardedPlanner sharded(
+      &merger, ShardedPlanner::Options{.shards = 4, .pruning = true});
+  Result<ShardedMergeOutcome> plan = sharded.Plan(*instance.ctx, model);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_FALSE(plan->layout.cuts.empty());
+  obs::PlanExplainer explainer(instance.ctx.get(), model);
+  explainer.set_shard_attribution(&plan->group_shard);
+  explainer.set_shard_layout(&plan->layout);
+  const obs::PlanExplain explain = explainer.Explain(plan->outcome.partition);
+  ASSERT_EQ(plan->layout.cuts.size(), explain.shard_cuts.size());
+  for (size_t i = 0; i < explain.shard_cuts.size(); ++i) {
+    EXPECT_EQ(plan->layout.cuts[i].axis, explain.shard_cuts[i].axis);
+    EXPECT_EQ(plan->layout.cuts[i].coord, explain.shard_cuts[i].coord);
+    EXPECT_EQ(plan->layout.cuts[i].left, explain.shard_cuts[i].left);
+    EXPECT_EQ(plan->layout.cuts[i].right, explain.shard_cuts[i].right);
+  }
+  EXPECT_EQ(plan->layout.shard_cost, explain.shard_cost_est);
+  EXPECT_EQ(plan->layout.shard_queries, explain.shard_queries);
+  EXPECT_NE(std::string::npos, explain.ToText().find("shard cuts"));
+
+  const ShardedPlanner single(
+      &merger, ShardedPlanner::Options{.shards = 1, .pruning = true});
+  Result<ShardedMergeOutcome> one = single.Plan(*instance.ctx, model);
+  ASSERT_TRUE(one.ok());
+  std::vector<Rect> rects;
+  for (QueryId id = 0; id < instance.queries.size(); ++id) {
+    rects.push_back(instance.queries.rect(id));
+  }
+  const ShardLayout one_shard = AssignShards(rects, 1);
+  obs::PlanExplainer plain(instance.ctx.get(), model);
+  const obs::PlanExplain want = plain.Explain(one->outcome.partition);
+  const std::vector<const ShardLayout*> layouts = {&one->layout, &one_shard};
+  for (const ShardLayout* layout : layouts) {
+    obs::PlanExplainer with_layout(instance.ctx.get(), model);
+    with_layout.set_shard_layout(layout);
+    const obs::PlanExplain got = with_layout.Explain(one->outcome.partition);
+    EXPECT_TRUE(got.shard_cuts.empty());
+    EXPECT_TRUE(got.shard_cost_est.empty());
+    EXPECT_TRUE(got.shard_queries.empty());
+    EXPECT_EQ(want.ToText(), got.ToText());
+    EXPECT_EQ(want.ToJson(), got.ToJson());
+  }
 }
 
 }  // namespace

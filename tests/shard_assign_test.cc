@@ -1,19 +1,19 @@
 // Shard assignment (merge/shard_assign.h): the layout layer under the
-// sharded planner (DESIGN.md §13). The contracts under test: the grid
-// path reproduces RectSoA::BatchShardOf byte for byte; the balanced
-// bisection terminates and is deterministic on degenerate inputs
-// (all-same-center populations, centers exactly on a cut line, empty
-// rects); boundless queries keep kBoundlessShard but are accounted to
-// shard 0; and the cost weights make dense queries heavier than
-// isolated ones.
+// sharded planner (DESIGN.md §13). The contracts under test: the
+// bisection is budgeted, dense, terminates and is deterministic on
+// degenerate inputs (all-same-center populations, centers exactly on a
+// cut line, empty rects); queries go to shards by rectangle center along
+// the cut tree, and the leaf boxes tile the bounds of the placed rects;
+// boundless queries keep kBoundlessShard but are accounted to shard 0;
+// and the cost weights make dense queries heavier than isolated ones.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "geom/rect.h"
-#include "geom/rect_soa.h"
 #include "merge/shard_assign.h"
 #include "util/rng.h"
 #include "workload/query_gen.h"
@@ -21,11 +21,11 @@
 namespace qsp {
 namespace {
 
-RectSoA HybridSoA(size_t n, uint64_t seed) {
+std::vector<Rect> HybridRects(size_t n, uint64_t seed) {
   Rng rng(seed);
   QueryGenConfig config;
   config.num_queries = n;
-  return RectSoA(GenerateQueries(config, &rng));
+  return GenerateQueries(config, &rng);
 }
 
 void ExpectLayoutsEqual(const ShardLayout& a, const ShardLayout& b) {
@@ -44,8 +44,9 @@ void ExpectLayoutsEqual(const ShardLayout& a, const ShardLayout& b) {
 
 // Every query assigned (boundless to kBoundlessShard), ids in range,
 // per-shard accounting consistent with the assignment.
-void ExpectLayoutWellFormed(const ShardLayout& layout, const RectSoA& soa) {
-  ASSERT_EQ(layout.shard_of.size(), soa.size());
+void ExpectLayoutWellFormed(const ShardLayout& layout,
+                            const std::vector<Rect>& rects) {
+  ASSERT_EQ(layout.shard_of.size(), rects.size());
   ASSERT_EQ(layout.shard_cost.size(),
             static_cast<size_t>(layout.num_shards));
   ASSERT_EQ(layout.shard_queries.size(),
@@ -53,11 +54,11 @@ void ExpectLayoutWellFormed(const ShardLayout& layout, const RectSoA& soa) {
   ASSERT_EQ(layout.shard_box.size(), static_cast<size_t>(layout.num_shards));
   size_t total_queries = 0;
   for (size_t q : layout.shard_queries) total_queries += q;
-  EXPECT_EQ(total_queries, soa.size());
-  for (size_t i = 0; i < soa.size(); ++i) {
+  EXPECT_EQ(total_queries, rects.size());
+  for (size_t i = 0; i < rects.size(); ++i) {
     const int32_t s = layout.shard_of[i];
-    if (soa.IsEmpty(i)) {
-      EXPECT_EQ(s, RectSoA::kBoundlessShard) << "rect " << i;
+    if (rects[i].IsEmpty()) {
+      EXPECT_EQ(s, ShardLayout::kBoundlessShard) << "rect " << i;
     } else {
       EXPECT_GE(s, 0) << "rect " << i;
       EXPECT_LT(s, layout.num_shards) << "rect " << i;
@@ -65,37 +66,19 @@ void ExpectLayoutWellFormed(const ShardLayout& layout, const RectSoA& soa) {
   }
 }
 
-// The grid path must be byte-compatible with the pre-balanced planner:
-// same assignment BatchShardOf computes, same floor(sqrt) dims.
-TEST(ShardAssignTest, GridReproducesBatchShardOf) {
-  const RectSoA soa = HybridSoA(300, 7);
-  for (const int shards : {1, 4, 8, 16}) {
-    const ShardLayout layout = AssignShards(soa, shards, ShardAssign::kGrid);
-    ExpectLayoutWellFormed(layout, soa);
-    EXPECT_EQ(layout.num_shards, layout.cells_x * layout.cells_y);
-    EXPECT_TRUE(layout.cuts.empty());
-    std::vector<int32_t> expected(soa.size());
-    soa.BatchShardOf(soa.BoundingUnionAll(), layout.cells_x, layout.cells_y,
-                     expected.data());
-    EXPECT_EQ(layout.shard_of, expected) << "shards " << shards;
-  }
-}
-
 // Balanced assignment treats the request as a budget: never more shards
 // than requested, ids dense [0, num_shards), every shard non-empty, and
 // the whole layout identical across repeated runs.
 TEST(ShardAssignTest, BalancedIsBudgetedDenseAndDeterministic) {
-  const RectSoA soa = HybridSoA(400, 11);
+  const std::vector<Rect> rects = HybridRects(400, 11);
   for (const int shards : {2, 5, 16}) {
-    const ShardLayout layout =
-        AssignShards(soa, shards, ShardAssign::kBalanced);
-    ExpectLayoutWellFormed(layout, soa);
+    const ShardLayout layout = AssignShards(rects, shards);
+    ExpectLayoutWellFormed(layout, rects);
     EXPECT_GE(layout.num_shards, 1);
     EXPECT_LE(layout.num_shards, shards);
     for (size_t q : layout.shard_queries) EXPECT_GT(q, 0u);
     EXPECT_GE(layout.Imbalance(), 1.0);
-    ExpectLayoutsEqual(layout,
-                       AssignShards(soa, shards, ShardAssign::kBalanced));
+    ExpectLayoutsEqual(layout, AssignShards(rects, shards));
   }
 }
 
@@ -103,10 +86,9 @@ TEST(ShardAssignTest, BalancedIsBudgetedDenseAndDeterministic) {
 // fully straddled, so the bisection must stop splitting (one shard)
 // rather than manufacturing all-seam slivers — and must terminate.
 TEST(ShardAssignTest, BalancedSameCenterExtentsRefusesToSliver) {
-  std::vector<Rect> rects(64, Rect(10, 10, 30, 30));
-  const RectSoA soa(rects);
-  const ShardLayout layout = AssignShards(soa, 8, ShardAssign::kBalanced);
-  ExpectLayoutWellFormed(layout, soa);
+  const std::vector<Rect> rects(64, Rect(10, 10, 30, 30));
+  const ShardLayout layout = AssignShards(rects, 8);
+  ExpectLayoutWellFormed(layout, rects);
   EXPECT_EQ(layout.num_shards, 1);
   EXPECT_TRUE(layout.cuts.empty());
   EXPECT_DOUBLE_EQ(layout.Imbalance(), 1.0);
@@ -118,13 +100,12 @@ TEST(ShardAssignTest, BalancedSameCenterExtentsRefusesToSliver) {
 // within its window — but every shard is non-empty and the layout is
 // deterministic).
 TEST(ShardAssignTest, BalancedSameCenterPointsSplitByIdTieBreak) {
-  std::vector<Rect> rects(64, Rect(42, 17, 42, 17));
-  const RectSoA soa(rects);
-  const ShardLayout layout = AssignShards(soa, 8, ShardAssign::kBalanced);
-  ExpectLayoutWellFormed(layout, soa);
+  const std::vector<Rect> rects(64, Rect(42, 17, 42, 17));
+  const ShardLayout layout = AssignShards(rects, 8);
+  ExpectLayoutWellFormed(layout, rects);
   EXPECT_EQ(layout.num_shards, 8);
   for (size_t q : layout.shard_queries) EXPECT_GT(q, 0u);
-  ExpectLayoutsEqual(layout, AssignShards(soa, 8, ShardAssign::kBalanced));
+  ExpectLayoutsEqual(layout, AssignShards(rects, 8));
 }
 
 // Centers exactly on the cut line: two rects whose shared center
@@ -136,10 +117,9 @@ TEST(ShardAssignTest, BalancedCentersOnCutLineAreDeterministic) {
     rects.push_back(Rect(10.0 * i, 0, 10.0 * i, 4));   // centers 0..70
     rects.push_back(Rect(35, 10 + i, 35, 14 + i));     // centers all x=35
   }
-  const RectSoA soa(rects);
-  const ShardLayout layout = AssignShards(soa, 2, ShardAssign::kBalanced);
-  ExpectLayoutWellFormed(layout, soa);
-  ExpectLayoutsEqual(layout, AssignShards(soa, 2, ShardAssign::kBalanced));
+  const ShardLayout layout = AssignShards(rects, 2);
+  ExpectLayoutWellFormed(layout, rects);
+  ExpectLayoutsEqual(layout, AssignShards(rects, 2));
   if (!layout.cuts.empty()) {
     // Assignment is consistent with the cut: every rect center strictly
     // left of the cut is in a left-subtree shard (ties may go either
@@ -159,41 +139,136 @@ TEST(ShardAssignTest, BoundlessRectsParkInShardZero) {
   rects = GenerateQueries(config, &rng);
   rects.push_back(Rect::Empty());
   rects.push_back(Rect::Empty());
-  const RectSoA soa(rects);
-  const std::vector<double> weights = PlanningCostWeights(soa);
-  ASSERT_EQ(weights.size(), soa.size());
+  const std::vector<double> weights = PlanningCostWeights(rects);
+  ASSERT_EQ(weights.size(), rects.size());
   // Boundless weight = 1 + population; no placed rect can exceed it.
-  for (size_t i = 0; i < soa.size(); ++i) {
+  for (size_t i = 0; i < rects.size(); ++i) {
     EXPECT_LE(weights[i], weights.back());
   }
-  EXPECT_DOUBLE_EQ(weights.back(), 1.0 + static_cast<double>(soa.size()));
+  EXPECT_DOUBLE_EQ(weights.back(), 1.0 + static_cast<double>(rects.size()));
 
-  for (const ShardAssign assign :
-       {ShardAssign::kGrid, ShardAssign::kBalanced}) {
-    const ShardLayout layout = AssignShards(soa, 4, assign);
-    ExpectLayoutWellFormed(layout, soa);
-    EXPECT_EQ(layout.shard_of[soa.size() - 1], RectSoA::kBoundlessShard);
-    EXPECT_EQ(layout.shard_of[soa.size() - 2], RectSoA::kBoundlessShard);
-    // shard 0 absorbs the two boundless queries and their weight.
-    size_t placed_in_zero = 0;
-    for (size_t i = 0; i + 2 < soa.size(); ++i) {
-      if (layout.shard_of[i] == 0) ++placed_in_zero;
-    }
-    EXPECT_EQ(layout.shard_queries[0], placed_in_zero + 2);
+  const ShardLayout layout = AssignShards(rects, 4);
+  ExpectLayoutWellFormed(layout, rects);
+  EXPECT_EQ(layout.shard_of[rects.size() - 1], ShardLayout::kBoundlessShard);
+  EXPECT_EQ(layout.shard_of[rects.size() - 2], ShardLayout::kBoundlessShard);
+  // shard 0 absorbs the two boundless queries and their weight.
+  size_t placed_in_zero = 0;
+  for (size_t i = 0; i + 2 < rects.size(); ++i) {
+    if (layout.shard_of[i] == 0) ++placed_in_zero;
+  }
+  EXPECT_EQ(layout.shard_queries[0], placed_in_zero + 2);
+}
+
+// An all-empty population must not crash and collapses to one shard
+// holding everything.
+TEST(ShardAssignTest, AllBoundlessCollapsesToOneShard) {
+  const std::vector<Rect> rects(5, Rect::Empty());
+  const ShardLayout layout = AssignShards(rects, 4);
+  ExpectLayoutWellFormed(layout, rects);
+  EXPECT_EQ(layout.shard_queries[0], rects.size());
+  EXPECT_EQ(layout.num_shards, 1);
+  EXPECT_DOUBLE_EQ(layout.Imbalance(), 1.0);
+}
+
+// The request is a budget of at least one shard: 1, 0 and a negative
+// request all give the same single-shard layout — no cuts, every placed
+// rect in shard 0, its box the bounds of the placed rects, no seam
+// sides.
+TEST(ShardAssignTest, RequestBelowTwoIsOneShard) {
+  std::vector<Rect> rects = HybridRects(120, 23);
+  Rect bounds = Rect::Empty();
+  for (const Rect& r : rects) bounds = bounds.BoundingUnion(r);
+  rects.push_back(Rect::Empty());
+
+  const ShardLayout one = AssignShards(rects, 1);
+  ExpectLayoutWellFormed(one, rects);
+  EXPECT_EQ(one.num_shards, 1);
+  EXPECT_TRUE(one.cuts.empty());
+  EXPECT_EQ(one.shard_box[0], bounds);
+  EXPECT_FALSE(one.shard_open[0].x_lo || one.shard_open[0].x_hi ||
+               one.shard_open[0].y_lo || one.shard_open[0].y_hi);
+  for (size_t i = 0; i + 1 < rects.size(); ++i) {
+    EXPECT_EQ(one.shard_of[i], 0) << "rect " << i;
+  }
+  EXPECT_EQ(one.shard_of.back(), ShardLayout::kBoundlessShard);
+  EXPECT_DOUBLE_EQ(one.shard_cost[0], one.total_cost);
+  EXPECT_DOUBLE_EQ(one.Imbalance(), 1.0);
+  for (const int shards : {0, -3}) {
+    ExpectLayoutsEqual(AssignShards(rects, shards), one);
   }
 }
 
-// An all-empty population must not crash either path and collapses to
-// one shard holding everything.
-TEST(ShardAssignTest, AllBoundlessCollapsesToOneShard) {
-  const RectSoA soa(std::vector<Rect>(5, Rect::Empty()));
-  for (const ShardAssign assign :
-       {ShardAssign::kGrid, ShardAssign::kBalanced}) {
-    const ShardLayout layout = AssignShards(soa, 4, assign);
-    ExpectLayoutWellFormed(layout, soa);
-    EXPECT_EQ(layout.shard_queries[0], soa.size());
-    EXPECT_EQ(layout.num_shards, 1);
-    EXPECT_DOUBLE_EQ(layout.Imbalance(), 1.0);
+// Assignment is by rectangle center (Rect::Center()): walking the cut
+// tree with a placed rect's center reaches the leaf that holds it, and
+// that leaf's box contains the center. A center exactly on a cut line
+// may go to either side, so for those only the box is checked.
+TEST(ShardAssignTest, CentersWalkTheCutTreeToTheirShard) {
+  std::vector<Rect> rects = HybridRects(400, 13);
+  rects.push_back(Rect::Empty());
+  for (const int shards : {2, 5, 16}) {
+    const ShardLayout layout = AssignShards(rects, shards);
+    ExpectLayoutWellFormed(layout, rects);
+    ASSERT_GT(layout.num_shards, 1) << "shards " << shards;
+    ASSERT_FALSE(layout.cuts.empty()) << "shards " << shards;
+    for (size_t i = 0; i < rects.size(); ++i) {
+      if (rects[i].IsEmpty()) continue;
+      const Point center = rects[i].Center();
+      const int32_t shard = layout.shard_of[i];
+      EXPECT_TRUE(layout.shard_box[static_cast<size_t>(shard)].Contains(
+          center))
+          << "shards " << shards << " rect " << i;
+      int32_t node = 0;
+      bool on_cut = false;
+      while (node >= 0) {
+        const ShardCutNode& cut = layout.cuts[static_cast<size_t>(node)];
+        const double c = cut.axis == 0 ? center.x : center.y;
+        if (c == cut.coord) {
+          on_cut = true;
+          break;
+        }
+        node = c < cut.coord ? cut.left : cut.right;
+      }
+      if (!on_cut) {
+        EXPECT_EQ(-node - 1, shard) << "shards " << shards << " rect " << i;
+      }
+    }
+  }
+}
+
+// The leaf boxes tile the bounds of the placed rects: boundless rects
+// do not widen them, the boxes cover exactly the bounds and their areas
+// sum to its area, and a box side is a seam side exactly when it does
+// not lie on the bounds (the domain boundary has no neighbor).
+TEST(ShardAssignTest, ShardBoxesTileThePlacedBounds) {
+  std::vector<Rect> rects = HybridRects(300, 19);
+  Rect bounds = Rect::Empty();
+  for (const Rect& r : rects) bounds = bounds.BoundingUnion(r);
+  rects.insert(rects.begin() + 7, Rect::Empty());
+  rects.push_back(Rect::Empty());
+  for (const int shards : {4, 9, 16}) {
+    const ShardLayout layout = AssignShards(rects, shards);
+    ExpectLayoutWellFormed(layout, rects);
+    ASSERT_GT(layout.num_shards, 1) << "shards " << shards;
+    ASSERT_EQ(layout.shard_open.size(),
+              static_cast<size_t>(layout.num_shards));
+    Rect cover = Rect::Empty();
+    double area = 0.0;
+    for (size_t s = 0; s < layout.shard_box.size(); ++s) {
+      const Rect& box = layout.shard_box[s];
+      const ShardLayout::SeamSides& open = layout.shard_open[s];
+      const std::string label =
+          "shards " + std::to_string(shards) + " box " + std::to_string(s);
+      EXPECT_TRUE(bounds.Contains(box)) << label;
+      cover = cover.BoundingUnion(box);
+      area += box.Area();
+      EXPECT_EQ(open.x_lo, box.x_lo() != bounds.x_lo()) << label;
+      EXPECT_EQ(open.x_hi, box.x_hi() != bounds.x_hi()) << label;
+      EXPECT_EQ(open.y_lo, box.y_lo() != bounds.y_lo()) << label;
+      EXPECT_EQ(open.y_hi, box.y_hi() != bounds.y_hi()) << label;
+    }
+    EXPECT_EQ(cover, bounds) << "shards " << shards;
+    EXPECT_NEAR(area, bounds.Area(), 1e-9 * bounds.Area())
+        << "shards " << shards;
   }
 }
 
@@ -205,8 +280,7 @@ TEST(ShardAssignTest, CostWeightsFollowDensity) {
     rects.push_back(Rect(100 + i, 100, 140 + i, 140));  // dense pile
   }
   rects.push_back(Rect(900, 900, 905, 905));  // isolated
-  const RectSoA soa(rects);
-  const std::vector<double> weights = PlanningCostWeights(soa);
+  const std::vector<double> weights = PlanningCostWeights(rects);
   EXPECT_GT(weights[0], weights.back());
   for (double w : weights) EXPECT_GE(w, 1.0);
 }

@@ -20,15 +20,14 @@
 //                does not apply)
 //   --queries N [12]    --seed N [fig16: 1000*queries; workload: 42]
 //   --merger pair|directed|clustering|exact [pair]
-//   --shards N [1]      plan through the ShardedPlanner (DESIGN.md §12);
+//   --shards N [1]      shard budget of the ShardedPlanner every plan
+//                       goes through (DESIGN.md §12–§13). With N > 1,
 //                       groups gain a shard= attribution (shard=seam for
-//                       boundary-pass groups). 1 = plain merge, output
-//                       unchanged. Ignored by --scenario live.
-//   --assign balanced|grid [balanced]
-//                       shard assignment for --shards > 1 (DESIGN.md
-//                       §13). balanced also emits the bisection cut
-//                       tree and per-shard cost estimates (text + JSON);
-//                       unsharded output never carries either.
+//                       boundary-pass groups) and the output adds the
+//                       bisection cut tree and per-shard cost estimates
+//                       (text + JSON). 1 = the planner delegates to the
+//                       plain merge, and the output carries none of
+//                       these. Ignored by --scenario live.
 //   --no-pruning        plan with bounds that prune nothing (same plan;
 //                       every pair evaluated exactly)
 //   --exact             also report exact merged sizes, measured against
@@ -37,9 +36,14 @@
 //   workload-mode knobs: --cf F [0.6] --sf F [0.5] --df F [0.03]
 //       --min-extent F [0.02] --max-extent F [0.1] --density F [0.0005]
 //       --km F [10] --kt F [9] --ku F [4]
+//
+// Any other flag is an error (exit 2), so a typo is not silently
+// ignored.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -60,7 +64,14 @@
 namespace qsp {
 namespace {
 
-/// Minimal --key value argument map (same shape as qspctl's).
+/// Every flag the header documents.
+constexpr const char* kFlags[] = {
+    "scenario", "queries", "seed", "merger", "shards", "no-pruning",
+    "exact", "objects", "format", "cf", "sf", "df", "min-extent",
+    "max-extent", "density", "km", "kt", "ku", "help"};
+
+/// Minimal --key value argument map (same shape as qspctl's), limited
+/// to kFlags.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -71,6 +82,11 @@ class Args {
         std::exit(2);
       }
       key = key.substr(2);
+      if (std::find(std::begin(kFlags), std::end(kFlags), key) ==
+          std::end(kFlags)) {
+        std::fprintf(stderr, "unknown flag '--%s'\n", key.c_str());
+        std::exit(2);
+      }
       if (i + 1 < argc && argv[i + 1][0] != '-') {
         values_[key] = argv[++i];
       } else {
@@ -212,38 +228,17 @@ int Run(const Args& args) {
   const bool pruning = !args.Has("no-pruning");
   const auto merger = MakeMerger(merger_kind, seed, pruning);
   const int shards = static_cast<int>(args.I("shards", 1));
-  const std::string assign_name = args.S("assign", "balanced");
-  ShardAssign assign = ShardAssign::kBalanced;
-  if (assign_name == "grid") {
-    assign = ShardAssign::kGrid;
-  } else if (assign_name != "balanced") {
-    std::fprintf(stderr, "unknown --assign '%s'\n", assign_name.c_str());
-    return 2;
+  const ShardedPlanner planner(
+      merger.get(),
+      ShardedPlanner::Options{.shards = shards, .pruning = pruning});
+  Result<ShardedMergeOutcome> plan = planner.Plan(*instance.ctx, model);
+  if (!plan.ok()) {
+    std::fprintf(stderr, "merge failed: %s\n",
+                 plan.status().ToString().c_str());
+    return 1;
   }
-  MergeOutcome outcome;
-  std::vector<int32_t> group_shard;
-  ShardLayout layout;
-  if (shards > 1) {
-    const ShardedPlanner planner(
-        merger.get(), ShardedPlanner::Options{shards, assign, pruning});
-    Result<ShardedMergeOutcome> plan = planner.Plan(*instance.ctx, model);
-    if (!plan.ok()) {
-      std::fprintf(stderr, "sharded merge failed: %s\n",
-                   plan.status().ToString().c_str());
-      return 1;
-    }
-    outcome = std::move(plan.value().outcome);
-    group_shard = std::move(plan.value().group_shard);
-    layout = std::move(plan.value().layout);
-  } else {
-    Result<MergeOutcome> merged = merger->Merge(*instance.ctx, model);
-    if (!merged.ok()) {
-      std::fprintf(stderr, "merge failed: %s\n",
-                   merged.status().ToString().c_str());
-      return 1;
-    }
-    outcome = std::move(merged.value());
-  }
+  const ShardedMergeOutcome& sharded = plan.value();
+  const MergeOutcome& outcome = sharded.outcome;
 
   obs::PlanExplainer explainer(instance.ctx.get(), model);
   explainer.AddLabel("scenario", scenario);
@@ -252,9 +247,11 @@ int Run(const Args& args) {
   explainer.AddLabel("estimator", "uniform");
   if (shards > 1) {
     explainer.AddLabel("shards", std::to_string(shards));
-    explainer.AddLabel("assign", assign_name);
-    explainer.set_shard_attribution(&group_shard);
-    explainer.set_shard_layout(&layout);
+    // Bisection is the only assignment; the label keeps the sharded
+    // EXPLAIN format (and its golden) stable.
+    explainer.AddLabel("assign", "balanced");
+    explainer.set_shard_attribution(&sharded.group_shard);
+    explainer.set_shard_layout(&sharded.layout);
   }
   explainer.set_initial_cost(model.InitialCost(*instance.ctx));
   explainer.set_refinement(outcome.bounds_refined, outcome.bounds_pruned);
