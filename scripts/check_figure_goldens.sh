@@ -1,12 +1,18 @@
 #!/usr/bin/env bash
-# Figure goldens: the stdout of the Figure 16 and 17 harnesses and of the
-# dynamic-scenario bench must match tests/golden/{fig16,fig17,dynamic}.txt
-# byte for byte. Planner changes that claim to keep every plan identical
-# are checked by this diff. A mismatch means the plans or the table format
+# Figure goldens: the stdout of the Figure 16 and 17 harnesses, of the
+# dynamic-scenario bench and of the two round-path benches must match
+# tests/golden/{fig16,fig17,dynamic,extraction_modes,fault_sweep}.txt byte
+# for byte. Planner changes that claim to keep every plan identical are
+# checked by this diff; the round-path goldens pin the RoundStats a
+# dissemination round reports (self-extraction and server-tag bytes, rows
+# examined, lossy-channel retransmission bytes and NACK counts). A
+# mismatch means the plans, the round accounting or the table format
 # changed; if that was deliberate, regenerate with:
 #   build/bench/bench_fig16_pair_optimality > tests/golden/fig16.txt
 #   build/bench/bench_fig17_pair_distance > tests/golden/fig17.txt
 #   build/bench/bench_dynamic > tests/golden/dynamic.txt
+#   build/bench/bench_extraction_modes > tests/golden/extraction_modes.txt
+#   build/bench/bench_fault_sweep > tests/golden/fault_sweep.txt
 # fig16 and fig17 take about 10 s each, so this is a CI step, not a ctest.
 #
 #   check_figure_goldens.sh [bench_dir] [golden_dir]
@@ -22,7 +28,9 @@ trap 'rm -f "$actual"' EXIT
 status=0
 for check in fig16:bench_fig16_pair_optimality \
              fig17:bench_fig17_pair_distance \
-             dynamic:bench_dynamic; do
+             dynamic:bench_dynamic \
+             extraction_modes:bench_extraction_modes \
+             fault_sweep:bench_fault_sweep; do
   golden="${check%%:*}"
   bench="${check#*:}"
   # Without QSP_BENCH_REPORT a bench writes no report and its stdout is

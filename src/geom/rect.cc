@@ -22,11 +22,6 @@ Rect Rect::FromCenter(const Point& center, double width, double height) {
 
 Rect Rect::Empty() { return Rect(); }
 
-bool Rect::Contains(const Point& p) const {
-  return !IsEmpty() && p.x >= x_lo_ && p.x <= x_hi_ && p.y >= y_lo_ &&
-         p.y <= y_hi_;
-}
-
 bool Rect::Contains(const Rect& other) const {
   if (other.IsEmpty()) return true;
   if (IsEmpty()) return false;

@@ -48,7 +48,13 @@ class Rect {
   Point Center() const { return {(x_lo_ + x_hi_) / 2, (y_lo_ + y_hi_) / 2}; }
 
   /// Closed-interval point containment (matches the <= query predicates).
-  bool Contains(const Point& p) const;
+  /// Inline and branch-free: index scans and client extractors call it
+  /// once per row, on rows that fall on both sides of the edges. The first
+  /// two terms are !IsEmpty().
+  bool Contains(const Point& p) const {
+    return (x_lo_ <= x_hi_) & (y_lo_ <= y_hi_) & (p.x >= x_lo_) &
+           (p.x <= x_hi_) & (p.y >= y_lo_) & (p.y <= y_hi_);
+  }
 
   /// True when `other` lies entirely within this rectangle. Every
   /// rectangle contains the empty rectangle.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "query/extractor.h"
 #include "util/status.h"
 
 namespace qsp {
@@ -27,14 +28,11 @@ Message BuildMessage(size_t channel, const MergedQuery& merged,
   msg.channel = channel;
 
   // Evaluate the merged region. Pieces are interior-disjoint but share
-  // boundaries; dedupe to keep each row once.
-  for (const Rect& piece : merged.region) {
-    const std::vector<RowId> rows = index.Query(piece);
-    msg.payload.insert(msg.payload.end(), rows.begin(), rows.end());
-  }
-  std::sort(msg.payload.begin(), msg.payload.end());
-  msg.payload.erase(std::unique(msg.payload.begin(), msg.payload.end()),
-                    msg.payload.end());
+  // boundaries; combining dedupes to keep each row once.
+  std::vector<std::vector<RowId>> parts;
+  parts.reserve(merged.region.size());
+  for (const Rect& piece : merged.region) parts.push_back(index.Query(piece));
+  msg.payload = CombineAnswers(std::move(parts));
 
   // Server-side tagging: mark which member queries each row serves.
   if (mode == ExtractionMode::kServerTags && merged.members.size() <= 32) {
@@ -113,6 +111,19 @@ std::vector<Message> Server::ExecuteRoundMerged(
 
 std::vector<RowId> Server::DirectAnswer(QueryId query) const {
   return index_->Query(queries_->rect(query));
+}
+
+bool Server::MatchesDirectAnswer(QueryId query,
+                                 const std::vector<RowId>& answer) const {
+  const Rect& rect = queries_->rect(query);
+  for (size_t i = 0; i < answer.size(); ++i) {
+    const RowId id = answer[i];
+    if (i > 0 && id <= answer[i - 1]) return false;
+    if (id >= table_->num_rows() || !rect.Contains(table_->PositionOf(id))) {
+      return false;
+    }
+  }
+  return answer.size() == index_->Count(rect);
 }
 
 }  // namespace qsp

@@ -44,6 +44,16 @@ class Server {
   /// Ground truth: the exact answer of one original query.
   std::vector<RowId> DirectAnswer(QueryId query) const;
 
+  /// True when `answer` equals DirectAnswer(query), checked without
+  /// building it: `answer` is strictly ascending (so it has no
+  /// duplicates), every id is a table row whose position lies in the
+  /// query's rectangle (so it is a subset of the true answer), and its
+  /// size equals the index's Count of that rectangle (so it is the whole
+  /// answer). Like DirectAnswer, it takes the index to cover every row of
+  /// the table.
+  bool MatchesDirectAnswer(QueryId query,
+                           const std::vector<RowId>& answer) const;
+
  private:
   const Table* table_;
   const SpatialIndex* index_;

@@ -49,11 +49,19 @@ void SimClient::Receive(const Message& msg, const Table& table) {
 
   // Flag the payload rows that land in at least one of this client's
   // answers, to count irrelevant rows once per message. The payload is
-  // unique, so one flag per index is one flag per row.
+  // unique, so one flag per index is one flag per row. Every extractor
+  // examines the whole payload, so cached rows are counted once per
+  // extractor; positions are gathered once for all of them.
   std::vector<uint8_t> used(msg.payload.size(), 0);
-  size_t used_rows = 0;
+  size_t cached_rows = 0;
+  if (enable_cache_) {
+    for (RowId row : msg.payload) cached_rows += cache_.count(row);
+  }
+  std::vector<Point> positions;
   for (const HeaderEntry& entry : msg.extractors) {
     if (entry.client != id_) continue;
+    stats_.rows_examined += msg.payload.size();
+    stats_.cache_hits += cached_rows;
 
     // Server-tagged payloads skip the per-tuple geometric test: the tag
     // bit of this entry's query decides membership.
@@ -67,25 +75,28 @@ void SimClient::Receive(const Message& msg, const Table& table) {
       }
     }
 
-    std::vector<RowId> part;
-    for (size_t i = 0; i < msg.payload.size(); ++i) {
-      const RowId row = msg.payload[i];
-      ++stats_.rows_examined;
-      if (enable_cache_ && cache_.count(row) > 0) ++stats_.cache_hits;
-      const bool mine =
-          tag_bit >= 0
-              ? (msg.payload_tags[i] & (1u << tag_bit)) != 0
-              : entry.spec.rect.Contains(table.PositionOf(row));
-      if (mine) {
-        part.push_back(row);
-        if (used[i] == 0) {
-          used[i] = 1;
-          ++used_rows;
-        }
-      }
+    if (tag_bit < 0 && positions.size() != msg.payload.size()) {
+      positions.reserve(msg.payload.size());
+      for (RowId row : msg.payload) positions.push_back(table.PositionOf(row));
     }
+
+    // Write every row and advance past the ones this extractor keeps.
+    std::vector<RowId> part(msg.payload.size());
+    size_t kept = 0;
+    for (size_t i = 0; i < msg.payload.size(); ++i) {
+      const bool mine = tag_bit >= 0
+                            ? (msg.payload_tags[i] & (1u << tag_bit)) != 0
+                            : entry.spec.rect.Contains(positions[i]);
+      part[kept] = msg.payload[i];
+      kept += mine;
+      used[i] |= static_cast<uint8_t>(mine);
+    }
+    part.resize(kept);
+    part.shrink_to_fit();
     partial_answers_[entry.spec.query].push_back(std::move(part));
   }
+  const size_t used_rows =
+      static_cast<size_t>(std::count(used.begin(), used.end(), 1));
   stats_.rows_irrelevant += msg.payload.size() - used_rows;
   if (enable_cache_) {
     cache_.insert(msg.payload.begin(), msg.payload.end());

@@ -45,7 +45,10 @@ struct RoundStats {
   /// reports success.
   bool wire_round_trip_ok = true;
   /// True when every client's recovered answer for every subscription
-  /// exactly equals the direct evaluation of the original query.
+  /// exactly equals the direct evaluation of the original query. Checked
+  /// by Server::MatchesDirectAnswer without building that evaluation: the
+  /// answer is strictly ascending, every row lies in the query rectangle,
+  /// and its size is the index's Count of the rectangle.
   bool all_answers_correct = false;
 
   // --- reliability & fault injection (DESIGN.md §6) -----------------------

@@ -17,10 +17,17 @@ std::vector<RowId> ApplyExtractor(const ExtractorSpec& spec,
 
 std::vector<RowId> CombineAnswers(std::vector<std::vector<RowId>> parts) {
   std::vector<RowId> out;
-  for (auto& part : parts) {
-    out.insert(out.end(), part.begin(), part.end());
+  if (parts.size() == 1) {
+    out = std::move(parts.front());
+  } else {
+    for (auto& part : parts) {
+      out.insert(out.end(), part.begin(), part.end());
+    }
   }
-  std::sort(out.begin(), out.end());
+  // A single part extracted from an ascending payload is already sorted.
+  if (!std::is_sorted(out.begin(), out.end())) {
+    std::sort(out.begin(), out.end());
+  }
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }

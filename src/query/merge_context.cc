@@ -148,7 +148,14 @@ GroupStats MergeContext::Compute(const QueryGroup& group) const {
     stats.size += merged_size;
     for (QueryId member : merged.members) {
       const Rect& member_rect = queries_->rect(member);
-      // Portion of the merged answer relevant to this member.
+      // Portion of the merged answer relevant to this member. A single
+      // piece containing a non-empty member clips to the member rect
+      // itself, whose estimate Size() already holds.
+      if (merged.region.size() == 1 && !member_rect.IsEmpty() &&
+          merged.region.front().Contains(member_rect)) {
+        stats.irrelevant += merged_size - Size(member);
+        continue;
+      }
       double relevant = 0.0;
       for (const Rect& piece : merged.region) {
         const Rect clipped = piece.Intersection(member_rect);

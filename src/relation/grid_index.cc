@@ -1,70 +1,124 @@
 #include "relation/grid_index.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/status.h"
 
 namespace qsp {
+namespace {
+
+/// Cell of coordinate `v` on an axis of `cells` cells starting at `lo`.
+/// Clamps in double before the cast, so far-out and infinite coordinates
+/// land in a boundary cell; NaN lands in cell 0.
+int ClampCell(double v, double lo, double extent, int cells) {
+  double cell = (v - lo) / std::max(extent, 1e-300) * cells;
+  if (!(cell > 0.0)) cell = 0.0;
+  return static_cast<int>(std::min(cell, cells - 1.0));
+}
+
+}  // namespace
 
 GridIndex::GridIndex(const Table& table, const Rect& domain, int cells_x,
                      int cells_y)
-    : table_(table),
-      domain_(domain),
+    : domain_(domain),
       cells_x_(std::max(1, cells_x)),
       cells_y_(std::max(1, cells_y)) {
   QSP_CHECK(!domain.IsEmpty());
-  buckets_.resize(static_cast<size_t>(cells_x_) *
-                  static_cast<size_t>(cells_y_));
-  for (RowId id = 0; id < table.num_rows(); ++id) {
+  const size_t num_cells =
+      static_cast<size_t>(cells_x_) * static_cast<size_t>(cells_y_);
+  const size_t n = table.num_rows();
+  // Counting sort by cell: count, prefix-sum, then place in id order so
+  // each cell's ids come out ascending.
+  std::vector<uint32_t> cell_of(n);
+  cell_start_.assign(num_cells + 1, 0);
+  for (RowId id = 0; id < n; ++id) {
     const Point p = table.PositionOf(id);
-    buckets_[CellIndex(ClampCellX(p.x), ClampCellY(p.y))].push_back(id);
+    const size_t cell = CellIndex(ClampCellX(p.x), ClampCellY(p.y));
+    cell_of[id] = static_cast<uint32_t>(cell);
+    ++cell_start_[cell + 1];
+  }
+  for (size_t c = 0; c < num_cells; ++c) cell_start_[c + 1] += cell_start_[c];
+  ids_.resize(n);
+  positions_.resize(n);
+  std::vector<uint32_t> next(cell_start_.begin(), cell_start_.end() - 1);
+  for (RowId id = 0; id < n; ++id) {
+    const uint32_t slot = next[cell_of[id]]++;
+    ids_[slot] = id;
+    positions_[slot] = table.PositionOf(id);
+  }
+  cell_bounds_.assign(num_cells, Rect::Empty());
+  for (size_t c = 0; c < num_cells; ++c) {
+    if (cell_start_[c] == cell_start_[c + 1]) continue;
+    double x_lo = std::numeric_limits<double>::infinity();
+    double y_lo = x_lo;
+    double x_hi = -x_lo;
+    double y_hi = -x_lo;
+    for (size_t i = cell_start_[c]; i < cell_start_[c + 1]; ++i) {
+      x_lo = std::min(x_lo, positions_[i].x);
+      y_lo = std::min(y_lo, positions_[i].y);
+      x_hi = std::max(x_hi, positions_[i].x);
+      y_hi = std::max(y_hi, positions_[i].y);
+    }
+    cell_bounds_[c] = Rect(x_lo, y_lo, x_hi, y_hi);
   }
 }
 
 int GridIndex::ClampCellX(double x) const {
-  const double t = (x - domain_.x_lo()) / std::max(domain_.Width(), 1e-300);
-  int cell = static_cast<int>(t * cells_x_);
-  return std::clamp(cell, 0, cells_x_ - 1);
+  return ClampCell(x, domain_.x_lo(), domain_.Width(), cells_x_);
 }
 
 int GridIndex::ClampCellY(double y) const {
-  const double t = (y - domain_.y_lo()) / std::max(domain_.Height(), 1e-300);
-  int cell = static_cast<int>(t * cells_y_);
-  return std::clamp(cell, 0, cells_y_ - 1);
+  return ClampCell(y, domain_.y_lo(), domain_.Height(), cells_y_);
 }
 
-std::vector<RowId> GridIndex::Query(const Rect& rect) const {
-  std::vector<RowId> out;
-  if (rect.IsEmpty()) return out;
+template <typename Visit>
+void GridIndex::VisitCells(const Rect& rect, const Visit& visit) const {
+  if (rect.IsEmpty()) return;
   const int cx_lo = ClampCellX(rect.x_lo());
   const int cx_hi = ClampCellX(rect.x_hi());
   const int cy_lo = ClampCellY(rect.y_lo());
   const int cy_hi = ClampCellY(rect.y_hi());
   for (int cy = cy_lo; cy <= cy_hi; ++cy) {
     for (int cx = cx_lo; cx <= cx_hi; ++cx) {
-      for (RowId id : buckets_[CellIndex(cx, cy)]) {
-        if (rect.Contains(table_.PositionOf(id))) out.push_back(id);
-      }
+      const size_t cell = CellIndex(cx, cy);
+      const Rect& bounds = cell_bounds_[cell];
+      if (!rect.Intersects(bounds)) continue;
+      visit(cell_start_[cell], cell_start_[cell + 1], rect.Contains(bounds));
     }
   }
+}
+
+std::vector<RowId> GridIndex::Query(const Rect& rect) const {
+  std::vector<RowId> out;
+  VisitCells(rect, [&](size_t begin, size_t end, bool whole) {
+    if (whole) {
+      out.insert(out.end(), ids_.begin() + static_cast<ptrdiff_t>(begin),
+                 ids_.begin() + static_cast<ptrdiff_t>(end));
+      return;
+    }
+    // Write every candidate and advance past the ones inside.
+    size_t k = out.size();
+    out.resize(k + (end - begin));
+    for (size_t i = begin; i < end; ++i) {
+      out[k] = ids_[i];
+      k += rect.Contains(positions_[i]);
+    }
+    out.resize(k);
+  });
   std::sort(out.begin(), out.end());
   return out;
 }
 
 size_t GridIndex::Count(const Rect& rect) const {
-  if (rect.IsEmpty()) return 0;
   size_t count = 0;
-  const int cx_lo = ClampCellX(rect.x_lo());
-  const int cx_hi = ClampCellX(rect.x_hi());
-  const int cy_lo = ClampCellY(rect.y_lo());
-  const int cy_hi = ClampCellY(rect.y_hi());
-  for (int cy = cy_lo; cy <= cy_hi; ++cy) {
-    for (int cx = cx_lo; cx <= cx_hi; ++cx) {
-      for (RowId id : buckets_[CellIndex(cx, cy)]) {
-        if (rect.Contains(table_.PositionOf(id))) ++count;
-      }
+  VisitCells(rect, [&](size_t begin, size_t end, bool whole) {
+    if (whole) {
+      count += end - begin;
+      return;
     }
-  }
+    for (size_t i = begin; i < end; ++i) count += rect.Contains(positions_[i]);
+  });
   return count;
 }
 

@@ -1,8 +1,10 @@
 #ifndef QSP_RELATION_GRID_INDEX_H_
 #define QSP_RELATION_GRID_INDEX_H_
 
+#include <cstdint>
 #include <vector>
 
+#include "geom/point.h"
 #include "geom/rect.h"
 #include "relation/spatial_index.h"
 #include "relation/table.h"
@@ -13,6 +15,13 @@ namespace qsp {
 /// the server's repeated evaluation of merged range queries at a cost far
 /// below a full scan, and exact cardinality counting for the
 /// ExactEstimator.
+///
+/// The buckets are one CSR array of (row id, position) entries, grouped by
+/// cell and ascending by id within a cell, so a query reads no Table. Each
+/// cell also keeps the bounding box of the positions it holds: a cell whose
+/// box lies inside the query rectangle is taken whole, without a per-row
+/// test, and a cell whose box misses it is skipped. The index is a snapshot
+/// of the rows the table held at construction.
 class GridIndex : public SpatialIndex {
  public:
   /// Builds an index over `table` with `cells_x` x `cells_y` buckets
@@ -37,11 +46,21 @@ class GridIndex : public SpatialIndex {
   int ClampCellX(double x) const;
   int ClampCellY(double y) const;
 
-  const Table& table_;
+  /// Calls visit(begin, end, whole) with the entry range of every cell
+  /// whose box meets `rect`; `whole` is true when the box lies inside it.
+  template <typename Visit>
+  void VisitCells(const Rect& rect, const Visit& visit) const;
+
   Rect domain_;
   int cells_x_;
   int cells_y_;
-  std::vector<std::vector<RowId>> buckets_;
+  /// Cell c holds entries [cell_start_[c], cell_start_[c + 1]).
+  std::vector<uint32_t> cell_start_;
+  std::vector<RowId> ids_;
+  /// Parallel to ids_.
+  std::vector<Point> positions_;
+  /// Bounding box of each cell's positions (empty for an empty cell).
+  std::vector<Rect> cell_bounds_;
 };
 
 }  // namespace qsp

@@ -11,8 +11,9 @@ namespace qsp {
 /// schema is R(longitude DOUBLE, latitude DOUBLE, <other attributes>).
 enum class ValueType { kInt64, kDouble, kString };
 
-/// A single cell. Kept as a variant: this substrate favours clarity over
-/// columnar performance — the paper's workloads are thousands of tuples.
+/// A single cell, as rows enter and leave a Table. The Table itself stores
+/// columns (a contiguous position column plus the other cells as bytes at
+/// their wire widths); Values exist only at Insert and row().
 using Value = std::variant<int64_t, double, std::string>;
 
 /// Returns the ValueType tag of a Value.

@@ -140,6 +140,89 @@ TEST(ServerTest, RecipientsOnlyListSubscribedChannelClients) {
   }
 }
 
+/// Property: the simulator's count-based answer check agrees with
+/// comparing against DirectAnswer, on the true answer and on each way an
+/// answer can be wrong. Several perturbations keep the size, so each of
+/// the check's three conditions is exercised on its own.
+class AnswerCheckProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(AnswerCheckProperty, AgreesWithDirectAnswer) {
+  World world(GetParam(), /*num_objects=*/800, /*num_queries=*/40,
+              /*num_clients=*/4);
+  Server server(&world.table, world.index.get(), &world.queries,
+                &world.clients);
+  Rng rng(GetParam() + 1);
+  const auto num_rows = static_cast<RowId>(world.table.num_rows());
+  auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+  };
+  size_t nonempty = 0;
+  size_t partial = 0;
+  for (QueryId q = 0; q < world.queries.size(); ++q) {
+    const std::vector<RowId> truth = server.DirectAnswer(q);
+    const Rect& rect = world.queries.rect(q);
+    std::vector<std::vector<RowId>> answers = {truth, {}};
+    if (!truth.empty()) {
+      ++nonempty;
+      const size_t at = pick(truth.size());
+      std::vector<RowId> dropped = truth;
+      dropped.erase(dropped.begin() + static_cast<ptrdiff_t>(at));
+      std::vector<RowId> duplicated = truth;
+      duplicated.insert(duplicated.begin() + static_cast<ptrdiff_t>(at),
+                        truth[at]);
+      std::vector<RowId> out_of_range = truth;
+      out_of_range.back() = num_rows;
+      answers.insert(answers.end(), {dropped, duplicated, out_of_range});
+      answers.push_back(truth);
+      answers.back().push_back(num_rows + 7);
+    }
+    if (truth.size() >= 2) {
+      const size_t at = pick(truth.size() - 1);
+      std::vector<RowId> swapped = truth;
+      std::swap(swapped[at], swapped[at + 1]);
+      // Same size, all rows inside, but one row twice: only the order
+      // condition can reject it.
+      std::vector<RowId> repeated = truth;
+      repeated[at + 1] = repeated[at];
+      answers.insert(answers.end(), {swapped, repeated});
+    }
+    // A row from outside the rectangle, added, or replacing a true row
+    // (same size, still ascending: only the membership condition can
+    // reject that one).
+    RowId outside = 0;
+    while (outside < num_rows &&
+           rect.Contains(world.table.PositionOf(outside))) {
+      ++outside;
+    }
+    if (outside < num_rows) {
+      ++partial;
+      std::vector<RowId> added = truth;
+      added.insert(std::lower_bound(added.begin(), added.end(), outside),
+                   outside);
+      answers.push_back(added);
+      if (!truth.empty()) {
+        std::vector<RowId> replaced = truth;
+        replaced.erase(replaced.begin() +
+                       static_cast<ptrdiff_t>(pick(replaced.size())));
+        replaced.insert(
+            std::lower_bound(replaced.begin(), replaced.end(), outside),
+            outside);
+        answers.push_back(replaced);
+      }
+    }
+    for (size_t k = 0; k < answers.size(); ++k) {
+      EXPECT_EQ(server.MatchesDirectAnswer(q, answers[k]),
+                answers[k] == truth)
+          << "query " << q << " answer variant " << k;
+    }
+  }
+  EXPECT_GT(nonempty, 0u);
+  EXPECT_GT(partial, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AnswerCheckProperty,
+                         ::testing::Values(21, 42, 63));
+
 // ------------------------------------------------------------- SimClient
 
 TEST(SimClientTest, IgnoresMessagesNotAddressedToIt) {

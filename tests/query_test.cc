@@ -198,6 +198,9 @@ TEST(ExtractorTest, ExaminedCounterAccumulates) {
 TEST(ExtractorTest, CombineAnswersDedupes) {
   const auto combined = CombineAnswers({{3, 1}, {1, 2}, {}});
   EXPECT_EQ(combined, (std::vector<RowId>{1, 2, 3}));
+  // One part is sorted and deduplicated too, ascending or not.
+  EXPECT_EQ(CombineAnswers({{3, 1, 3}}), (std::vector<RowId>{1, 3}));
+  EXPECT_EQ(CombineAnswers({{1, 2, 2}}), (std::vector<RowId>{1, 2}));
 }
 
 /// Property (the correctness contract of Section 3.1): for any merge

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "relation/generator.h"
@@ -114,6 +116,92 @@ TEST(TableTest, WireSizes) {
   EXPECT_DOUBLE_EQ(table.MeanRowWireSize(), 23.0);
 }
 
+TEST(TableTest, InsertRejectsNonFinitePositions) {
+  Table table(Schema::Geographic(0));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [x, y] : {std::pair{nan, 1.0}, std::pair{1.0, nan},
+                             std::pair{inf, 1.0}, std::pair{1.0, -inf}}) {
+    const auto inserted = table.Insert({x, y});
+    ASSERT_FALSE(inserted.ok());
+    EXPECT_EQ(inserted.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(table.num_rows(), 0u);
+  EXPECT_TRUE(table.Insert({1.0, 1.0}).ok());
+}
+
+/// Sum of WireSize over a row's values.
+size_t SumWireSize(const std::vector<Value>& row) {
+  size_t bytes = 0;
+  for (const Value& v : row) bytes += WireSize(v);
+  return bytes;
+}
+
+TEST(TableTest, RowsRoundTripAcrossBlockBoundary) {
+  // Positions, then INT64, DOUBLE and two STRING columns of varying
+  // width, on both sides of the first block boundary.
+  Table table(Schema({{"longitude", ValueType::kDouble},
+                      {"latitude", ValueType::kDouble},
+                      {"count", ValueType::kInt64},
+                      {"weight", ValueType::kDouble},
+                      {"name", ValueType::kString},
+                      {"note", ValueType::kString}}));
+  Rng rng(17);
+  std::vector<std::vector<Value>> expected;
+  const size_t n = Table::kBlockRows + 5;
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<Value> row = {
+        rng.UniformDouble(-10, 10), rng.UniformDouble(-10, 10),
+        static_cast<int64_t>(rng.Next()), rng.Normal(0, 1e6),
+        std::string(static_cast<size_t>(rng.UniformInt(0, 40)), 'a'),
+        std::string(i % 7 == 0 ? "" : "note " + std::to_string(i))};
+    ASSERT_TRUE(table.Insert(row).ok());
+    expected.push_back(std::move(row));
+  }
+  ASSERT_EQ(table.num_rows(), n);
+  size_t total = 0;
+  for (RowId id = 0; id < n; ++id) {
+    ASSERT_EQ(table.row(id), expected[id]) << "row " << id;
+    EXPECT_EQ(table.RowWireSize(id), SumWireSize(expected[id])) << id;
+    EXPECT_EQ(table.PositionOf(id).x, std::get<double>(expected[id][0]));
+    EXPECT_EQ(table.PositionOf(id).y, std::get<double>(expected[id][1]));
+    total += SumWireSize(expected[id]);
+  }
+  EXPECT_DOUBLE_EQ(table.MeanRowWireSize(),
+                   static_cast<double>(total) / static_cast<double>(n));
+}
+
+TEST(TableTest, WideFirstRowGrowsItsBlock) {
+  // A block sizes its cell storage from its first row, up to a cap; a
+  // 2 MiB first row must neither reserve 2,048 times that nor lose cells.
+  Table table(Schema::Geographic(1));
+  const std::vector<std::string> payloads = {std::string(2 << 20, 'w'), "a",
+                                             std::string(3 << 20, 'v'), ""};
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    ASSERT_TRUE(table.Insert({static_cast<double>(i), 2.0, payloads[i]}).ok());
+  }
+  for (RowId id = 0; id < payloads.size(); ++id) {
+    EXPECT_EQ(std::get<std::string>(table.row(id)[2]), payloads[id]);
+    EXPECT_EQ(table.RowWireSize(id), 16 + 4 + payloads[id].size());
+  }
+}
+
+TEST(TableTest, PositionOnlyRowsAcrossBlockBoundary) {
+  Table table(Schema::Geographic(0));
+  const size_t n = Table::kBlockRows + 1;
+  for (size_t i = 0; i < n; ++i) {
+    const auto v = static_cast<double>(i);
+    ASSERT_TRUE(table.Insert({v, -v}).ok());
+  }
+  for (RowId id : {RowId{0}, RowId{Table::kBlockRows - 1},
+                   RowId{Table::kBlockRows}}) {
+    const auto v = static_cast<double>(id);
+    EXPECT_EQ(table.row(id), (std::vector<Value>{v, -v}));
+    EXPECT_EQ(table.RowWireSize(id), 16u);
+  }
+  EXPECT_DOUBLE_EQ(table.MeanRowWireSize(), 16.0);
+}
+
 // ------------------------------------------------------------- GridIndex
 
 TEST(GridIndexTest, MatchesFullScanOnSmallTable) {
@@ -128,6 +216,41 @@ TEST(GridIndexTest, MatchesFullScanOnSmallTable) {
   }
 }
 
+TEST(GridIndexTest, FarOutAndInfiniteRectanglesMatchScan) {
+  // Rectangle bounds ~10^9 domain widths out, or infinite, used to
+  // overflow the cell computation and see only cell 0.
+  Rng rng(8);
+  TableGeneratorConfig config;
+  config.domain = Rect(0, 0, 1000, 1000);
+  config.num_objects = 10000;
+  config.payload_fields = 0;
+  Table table = GenerateTable(config, &rng);
+  GridIndex index(table, config.domain);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Rect& q : {Rect(-1e12, -1e12, 1e12, 1e12), Rect(0, 0, 1e11, 1e11),
+                        Rect(-inf, -inf, inf, inf)}) {
+    EXPECT_EQ(index.Query(q), table.ScanRange(q)) << q.ToString();
+    EXPECT_EQ(index.Count(q), table.CountRange(q)) << q.ToString();
+    EXPECT_EQ(index.Count(q), 10000u) << q.ToString();
+  }
+}
+
+TEST(GridIndexTest, FarOutRowIsFound) {
+  Rng rng(9);
+  TableGeneratorConfig config;
+  config.domain = Rect(0, 0, 1000, 1000);
+  config.num_objects = 10000;
+  config.payload_fields = 0;
+  Table table = GenerateTable(config, &rng);
+  ASSERT_TRUE(table.Insert({1e12, 500.0}).ok());
+  GridIndex index(table, config.domain);
+  const Rect q(900, 0, 2e12, 1000);
+  const std::vector<RowId> rows = index.Query(q);
+  EXPECT_EQ(rows, table.ScanRange(q));
+  EXPECT_EQ(index.Count(q), table.CountRange(q));
+  EXPECT_EQ(rows.back(), 10000u);
+}
+
 TEST(GridIndexTest, RowsOutsideDomainAreClamped) {
   Table table(Schema::Geographic(0));
   ASSERT_TRUE(table.Insert({-5.0, -5.0}).ok());
@@ -139,7 +262,10 @@ TEST(GridIndexTest, RowsOutsideDomainAreClamped) {
   EXPECT_TRUE(index.Query(Rect(0, 0, 10, 10)).empty());
 }
 
-/// Property: index results equal full scans on random data and queries.
+/// Property: index results equal full scans on random data and queries,
+/// including rows and rectangles on cell edges, rectangles covering whole
+/// cells exactly, point and line rectangles, duplicate positions and rows
+/// outside the domain.
 class GridIndexProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(GridIndexProperty, EquivalentToScan) {
@@ -151,13 +277,63 @@ TEST_P(GridIndexProperty, EquivalentToScan) {
   config.num_clusters = 3;
   config.payload_fields = 0;
   Table table = GenerateTable(config, &rng);
+  // The 8 x 8 grid below has cell edges at multiples of 12.5.
+  constexpr double kEdge = 12.5;
+  auto edge = [&rng] {
+    return kEdge * static_cast<double>(rng.UniformInt(0, 8));
+  };
+  for (int i = 0; i < 40; ++i) {
+    const double x = edge();
+    const double y = i % 2 == 0 ? edge() : rng.UniformDouble(0, 100);
+    ASSERT_TRUE(table.Insert({x, y}).ok());
+    ASSERT_TRUE(table.Insert({x, y}).ok());  // Duplicate position.
+  }
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(table.Insert({rng.UniformDouble(-50, 150),
+                              rng.UniformDouble(-50, 150)})
+                    .ok());
+  }
   GridIndex index(table, config.domain, 8, 8);
+
+  std::vector<Rect> queries;
   for (int i = 0; i < 50; ++i) {
     const double x = rng.UniformDouble(0, 90);
     const double y = rng.UniformDouble(0, 90);
-    const Rect q(x, y, x + rng.UniformDouble(0, 30),
-                 y + rng.UniformDouble(0, 30));
+    queries.emplace_back(x, y, x + rng.UniformDouble(0, 30),
+                         y + rng.UniformDouble(0, 30));
+  }
+  for (int i = 0; i < 30; ++i) {
+    // Bounds on cell edges; some cover whole cells exactly.
+    const double x0 = edge(), x1 = edge(), y0 = edge(), y1 = edge();
+    queries.emplace_back(std::min(x0, x1), std::min(y0, y1), std::max(x0, x1),
+                         std::max(y0, y1));
+  }
+  for (int c = 0; c < 8; ++c) {
+    const double lo = kEdge * c;
+    queries.emplace_back(lo, lo, lo + kEdge, lo + kEdge);
+  }
+  for (int i = 0; i < 20; ++i) {
+    // Point and line rectangles, at row positions and on cell edges.
+    const Point p =
+        table.PositionOf(static_cast<RowId>(rng.UniformInt(
+            0, static_cast<int64_t>(table.num_rows()) - 1)));
+    queries.emplace_back(p.x, p.y, p.x, p.y);
+    queries.emplace_back(p.x, 0, p.x, 100);
+    queries.emplace_back(0, p.y, 100, p.y);
+    const double e = edge();
+    queries.emplace_back(e, e, e, e);
+    queries.emplace_back(e, -20, e, 120);
+  }
+  for (int i = 0; i < 20; ++i) {
+    // Rectangles reaching outside the domain.
+    const double x = rng.UniformDouble(-60, 140);
+    const double y = rng.UniformDouble(-60, 140);
+    queries.emplace_back(x, y, x + rng.UniformDouble(0, 80),
+                         y + rng.UniformDouble(0, 80));
+  }
+  for (const Rect& q : queries) {
     ASSERT_EQ(index.Query(q), table.ScanRange(q)) << q.ToString();
+    ASSERT_EQ(index.Count(q), table.CountRange(q)) << q.ToString();
   }
 }
 
