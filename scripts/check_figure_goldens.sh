@@ -2,18 +2,29 @@
 # Figure goldens: the stdout of the Figure 16 and 17 harnesses, of the
 # dynamic-scenario bench and of the two round-path benches must match
 # tests/golden/{fig16,fig17,dynamic,extraction_modes,fault_sweep}.txt byte
-# for byte. Planner changes that claim to keep every plan identical are
-# checked by this diff; the round-path goldens pin the RoundStats a
-# dissemination round reports (self-extraction and server-tag bytes, rows
-# examined, lossy-channel retransmission bytes and NACK counts). A
-# mismatch means the plans, the round accounting or the table format
-# changed; if that was deliberate, regenerate with:
+# for byte, and the planner-scaling smoke run's effort columns must match
+# tests/golden/planner_scaling_smoke.txt. Planner changes that claim to
+# keep every plan identical are checked by this diff; the round-path
+# goldens pin the RoundStats a dissemination round reports
+# (self-extraction and server-tag bytes, rows examined, lossy-channel
+# retransmission bytes and NACK counts). A mismatch means the plans, the
+# round accounting or the table format changed; if that was deliberate,
+# regenerate with:
 #   build/bench/bench_fig16_pair_optimality > tests/golden/fig16.txt
 #   build/bench/bench_fig17_pair_distance > tests/golden/fig17.txt
 #   build/bench/bench_dynamic > tests/golden/dynamic.txt
 #   build/bench/bench_extraction_modes > tests/golden/extraction_modes.txt
 #   build/bench/bench_fault_sweep > tests/golden/fault_sweep.txt
 # fig16 and fig17 take about 10 s each, so this is a CI step, not a ctest.
+#
+# The planner-scaling golden pins planner effort rather than plans: the
+# merger, |Q|, pruning, evals and groups columns of
+# `bench_planner_scaling --smoke` (exact evaluations for pair merging,
+# clustering and directed search, pruning on and off) and its identity
+# line. The time, speedup and shrink columns vary run to run and are
+# dropped; regenerate by passing the bench's stdout through
+# effort_columns below into tests/golden/planner_scaling_smoke.txt. The
+# smoke run takes about 5 s.
 #
 #   check_figure_goldens.sh [bench_dir] [golden_dir]
 set -euo pipefail
@@ -24,6 +35,15 @@ GOLDEN_DIR="${2:-$root/tests/golden}"
 
 actual="$(mktemp)"
 trap 'rm -f "$actual"' EXIT
+
+# The deterministic columns of bench_planner_scaling's table, one row
+# per line, plus the pruned-equals-exhaustive line.
+effort_columns() {
+  awk -F' *[|] *' '
+    BEGIN { print "merger |Q| pruning evals groups" }
+    $1 ~ /^(pair|clustering|directed-search)$/ { print $1, $2, $3, $5, $6 }
+    /^Pruned plans identical/ { print }'
+}
 
 status=0
 for check in fig16:bench_fig16_pair_optimality \
@@ -43,4 +63,12 @@ for check in fig16:bench_fig16_pair_optimality \
     status=1
   fi
 done
+env -u QSP_BENCH_REPORT "$BENCH_DIR/bench_planner_scaling" --smoke |
+  effort_columns > "$actual"
+if diff -u "$GOLDEN_DIR/planner_scaling_smoke.txt" "$actual"; then
+  echo "planner_scaling_smoke: ok"
+else
+  echo "golden mismatch for planner_scaling_smoke (see diff above)" >&2
+  status=1
+fi
 exit "$status"

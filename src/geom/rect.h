@@ -1,6 +1,7 @@
 #ifndef QSP_GEOM_RECT_H_
 #define QSP_GEOM_RECT_H_
 
+#include <algorithm>
 #include <optional>
 #include <string>
 
@@ -19,11 +20,12 @@ namespace qsp {
 class Rect {
  public:
   /// Default: the canonical empty rectangle.
-  Rect();
+  Rect() : x_lo_(0), y_lo_(0), x_hi_(-1), y_hi_(-1) {}
 
   /// Builds from bounds; the constructor normalizes nothing — callers that
   /// may pass swapped bounds should use FromCorners.
-  Rect(double x_lo, double y_lo, double x_hi, double y_hi);
+  Rect(double x_lo, double y_lo, double x_hi, double y_hi)
+      : x_lo_(x_lo), y_lo_(y_lo), x_hi_(x_hi), y_hi_(y_hi) {}
 
   /// Builds from two arbitrary corner points, normalizing the order.
   static Rect FromCorners(const Point& a, const Point& b);
@@ -32,7 +34,7 @@ class Rect {
   static Rect FromCenter(const Point& center, double width, double height);
 
   /// The canonical empty rectangle (contains nothing, area 0).
-  static Rect Empty();
+  static Rect Empty() { return Rect(); }
 
   double x_lo() const { return x_lo_; }
   double y_lo() const { return y_lo_; }
@@ -58,17 +60,35 @@ class Rect {
 
   /// True when `other` lies entirely within this rectangle. Every
   /// rectangle contains the empty rectangle.
-  bool Contains(const Rect& other) const;
+  bool Contains(const Rect& other) const {
+    if (other.IsEmpty()) return true;
+    if (IsEmpty()) return false;
+    return other.x_lo_ >= x_lo_ && other.x_hi_ <= x_hi_ &&
+           other.y_lo_ >= y_lo_ && other.y_hi_ <= y_hi_;
+  }
 
   /// True when the closed rectangles share at least one point.
-  bool Intersects(const Rect& other) const;
+  bool Intersects(const Rect& other) const {
+    if (IsEmpty() || other.IsEmpty()) return false;
+    return x_lo_ <= other.x_hi_ && other.x_lo_ <= x_hi_ &&
+           y_lo_ <= other.y_hi_ && other.y_lo_ <= y_hi_;
+  }
 
   /// The (possibly empty) intersection rectangle.
-  Rect Intersection(const Rect& other) const;
+  Rect Intersection(const Rect& other) const {
+    if (!Intersects(other)) return Empty();
+    return Rect(std::max(x_lo_, other.x_lo_), std::max(y_lo_, other.y_lo_),
+                std::min(x_hi_, other.x_hi_), std::min(y_hi_, other.y_hi_));
+  }
 
   /// The smallest rectangle containing both inputs — the paper's
   /// bounding-rectangle merge of two queries (Figure 5a).
-  Rect BoundingUnion(const Rect& other) const;
+  Rect BoundingUnion(const Rect& other) const {
+    if (IsEmpty()) return other;
+    if (other.IsEmpty()) return *this;
+    return Rect(std::min(x_lo_, other.x_lo_), std::min(y_lo_, other.y_lo_),
+                std::max(x_hi_, other.x_hi_), std::max(y_hi_, other.y_hi_));
+  }
 
   /// Clamps this rectangle to `bounds` (= Intersection, named for intent).
   Rect ClampTo(const Rect& bounds) const { return Intersection(bounds); }

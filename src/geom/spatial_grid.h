@@ -30,10 +30,15 @@ namespace qsp {
 /// "boundless" bucket that every query returns: an id the index cannot
 /// localize must never be pruned by distance.
 ///
-/// Deterministic by construction: query results are sorted ascending and
-/// deduplicated, and the pair join emits each pair exactly once in a
+/// Deterministic by construction: a query returns each id once, in an
+/// order fixed by the grid's contents (the cells' visit order, then the
+/// boundless ids), and the pair join emits each pair exactly once in a
 /// well-defined order, so planners seeded from this index make the same
-/// decisions on every run and thread count.
+/// decisions on every run and thread count. Query results are unordered:
+/// a caller that visits candidates against a running best sorts them
+/// itself (IncrementalMerger::CandidateSlots, the directed search's
+/// descent); PairMerger's partner rows and FreshPlanCostLowerBound do
+/// not depend on the order.
 class SpatialGrid {
  public:
   /// Caller-owned deduplication scratch for the queries: one flag per
@@ -69,13 +74,13 @@ class SpatialGrid {
   void Remove(uint32_t id, const Rect& rect);
 
   /// Appends to `out` the ids whose cell range overlaps `window`, plus
-  /// every boundless id; the appended ids are sorted ascending and
-  /// unique. An empty window still returns the boundless ids.
+  /// every boundless id; the appended ids are unique and unordered. An
+  /// empty window still returns the boundless ids.
   void Query(const Rect& window, Seen* seen, std::vector<uint32_t>* out) const;
 
   /// Appends to `out` the ids of the entries in every cell that `pass`
-  /// accepts, plus every boundless id; the appended ids are sorted
-  /// ascending and unique. `pass(region, max_weight)` is asked about each
+  /// accepts, plus every boundless id; the appended ids are unique and
+  /// unordered. `pass(region, max_weight)` is asked about each
   /// block, then about each cell of an accepted block, row by row.
   /// `region` is a box that every rectangle bucketed there meets — the
   /// cells' extent, widened by a rounding slack and opened outward along
@@ -203,7 +208,6 @@ void SpatialGrid::Walk(int cx_lo, int cy_lo, int cx_hi, int cy_hi,
   }
   for (size_t k = base; k < out->size(); ++k) flags[(*out)[k]] = 0;
   out->insert(out->end(), boundless_.begin(), boundless_.end());
-  std::sort(out->begin() + static_cast<std::ptrdiff_t>(base), out->end());
 }
 
 }  // namespace qsp

@@ -1,5 +1,6 @@
 #include "merge/directed_search_merger.h"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -80,6 +81,8 @@ double Descend(const MergeContext& ctx, const CostModel& model,
     for (size_t i = 0; i < p; ++i) {
       cands.clear();
       grid.QueryPassing(bounder.PartnerTestFor(sums[i]), &seen, &cands);
+      // Ascending j, the scan order the running best depends on.
+      std::sort(cands.begin(), cands.end());
       for (uint32_t j : cands) {
         if (j <= i) continue;
         const double ub = bounder.UpperBound(sums[i], sums[j]);

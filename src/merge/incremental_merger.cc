@@ -131,8 +131,10 @@ void IncrementalMerger::CandidateSlots(const plan::GroupSummary& summary,
     }
     std::vector<uint32_t> keys;
     grid_->QueryPassing(bounder_.PartnerTestFor(summary), &seen_, &keys);
-    // Keys ascend in creation order which equals slot order, so the
-    // result visits groups in ascending slot order.
+    // The grid returns keys unordered. Keys ascend in creation order,
+    // which equals slot order, so sorted keys visit groups in ascending
+    // slot order: the order of the full scan below.
+    std::sort(keys.begin(), keys.end());
     for (uint32_t key : keys) {
       const size_t slot = slot_of_key_[key];
       if (slot != kNoSlot) out->push_back(slot);

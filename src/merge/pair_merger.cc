@@ -14,26 +14,35 @@
 namespace qsp {
 namespace {
 
-/// Heap entry: `benefit` is the exact merge benefit when `exact`, else an
-/// admissible upper bound on it. Max-heap on benefit; equal keys rank the
-/// smaller (a, b) first. The tie-break must come from the stable group
-/// ids — never from push order, which is a scheduling artifact — so the
-/// heap picks the same pair as the Profit Table's ordered scan. This
-/// ordering is what makes lazy refinement exact: when an exact entry
-/// surfaces at the top, every other live pair's entry — bound or exact —
-/// carries a key >= its true benefit, so no other pair can beat the
-/// popped one, and among equal benefits the stable-id tie-break still
-/// ranks the smallest pair first (an equal-valued bound of a smaller pair
-/// would have surfaced and been refined before this pop).
-struct BoundedEntry {
+/// One pair in a partner row (DESIGN.md §8). `benefit` is the exact merge
+/// benefit when `exact`, else an admissible upper bound on it. A row is a
+/// max-heap on benefit; equal benefits rank the smaller partner first.
+/// Every pair in a row shares the row's group, so this is the order of
+/// the pairs' (benefit, lo, hi) keys: the tie-break comes from the stable
+/// group ids, never from push order, and picks what the Profit Table's
+/// ordered scan picks.
+struct RowEntry {
   double benefit;
-  size_t a;
-  size_t b;
+  uint32_t partner;
   bool exact;
-  bool operator<(const BoundedEntry& other) const {
+};
+
+bool RowBelow(const RowEntry& x, const RowEntry& y) {
+  if (x.benefit != y.benefit) return x.benefit < y.benefit;
+  return x.partner > y.partner;
+}
+
+/// The global heap's entry for one row: its head, as the pair (lo, hi).
+/// Max-heap on benefit, equal keys ranking the smaller (lo, hi) first.
+struct RowHead {
+  double benefit;
+  uint32_t lo;
+  uint32_t hi;
+  uint32_t row;
+  bool operator<(const RowHead& other) const {
     if (benefit != other.benefit) return benefit < other.benefit;
-    if (a != other.a) return a > other.a;
-    return b > other.b;
+    if (lo != other.lo) return lo > other.lo;
+    return hi > other.hi;
   }
 };
 
@@ -150,14 +159,23 @@ MergeOutcome PairMerger::MergeFromHeap(const MergeContext& ctx,
   //    weighted by group cost — partners in cells the bounder's partner
   //    test rejects provably have a non-positive benefit bound, and the
   //    table never applies non-positive merges;
-  //  * the heap holds admissible upper bounds; popping a bound refines
-  //    it to the exact benefit (the identical arithmetic expression
-  //    EvaluatePairBenefits uses) and re-pushes, so only pairs whose
-  //    bound ever reaches the global top pay an exact GroupCost. When
-  //    the bounder prunes nothing every bound is +infinity, so every
-  //    pair is refined;
+  //  * each live group owns a partner row, a small max-heap of its pairs'
+  //    admissible upper bounds, and a global heap holds each row's head.
+  //    Popping a bound refines it to the exact benefit (the identical
+  //    arithmetic expression EvaluatePairBenefits uses) in its row, so
+  //    only pairs whose bound ever reaches the global top pay an exact
+  //    GroupCost. When the bounder prunes nothing every bound is
+  //    +infinity, so every pair is refined;
   //  * refinement is inherently one-at-a-time, so this loop does not use
   //    the exec pool — its output is trivially thread-count-invariant.
+  //
+  // A row is changed only while its global entry is off the heap, and
+  // is pushed back with its new head, so each live row has exactly one
+  // global entry and it shows the row's current head. Rows never gain
+  // entries after they are built: an entry is only dropped, or refined
+  // from a bound to an exact value that is no larger. Hence the first
+  // exact head to surface whose partner is alive is the largest entry
+  // over all live pairs: the pair a heap of every pair would pick.
   MergeOutcome outcome;
   uint64_t merges_applied = 0;
   uint64_t stale_heap_pops = 0;
@@ -180,21 +198,32 @@ MergeOutcome PairMerger::MergeFromHeap(const MergeContext& ctx,
     grid.Insert(static_cast<uint32_t>(i), bboxes[i], group_cost[i]);
   }
 
-  std::priority_queue<BoundedEntry> heap;
+  std::vector<std::vector<RowEntry>> rows(groups.size());
+  std::priority_queue<RowHead> heads;
   size_t live_count = groups.size();
 
-  // Bounds the pairs (i, j) for every live candidate partner j != i of
-  // i, keeping only j `above` (j > i at seeding, where the loop covers
-  // each unordered pair once from its smaller side; the fresh group is
-  // the largest index, so incremental re-pairing passes above = false
-  // and bounds (j, i) instead). Pairs skipped by the partner query or by
-  // a non-positive bound are counted against `possible`, the number of
-  // live partners the Profit Table would have evaluated.
+  auto push_head = [&](size_t r) {
+    if (rows[r].empty()) return;
+    const uint32_t owner = static_cast<uint32_t>(r);
+    const uint32_t partner = rows[r].front().partner;
+    heads.push({rows[r].front().benefit, std::min(owner, partner),
+                std::max(owner, partner), owner});
+  };
+
+  // Fills row i with the bounds of the pairs (i, j) for every live
+  // candidate partner j != i of i, keeping only j `above` (j > i at
+  // seeding, where the rows cover each unordered pair once from its
+  // smaller side; the fresh group is the largest index, so incremental
+  // re-pairing passes above = false and its row owns every pair (j, i)
+  // it forms). Pairs skipped by the partner query or by a non-positive
+  // bound are counted against `possible`, the number of live partners
+  // the Profit Table would have evaluated.
   std::vector<uint32_t> cands;
   SpatialGrid::Seen seen;
-  auto bound_pairs_of = [&](size_t i, bool above, size_t possible) {
+  auto fill_row = [&](size_t i, bool above, size_t possible) {
     cands.clear();
     grid.QueryPassing(bounder.PartnerTestFor(summaries[i]), &seen, &cands);
+    std::vector<RowEntry>& row = rows[i];
     size_t considered = 0;
     for (uint32_t j : cands) {
       if (j == i || !alive[j]) continue;
@@ -204,12 +233,14 @@ MergeOutcome PairMerger::MergeFromHeap(const MergeContext& ctx,
       const size_t hi = std::max<size_t>(i, j);
       const double ub = bounder.UpperBound(summaries[lo], summaries[hi]);
       if (ub > 0.0) {
-        heap.push({ub, lo, hi, false});
+        row.push_back({ub, j, false});
       } else {
         ++bounds_pruned;
       }
     }
     bounds_pruned += possible - considered;
+    std::make_heap(row.begin(), row.end(), RowBelow);
+    push_head(i);
   };
 
   {
@@ -218,49 +249,57 @@ MergeOutcome PairMerger::MergeFromHeap(const MergeContext& ctx,
     for (size_t i = 0; i < groups.size(); ++i) {
       if (!alive[i]) continue;
       --live_above;
-      bound_pairs_of(i, /*above=*/true, /*possible=*/live_above);
+      fill_row(i, /*above=*/true, /*possible=*/live_above);
     }
   }
 
-  while (true) {
-    size_t best_a = 0, best_b = 0;
-    double best_benefit = 0.0;
-    bool found = false;
-    while (!heap.empty()) {
-      const BoundedEntry top = heap.top();
-      heap.pop();
-      if (!alive[top.a] || !alive[top.b]) {
-        ++stale_heap_pops;
-        continue;
-      }
-      if (!top.exact) {
-        // Refine: the exact expression is the one EvaluatePairBenefits
-        // uses, so the refined value is bit-identical to the Profit
-        // Table's. Non-positive exact benefits are dropped: the table
-        // never applies them.
-        ++bounds_refined;
-        ++outcome.candidates;
-        const QueryGroup merged = UnionGroups(groups[top.a], groups[top.b]);
-        const double benefit =
-            group_cost[top.a] + group_cost[top.b] - model.GroupCost(ctx, merged);
-        if (benefit > 0.0) heap.push({benefit, top.a, top.b, true});
-        continue;
-      }
-      best_a = top.a;
-      best_b = top.b;
-      best_benefit = top.benefit;
-      found = true;
-      break;
+  while (!heads.empty()) {
+    const RowHead top = heads.top();
+    heads.pop();
+    if (!alive[top.row]) {
+      ++stale_heap_pops;
+      continue;
     }
-    if (!found) break;
-    (void)best_benefit;
+    std::vector<RowEntry>& row = rows[top.row];
+    if (!alive[row.front().partner]) {
+      // Pairs with a merged-away partner are dropped lazily, when they
+      // reach their row's head.
+      do {
+        std::pop_heap(row.begin(), row.end(), RowBelow);
+        row.pop_back();
+      } while (!row.empty() && !alive[row.front().partner]);
+      push_head(top.row);
+      continue;
+    }
+    if (!row.front().exact) {
+      // Refine: the exact expression is the one EvaluatePairBenefits
+      // uses, so the refined value is bit-identical to the Profit
+      // Table's. Non-positive exact benefits are dropped: the table
+      // never applies them.
+      ++bounds_refined;
+      ++outcome.candidates;
+      const QueryGroup merged = UnionGroups(groups[top.lo], groups[top.hi]);
+      const double benefit = group_cost[top.lo] + group_cost[top.hi] -
+                             model.GroupCost(ctx, merged);
+      std::pop_heap(row.begin(), row.end(), RowBelow);
+      if (benefit > 0.0) {
+        row.back().benefit = benefit;
+        row.back().exact = true;
+        std::push_heap(row.begin(), row.end(), RowBelow);
+      } else {
+        row.pop_back();
+      }
+      push_head(top.row);
+      continue;
+    }
 
     ++merges_applied;
-    QueryGroup merged = UnionGroups(groups[best_a], groups[best_b]);
-    alive[best_a] = false;
-    alive[best_b] = false;
-    grid.Remove(static_cast<uint32_t>(best_a), summaries[best_a].bbox);
-    grid.Remove(static_cast<uint32_t>(best_b), summaries[best_b].bbox);
+    QueryGroup merged = UnionGroups(groups[top.lo], groups[top.hi]);
+    for (const uint32_t dead : {top.lo, top.hi}) {
+      alive[dead] = false;
+      grid.Remove(dead, summaries[dead].bbox);
+      std::vector<RowEntry>().swap(rows[dead]);
+    }
     --live_count;
     const size_t new_index = groups.size();
     groups.push_back(std::move(merged));
@@ -269,7 +308,8 @@ MergeOutcome PairMerger::MergeFromHeap(const MergeContext& ctx,
     group_cost.push_back(summaries[new_index].cost);
     grid.Insert(static_cast<uint32_t>(new_index), summaries[new_index].bbox,
                 group_cost[new_index]);
-    bound_pairs_of(new_index, /*above=*/false, /*possible=*/live_count - 1);
+    rows.emplace_back();
+    fill_row(new_index, /*above=*/false, /*possible=*/live_count - 1);
   }
 
   for (size_t i = 0; i < groups.size(); ++i) {

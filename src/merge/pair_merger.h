@@ -20,14 +20,15 @@ namespace qsp {
 /// the heap is tested against.
 ///
 /// `use_heap = true` (the default, which every planner runs) applies the
-/// identical merge sequence through a lazy max-heap of admissible benefit
+/// identical merge sequence through lazily refined admissible benefit
 /// bounds (DESIGN.md §8): candidate pairs come from a spatial grid over
-/// group bounding boxes, the heap holds plan::BenefitBounder upper
-/// bounds, and a pair's exact benefit is evaluated only when its bound
-/// surfaces at the top. The partition and cost equal the table's; only
-/// the number of exact evaluations differs. `pruning = false`, or a cost
-/// model the bounder cannot bound, runs the same loop with bounds that
-/// prune nothing, so every pair is evaluated.
+/// group bounding boxes, each live group owns a partner row (a max-heap
+/// of its pairs' plan::BenefitBounder upper bounds), a global heap holds
+/// one entry per row (its head), and a pair's exact benefit is evaluated
+/// only when its bound surfaces at the global top. The partition and
+/// cost equal the table's; only the number of exact evaluations differs.
+/// `pruning = false`, or a cost model the bounder cannot bound, runs the
+/// same loop with bounds that prune nothing, so every pair is evaluated.
 ///
 /// Guaranteed optimal for |Q| <= 2.
 class PairMerger : public Merger {

@@ -272,6 +272,87 @@ TEST(PairMergerTest, TieBrokenBySmallestStableGroupId) {
   }
 }
 
+// Pair merging over lattice rectangles (height 1) under the uniform
+// estimator and the chain test's model, where benefits are sums of small
+// dyadic numbers and so tie bit for bit. The partner-row heap, pruned and
+// unpruned, must reproduce the Profit Table's partition and cost, and
+// unpruned (every bound +infinity) it must refine exactly the pairs the
+// table evaluates.
+struct LatticeCase {
+  QuerySet queries;
+  UniformDensityEstimator estimator{1.0};
+  BoundingRectProcedure procedure;
+  MergeContext ctx{&queries, &estimator, &procedure};
+  const CostModel model{1, 1, 0.5, 0};
+
+  explicit LatticeCase(const std::vector<std::pair<int, int>>& spans)
+      : queries(Rects(spans)) {}
+
+  static std::vector<Rect> Rects(
+      const std::vector<std::pair<int, int>>& spans) {
+    std::vector<Rect> rects;
+    for (const auto& [lo, hi] : spans) rects.emplace_back(lo, 0, hi, 1);
+    return rects;
+  }
+
+  void ExpectRowsMatchTable(const Partition& expected) const {
+    auto table = PairMerger(/*use_heap=*/false).Merge(ctx, model);
+    ASSERT_TRUE(table.ok());
+    EXPECT_EQ(table->partition, expected);
+    for (const bool pruning : {true, false}) {
+      SCOPED_TRACE(pruning ? "pruned" : "unpruned");
+      auto rows = PairMerger(/*use_heap=*/true, pruning).Merge(ctx, model);
+      ASSERT_TRUE(rows.ok());
+      EXPECT_EQ(rows->partition, table->partition);
+      EXPECT_EQ(rows->cost, table->cost);
+      if (!pruning) {
+        EXPECT_EQ(rows->candidates, table->candidates);
+        EXPECT_EQ(rows->bounds_refined, table->candidates);
+      }
+    }
+  }
+};
+
+TEST(PairMergerTest, TiesAcrossPartnerRowsGoToTheSmallestPair) {
+  {
+    // Two seed rows whose heads tie: rows 2 and 3 hold the equal
+    // adjacent pairs (2, 3) and (3, 4) of a chain laid out right to
+    // left, and row 0's (0, 1) ties with both. The table picks (0, 1),
+    // then (2, 3), leaving 4 alone.
+    SCOPED_TRACE("seed rows");
+    const LatticeCase c({{5, 7}, {4, 6}, {2, 4}, {1, 3}, {0, 2}});
+    const double b = c.model.MergeBenefit(c.ctx, {2}, {3});
+    ASSERT_GT(b, 0.0);
+    ASSERT_EQ(c.model.MergeBenefit(c.ctx, {3}, {4}), b);
+    ASSERT_EQ(c.model.MergeBenefit(c.ctx, {0}, {1}), b);
+    c.ExpectRowsMatchTable({{0, 1}, {2, 3}, {4}});
+  }
+  {
+    // A merged group's row tying with a seed row: 0 and 1 coincide and
+    // merge first into group 4, whose row owns (2, 4); it ties with the
+    // seed pair (2, 3). (2, 3) is the smaller pair; taking (2, 4)
+    // instead would end at {0, 1, 2}, {3}.
+    SCOPED_TRACE("merged row");
+    const LatticeCase c({{0, 2}, {0, 2}, {1, 3}, {2, 5}});
+    const double b = c.model.MergeBenefit(c.ctx, {2}, {3});
+    ASSERT_GT(b, 0.0);
+    ASSERT_EQ(c.model.MergeBenefit(c.ctx, {2}, {0, 1}), b);
+    ASSERT_GT(c.model.MergeBenefit(c.ctx, {0}, {1}), b);
+    c.ExpectRowsMatchTable({{0, 1}, {2, 3}});
+  }
+  {
+    // A tie inside one row: 0 sits between its mirror images 1 and 2,
+    // so row 0's pairs (0, 1) and (0, 2) tie, and the smaller partner
+    // wins.
+    SCOPED_TRACE("one row");
+    const LatticeCase c({{1, 3}, {0, 2}, {2, 4}});
+    const double b = c.model.MergeBenefit(c.ctx, {0}, {1});
+    ASSERT_GT(b, 0.0);
+    ASSERT_EQ(c.model.MergeBenefit(c.ctx, {0}, {2}), b);
+    c.ExpectRowsMatchTable({{0, 1}, {2}});
+  }
+}
+
 TEST(PairMergerTest, NeverWorseThanInitialCost) {
   for (uint64_t seed = 0; seed < 10; ++seed) {
     Instance inst(15, 900 + seed);
