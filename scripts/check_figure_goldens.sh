@@ -26,6 +26,15 @@
 # effort_columns below into tests/golden/planner_scaling_smoke.txt. The
 # smoke run takes about 5 s.
 #
+# The sharded-planning golden pins shard layouts the same way: the |Q|,
+# shards, threads, cost, imbalance, groups, seam in and seam merges
+# columns of `bench_planner_scaling --shards --smoke`. The shard weights
+# come from a join-sized grid (merge/shard_assign), the partner walk
+# from a grid sized to the bound's reach (merge/plan_bounds); a change
+# that couples the two moves a layout and shows here. Regenerate by
+# passing the bench's stdout through shard_columns below into
+# tests/golden/planner_shards_smoke.txt. The run takes about 10 s.
+#
 #   check_figure_goldens.sh [bench_dir] [golden_dir]
 set -euo pipefail
 
@@ -43,6 +52,16 @@ effort_columns() {
     BEGIN { print "merger |Q| pruning evals groups" }
     $1 ~ /^(pair|clustering|directed-search)$/ { print $1, $2, $3, $5, $6 }
     /^Pruned plans identical/ { print }'
+}
+
+# The deterministic columns of the --shards table (time and speedup
+# dropped), an empty imbalance cell shown as "-".
+shard_columns() {
+  awk -F' *[|] *' '
+    BEGIN { print "|Q| shards threads cost imbalance groups seam_in seam_merges" }
+    $1 ~ /^[0-9]+$/ {
+      print $1, $2, $3, $5, ($6 == "" ? "-" : $6), $7, $8, $9
+    }'
 }
 
 status=0
@@ -69,6 +88,14 @@ if diff -u "$GOLDEN_DIR/planner_scaling_smoke.txt" "$actual"; then
   echo "planner_scaling_smoke: ok"
 else
   echo "golden mismatch for planner_scaling_smoke (see diff above)" >&2
+  status=1
+fi
+env -u QSP_BENCH_REPORT "$BENCH_DIR/bench_planner_scaling" --shards --smoke |
+  shard_columns > "$actual"
+if diff -u "$GOLDEN_DIR/planner_shards_smoke.txt" "$actual"; then
+  echo "planner_shards_smoke: ok"
+else
+  echo "golden mismatch for planner_shards_smoke (see diff above)" >&2
   status=1
 fi
 exit "$status"

@@ -12,25 +12,32 @@ ClientId ClientSet::AddClient() {
 void ClientSet::Subscribe(ClientId client, QueryId query) {
   auto& queries = subscriptions_[client];
   auto it = std::lower_bound(queries.begin(), queries.end(), query);
-  if (it == queries.end() || *it != query) queries.insert(it, query);
+  if (it != queries.end() && *it == query) return;
+  queries.insert(it, query);
+  if (subscribers_.size() <= query) subscribers_.resize(query + size_t{1});
+  auto& subscribers = subscribers_[query];
+  subscribers.insert(
+      std::lower_bound(subscribers.begin(), subscribers.end(), client),
+      client);
 }
 
 void ClientSet::Unsubscribe(ClientId client, QueryId query) {
   if (client >= subscriptions_.size()) return;
   auto& queries = subscriptions_[client];
   auto it = std::lower_bound(queries.begin(), queries.end(), query);
-  if (it != queries.end() && *it == query) queries.erase(it);
+  if (it == queries.end() || *it != query) return;
+  queries.erase(it);
+  auto& subscribers = subscribers_[query];
+  subscribers.erase(
+      std::lower_bound(subscribers.begin(), subscribers.end(), client));
+  // The live service never reuses a retired query id, so an emptied
+  // list gives its memory back.
+  if (subscribers.empty()) std::vector<ClientId>().swap(subscribers);
 }
 
-std::vector<ClientId> ClientSet::SubscribersOf(QueryId query) const {
-  std::vector<ClientId> out;
-  for (ClientId c = 0; c < subscriptions_.size(); ++c) {
-    if (std::binary_search(subscriptions_[c].begin(),
-                           subscriptions_[c].end(), query)) {
-      out.push_back(c);
-    }
-  }
-  return out;
+const std::vector<ClientId>& ClientSet::SubscribersOf(QueryId query) const {
+  static const std::vector<ClientId> kNone;
+  return query < subscribers_.size() ? subscribers_[query] : kNone;
 }
 
 std::vector<QueryId> ClientSet::QueriesOfClients(

@@ -40,8 +40,10 @@ class ClientSet {
     return subscriptions_[c];
   }
 
-  /// Clients subscribed to `query`, ascending.
-  std::vector<ClientId> SubscribersOf(QueryId query) const;
+  /// Clients subscribed to `query`, ascending. Read from an index that
+  /// Subscribe and Unsubscribe keep, so it costs no scan of the clients;
+  /// the reference is valid until the next Subscribe or Unsubscribe.
+  const std::vector<ClientId>& SubscribersOf(QueryId query) const;
 
   /// Union of the queries of a set of clients, ascending.
   std::vector<QueryId> QueriesOfClients(
@@ -52,6 +54,9 @@ class ClientSet {
 
  private:
   std::vector<std::vector<QueryId>> subscriptions_;
+  /// subscribers_[q]: the clients subscribed to q, ascending — the
+  /// inverse of subscriptions_, for the server's message headers.
+  std::vector<std::vector<ClientId>> subscribers_;
 };
 
 /// Drops empty channels and orders clients/channels canonically so that

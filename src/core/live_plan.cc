@@ -231,7 +231,9 @@ BatchReport LivePlanManager::ProcessBatch() {
 
   // Admission: apply up to one batch of queued ops in FIFO order — an
   // id's add always precedes its remove, so expiry of a still-queued
-  // subscription is safe.
+  // subscription is safe. The batch's departures leave the group memo
+  // in one pass when it ends.
+  merger_.BeginBatch();
   size_t ops = 0;
   while (ops < opts_.admission_batch_max && !queue_.empty()) {
     const Op op = queue_.front();
@@ -257,6 +259,7 @@ BatchReport LivePlanManager::ProcessBatch() {
     }
     ++ops;
   }
+  merger_.EndBatch();
 
   // Budgeted repair under the per-batch deadline (SLO): one steepest-
   // descent move at a time so the deadline is checked between moves.

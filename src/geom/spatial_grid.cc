@@ -29,6 +29,20 @@ void EdgesOf(double lo, double hi, double step, int n,
   cell_hi->back() = kInf;
 }
 
+/// Cells of edge ~`edge` across `span`: ceil(span / edge), clamped to
+/// [1, 2^30] in double space BEFORE the int cast. A hairline population
+/// (one axis extent ~0) makes the quotient overflow int range, an
+/// infinite span or edge makes it NaN or 0, and casting an out-of-range
+/// double to int is undefined behavior. 2^30 is far above any count the
+/// cell cap could keep, so in-range populations size as if unclamped.
+int AxisCells(double span, double edge) {
+  constexpr double kMaxAxisCells = 1073741824.0;  // 2^30
+  double cells = 1.0;
+  if (edge > 0.0) cells = std::ceil(span / edge);
+  if (!(cells > 1.0)) cells = 1.0;  // also catches NaN
+  return static_cast<int>(std::min(cells, kMaxAxisCells));
+}
+
 }  // namespace
 
 SpatialGrid::SpatialGrid(const Rect& bounds, int cells_x, int cells_y)
@@ -57,7 +71,8 @@ SpatialGrid::SpatialGrid(const Rect& bounds, int cells_x, int cells_y)
           &row_hi_);
 }
 
-SpatialGrid SpatialGrid::ForRects(const std::vector<Rect>& rects) {
+SpatialGrid SpatialGrid::ForRects(const std::vector<Rect>& rects,
+                                  double min_cell_edge) {
   Rect bounds = Rect::Empty();
   double extent_x = 0.0, extent_y = 0.0;
   size_t placed = 0;
@@ -75,21 +90,8 @@ SpatialGrid SpatialGrid::ForRects(const std::vector<Rect>& rects) {
   const double min_w = bounds.Width() / 1024.0;
   const double min_h = bounds.Height() / 1024.0;
   const double placed_d = static_cast<double>(placed);
-  double cw = std::max(extent_x / placed_d, min_w);
-  double ch = std::max(extent_y / placed_d, min_h);
-  // Ideal counts, clamped in double space BEFORE the int casts: a
-  // hairline population (one axis extent ~0) makes Width()/cw overflow
-  // int range, and casting an out-of-range double to int is undefined
-  // behavior. 2^30 is far above any count the cap loop below could keep,
-  // so in-range populations size identically.
-  constexpr double kMaxAxisCells = 1073741824.0;  // 2^30
-  double fcx = 1.0, fcy = 1.0;
-  if (cw > 0.0) fcx = std::ceil(bounds.Width() / cw);
-  if (ch > 0.0) fcy = std::ceil(bounds.Height() / ch);
-  if (!(fcx > 1.0)) fcx = 1.0;  // also catches NaN
-  if (!(fcy > 1.0)) fcy = 1.0;
-  int cx = static_cast<int>(std::min(fcx, kMaxAxisCells));
-  int cy = static_cast<int>(std::min(fcy, kMaxAxisCells));
+  int cx = AxisCells(bounds.Width(), std::max(extent_x / placed_d, min_w));
+  int cy = AxisCells(bounds.Height(), std::max(extent_y / placed_d, min_h));
   const double cap = std::max(4.0 * placed_d, 16.0);
   // Halve the larger axis until the cell count is under the cap. The
   // cx/cy > 1 guard makes the loop provably terminating: every iteration
@@ -102,6 +104,11 @@ SpatialGrid SpatialGrid::ForRects(const std::vector<Rect>& rects) {
     } else {
       cy = (cy + 1) / 2;
     }
+  }
+  // Coarsening only ever lowers an axis's count, so the cap still holds.
+  if (min_cell_edge > 0.0) {
+    cx = std::min(cx, AxisCells(bounds.Width(), min_cell_edge));
+    cy = std::min(cy, AxisCells(bounds.Height(), min_cell_edge));
   }
   return SpatialGrid(bounds, cx, cy);
 }

@@ -61,8 +61,17 @@ class SpatialGrid {
   /// cell edge ~ the average rectangle extent (the classic spatial-join
   /// heuristic: each rect overlaps O(1) cells, each cell holds O(1)
   /// rects on non-adversarial data), cell count clamped to keep memory
-  /// linear in `rects.size()`.
-  static SpatialGrid ForRects(const std::vector<Rect>& rects);
+  /// linear in `rects.size()`. Join sizing suits queries whose reach is
+  /// about one rectangle: Query(rect), the pair join, LoadInRange.
+  ///
+  /// A positive `min_cell_edge` coarsens that grid so its cell edge is
+  /// ~max(join edge, min_cell_edge) on each axis (+infinity gives one
+  /// cell), for a QueryPassing walk that accepts cells far beyond one
+  /// rectangle: it then tests fewer cells and blocks for the same ids.
+  /// Coarsening never adds cells on either axis. The planners' partner
+  /// walk sizes its grid this way (plan::BenefitBounder::PartnerGrid).
+  static SpatialGrid ForRects(const std::vector<Rect>& rects,
+                              double min_cell_edge = 0.0);
 
   /// Inserts `id` under `rect` with `weight`. Ids may repeat only after
   /// Remove.

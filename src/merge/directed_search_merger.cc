@@ -35,7 +35,8 @@ struct DescentCounters {
   uint64_t iterations = 0;
   uint64_t accepted_merges = 0;
   uint64_t accepted_extracts = 0;
-  /// Merge candidates skipped by the benefit bound.
+  /// Merge candidates not evaluated exactly: dismissed by the partner
+  /// walk or by the benefit bound.
   uint64_t bounds_pruned = 0;
   /// Merge candidates whose bound survived and were evaluated exactly.
   uint64_t bounds_refined = 0;
@@ -69,15 +70,9 @@ double Descend(const MergeContext& ctx, const CostModel& model,
     // so the rebuild is O(p) cheap lookups.
     const size_t p = partition->size();
     std::vector<plan::GroupSummary> sums(p);
-    std::vector<Rect> bboxes(p);
-    for (size_t i = 0; i < p; ++i) {
-      sums[i] = bounder.Summarize((*partition)[i]);
-      bboxes[i] = sums[i].bbox;
-    }
-    SpatialGrid grid = SpatialGrid::ForRects(bboxes);
-    for (size_t i = 0; i < p; ++i) {
-      grid.Insert(static_cast<uint32_t>(i), bboxes[i], sums[i].cost);
-    }
+    for (size_t i = 0; i < p; ++i) sums[i] = bounder.Summarize((*partition)[i]);
+    const SpatialGrid grid = bounder.PartnerGrid(sums);
+    const uint64_t refined_before = counters->bounds_refined;
     for (size_t i = 0; i < p; ++i) {
       cands.clear();
       grid.QueryPassing(bounder.PartnerTestFor(sums[i]), &seen, &cands);
@@ -86,10 +81,7 @@ double Descend(const MergeContext& ctx, const CostModel& model,
       for (uint32_t j : cands) {
         if (j <= i) continue;
         const double ub = bounder.UpperBound(sums[i], sums[j]);
-        if (ub <= best_delta || !IsImprovement(ub, cost)) {
-          ++counters->bounds_pruned;
-          continue;
-        }
+        if (ub <= best_delta || !IsImprovement(ub, cost)) continue;
         ++counters->bounds_refined;
         ++*candidates;
         const double delta =
@@ -104,6 +96,11 @@ double Descend(const MergeContext& ctx, const CostModel& model,
         }
       }
     }
+    // Every pair not evaluated exactly is pruned, whether the partner
+    // walk or the bound dismissed it, so the count does not depend on
+    // the grid.
+    counters->bounds_pruned +=
+        p * (p - 1) / 2 - (counters->bounds_refined - refined_before);
     // Extract moves: pull one query out of a multi-query group.
     for (size_t i = 0; i < partition->size(); ++i) {
       const QueryGroup& group = (*partition)[i];

@@ -78,12 +78,7 @@ void IncrementalMerger::RebuildGrid() {
       key_of_query_[q] = static_cast<uint32_t>(i);
     }
   }
-  std::vector<Rect> bboxes(m);
-  for (size_t i = 0; i < m; ++i) bboxes[i] = summaries_[i].bbox;
-  grid_ = SpatialGrid::ForRects(bboxes);
-  for (size_t i = 0; i < m; ++i) {
-    grid_->Insert(static_cast<uint32_t>(i), bboxes[i], summaries_[i].cost);
-  }
+  grid_ = bounder_.PartnerGrid(summaries_);
   grid_built_groups_ = m;
   obs::Count("merge.incremental.grid_rebuilds");
 }
@@ -153,18 +148,16 @@ double IncrementalMerger::AddQuery(QueryId id) {
   double best_delta = single.cost;
   size_t best_group = partition_.size();  // Sentinel: singleton.
   plan::GroupSummary best_summary;
-  const uint64_t pruned_before = bounds_pruned_;
   std::vector<size_t> cands;
   CandidateSlots(single, &cands);
+  size_t evaluated = 0;
   for (size_t slot : cands) {
     // Skip when the admissible benefit bound proves delta >= best_delta
     // (delta = singleton_cost - benefit >= singleton_cost - ub): the
     // strict `<` below could never pick this group.
     const double ub = bounder_.UpperBound(summaries_[slot], single);
-    if (ub <= single.cost - best_delta) {
-      ++bounds_pruned_;
-      continue;
-    }
+    if (ub <= single.cost - best_delta) continue;
+    ++evaluated;
     QueryGroup grown = partition_[slot];
     grown.push_back(id);
     CanonicalizeGroup(&grown);
@@ -176,8 +169,12 @@ double IncrementalMerger::AddQuery(QueryId id) {
       best_summary = std::move(gs);
     }
   }
-  obs::Count("merge.incremental.bounds_pruned",
-             bounds_pruned_ - pruned_before);
+  // Every group not evaluated exactly is pruned, whether the partner
+  // walk or the bound dismissed it, so the count does not depend on the
+  // grid.
+  const size_t pruned = partition_.size() - evaluated;
+  bounds_pruned_ += pruned;
+  obs::Count("merge.incremental.bounds_pruned", pruned);
 
   if (best_group == partition_.size()) {
     AppendGroup({id}, std::move(single));
@@ -215,8 +212,21 @@ double IncrementalMerger::RemoveQuery(QueryId id) {
   // Ids are never reused (QuerySet is append-only), so every memoized
   // group mentioning the dead id is garbage; evicting bounds the memo's
   // footprint under sustained churn.
-  ctx_->EvictGroupsContaining(id);
+  if (batching_) {
+    departed_.push_back(id);
+  } else {
+    ctx_->EvictGroupsContaining({id});
+  }
   return cost_;
+}
+
+void IncrementalMerger::BeginBatch() { batching_ = true; }
+
+void IncrementalMerger::EndBatch() {
+  batching_ = false;
+  if (departed_.empty()) return;
+  ctx_->EvictGroupsContaining(departed_);
+  departed_.clear();
 }
 
 double IncrementalMerger::Repair(int max_moves) {
@@ -233,7 +243,9 @@ double IncrementalMerger::Repair(int max_moves) {
     plan::GroupSummary best_rest;
 
     std::vector<size_t> cands;
-    for (size_t i = 0; i < partition_.size(); ++i) {
+    const size_t m = partition_.size();
+    size_t merges_evaluated = 0;
+    for (size_t i = 0; i < m; ++i) {
       CandidateSlots(summaries_[i], &cands);
       for (size_t j : cands) {
         if (j <= i) continue;
@@ -242,10 +254,8 @@ double IncrementalMerger::Repair(int max_moves) {
         // current best are exactly the pairs the lexicographic scan
         // would never select.
         const double ub = bounder_.UpperBound(summaries_[i], summaries_[j]);
-        if (ub <= best_delta) {
-          ++bounds_pruned_;
-          continue;
-        }
+        if (ub <= best_delta) continue;
+        ++merges_evaluated;
         plan::GroupSummary ms =
             Summarize(UnionGroups(partition_[i], partition_[j]));
         const double delta = summaries_[i].cost + summaries_[j].cost - ms.cost;
@@ -260,6 +270,8 @@ double IncrementalMerger::Repair(int max_moves) {
         }
       }
     }
+    // As in AddQuery: every pair not evaluated exactly is pruned.
+    bounds_pruned_ += m * (m - 1) / 2 - merges_evaluated;
     for (size_t i = 0; i < partition_.size(); ++i) {
       const QueryGroup& group = partition_[i];
       if (group.size() < 2) continue;

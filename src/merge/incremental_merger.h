@@ -22,7 +22,9 @@ namespace qsp {
 ///    cost increases least (or as a singleton).
 ///  * RemoveQuery: drop the query from its group; an emptied group is
 ///    erased and the MergeContext memo entries mentioning the dead id are
-///    evicted (ids are never reused, so they could only waste memory).
+///    evicted (ids are never reused, so they could only waste memory) —
+///    at once, or for a whole batch of departures in one pass over the
+///    memo (BeginBatch / EndBatch).
 ///  * Repair: one steepest-descent pass (merge / extract moves, as the
 ///    directed search) to undo accumulated drift; call periodically.
 ///
@@ -53,8 +55,21 @@ class IncrementalMerger {
   double AddQuery(QueryId id);
 
   /// Removes a subscribed query; returns the resulting total cost.
-  /// No-op if the id is not currently placed.
+  /// No-op if the id is not currently placed. The memo entries that
+  /// mention the id are evicted at once, or by EndBatch inside a batch.
   double RemoveQuery(QueryId id);
+
+  /// Opens a batch of arrivals and departures: until EndBatch,
+  /// RemoveQuery leaves the memo alone. Each eviction scans the whole
+  /// memo, so a service retiring many subscriptions per tick pays one
+  /// scan per tick instead of one per departure.
+  void BeginBatch();
+
+  /// Closes the batch, evicting every memo entry that mentions an id
+  /// removed since BeginBatch in one pass. The memo is then what per-id
+  /// eviction leaves: a removed id is in no group, so no group holding it
+  /// is evaluated after its removal.
+  void EndBatch();
 
   /// Local-search repair; returns the improved cost. `max_moves` bounds
   /// the number of applied moves (0 = until local minimum).
@@ -79,7 +94,8 @@ class IncrementalMerger {
   /// Group evaluations performed so far (work metric vs from-scratch).
   uint64_t evaluations() const { return evaluations_; }
 
-  /// Candidates skipped by an admissible bound.
+  /// Candidates not evaluated exactly, whether the partner walk or an
+  /// admissible bound dismissed them; independent of the grid's cells.
   uint64_t bounds_pruned() const { return bounds_pruned_; }
 
  private:
@@ -139,6 +155,11 @@ class IncrementalMerger {
   size_t grid_built_groups_ = 0;
   /// Deduplication scratch of the grid's partner queries.
   SpatialGrid::Seen seen_;
+
+  /// True between BeginBatch and EndBatch; `departed_` holds the ids
+  /// removed since BeginBatch, whose memo entries EndBatch evicts.
+  bool batching_ = false;
+  std::vector<QueryId> departed_;
 };
 
 }  // namespace qsp

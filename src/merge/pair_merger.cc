@@ -191,12 +191,7 @@ MergeOutcome PairMerger::MergeFromHeap(const MergeContext& ctx,
     group_cost[i] = summaries[i].cost;
   }
 
-  std::vector<Rect> bboxes(groups.size());
-  for (size_t i = 0; i < groups.size(); ++i) bboxes[i] = summaries[i].bbox;
-  SpatialGrid grid = SpatialGrid::ForRects(bboxes);
-  for (size_t i = 0; i < groups.size(); ++i) {
-    grid.Insert(static_cast<uint32_t>(i), bboxes[i], group_cost[i]);
-  }
+  SpatialGrid grid = bounder.PartnerGrid(summaries);
 
   std::vector<std::vector<RowEntry>> rows(groups.size());
   std::priority_queue<RowHead> heads;

@@ -1,6 +1,7 @@
 #include "merge/plan_bounds.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -114,6 +115,32 @@ BenefitBounder::PartnerTest BenefitBounder::PartnerTestFor(
   test.k_m_ = model_->k_m;
   test.cost_ = g.cost;
   return test;
+}
+
+SpatialGrid BenefitBounder::PartnerGrid(
+    const std::vector<GroupSummary>& groups) const {
+  std::vector<Rect> boxes(groups.size());
+  double cost_sum = 0.0;
+  for (size_t i = 0; i < groups.size(); ++i) {
+    boxes[i] = groups[i].bbox;
+    cost_sum += groups[i].cost;
+  }
+  // The reach: PartnerTest rejects a region once K_M + scale * (merged
+  // box area) reaches cost_g + max_partner_cost, so two groups of the
+  // mean cost stop pairing once their merged box has area `reach_area`.
+  double reach = std::numeric_limits<double>::infinity();
+  if (distance_aware_) {
+    const double mean_cost =
+        groups.empty() ? 0.0 : cost_sum / static_cast<double>(groups.size());
+    const double reach_area = (2.0 * mean_cost - model_->k_m) /
+                              (model_->k_t * kSlack * density_);
+    reach = reach_area > 0.0 ? std::sqrt(reach_area) : 0.0;
+  }
+  SpatialGrid grid = SpatialGrid::ForRects(boxes, reach);
+  for (size_t i = 0; i < groups.size(); ++i) {
+    grid.Insert(static_cast<uint32_t>(i), boxes[i], groups[i].cost);
+  }
+  return grid;
 }
 
 BenefitBounder::ExtractBound BenefitBounder::ExtractBoundFor(

@@ -142,6 +142,22 @@ class BenefitBounder {
   };
   [[nodiscard]] PartnerTest PartnerTestFor(const GroupSummary& g) const;
 
+  /// The grid every partner walk runs over: entry i is groups[i]'s box
+  /// under its exact cost, so QueryPassing(PartnerTestFor(g)) on it
+  /// returns every group with a positive bound against g. Its cells are
+  /// sized to the bounder's reach, not to the boxes (DESIGN.md §8): with
+  /// c the groups' mean cost, two groups of cost c whose merged box has
+  /// side R = sqrt((2c - K_M) / (K_T * kSlack * density)) have a
+  /// non-positive bound, so a walk accepts cells out to about R around
+  /// the probe. The cell edge is max(mean box extent, R) under
+  /// ForRects' cell cap; join sizing (edge ~ mean extent) would make
+  /// the walk test hundreds of blocks and thousands of cells to return
+  /// a few hundred ids. Without the distance term every cell passes,
+  /// and the grid is one cell. The cells only change how many ids the
+  /// walk returns, never which positive-bound partners are among them.
+  [[nodiscard]] SpatialGrid PartnerGrid(
+      const std::vector<GroupSummary>& groups) const;
+
   /// The admissible bound on extract moves out of one group g (the
   /// incremental repair's second move kind): for every member q of g,
   /// with singleton size size_q and exact singleton cost cost_q,

@@ -1,6 +1,8 @@
 #include "net/server.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "query/extractor.h"
 #include "util/status.h"
@@ -18,9 +20,15 @@ Server::Server(const Table* table, const SpatialIndex* index,
 
 namespace {
 
+/// Marks "client not on the channel" in a channel-position map.
+constexpr uint32_t kOffChannel = 0xffffffffu;
+
 /// Builds the message for one merged query on one channel.
+/// `channel_pos[c]` is client c's position in `channel_clients`, or
+/// kOffChannel.
 Message BuildMessage(size_t channel, const MergedQuery& merged,
                      const std::vector<ClientId>& channel_clients,
+                     const std::vector<uint32_t>& channel_pos,
                      const SpatialIndex& index, const Table& table,
                      const QuerySet& queries, const ClientSet& clients,
                      ExtractionMode mode) {
@@ -51,17 +59,26 @@ Message BuildMessage(size_t channel, const MergedQuery& merged,
   }
 
   // Header: every channel client subscribed to a member query is a
-  // recipient, with one extractor entry per such query.
-  for (ClientId client : channel_clients) {
-    bool is_recipient = false;
-    for (QueryId member : merged.members) {
-      const auto& subs = clients.QueriesOf(client);
-      if (std::binary_search(subs.begin(), subs.end(), member)) {
-        msg.extractors.push_back({client, {member, queries.rect(member)}});
-        is_recipient = true;
+  // recipient, with one extractor entry per such query, in channel-client
+  // order, then member order. The (position, member) hits come from the
+  // members' subscriber lists, so a header costs its members'
+  // subscribers rather than the channel's clients times the members.
+  std::vector<std::pair<uint32_t, uint32_t>> hits;
+  for (uint32_t k = 0; k < merged.members.size(); ++k) {
+    for (ClientId client : clients.SubscribersOf(merged.members[k])) {
+      if (channel_pos[client] != kOffChannel) {
+        hits.emplace_back(channel_pos[client], k);
       }
     }
-    if (is_recipient) msg.recipients.push_back(client);
+  }
+  std::sort(hits.begin(), hits.end());
+  for (const auto& [pos, k] : hits) {
+    const ClientId client = channel_clients[pos];
+    const QueryId member = merged.members[k];
+    msg.extractors.push_back({client, {member, queries.rect(member)}});
+    if (msg.recipients.empty() || msg.recipients.back() != client) {
+      msg.recipients.push_back(client);
+    }
   }
   return msg;
 }
@@ -91,19 +108,33 @@ std::vector<Message> Server::ExecuteRoundMerged(
     ExtractionMode mode) const {
   QSP_CHECK(merged_per_channel.size() == allocation.size());
   std::vector<Message> messages;
+  // Each channel's client positions, cleared again after the channel. A
+  // client the ClientSet does not know has no subscriptions, so it can
+  // receive nothing and stays off the map.
+  std::vector<uint32_t> channel_pos(clients_->num_clients(), kOffChannel);
   for (size_t ch = 0; ch < allocation.size(); ++ch) {
+    const std::vector<ClientId>& channel_clients = allocation[ch];
+    for (uint32_t p = 0; p < channel_clients.size(); ++p) {
+      if (channel_clients[p] < channel_pos.size()) {
+        channel_pos[channel_clients[p]] = p;
+      }
+    }
     const uint32_t channel_total =
         static_cast<uint32_t>(merged_per_channel[ch].size());
     uint32_t seq = 0;
     for (const MergedQuery& merged : merged_per_channel[ch]) {
-      Message msg = BuildMessage(ch, merged, allocation[ch], *index_,
-                                 *table_, *queries_, *clients_, mode);
+      Message msg =
+          BuildMessage(ch, merged, channel_clients, channel_pos, *index_,
+                       *table_, *queries_, *clients_, mode);
       // Reliability header: contiguous per-channel sequence numbers and
       // the channel's announced round size, so clients can detect gaps
       // (including trailing losses) and NACK them.
       msg.seq = seq++;
       msg.total_in_round = channel_total;
       messages.push_back(std::move(msg));
+    }
+    for (ClientId client : channel_clients) {
+      if (client < channel_pos.size()) channel_pos[client] = kOffChannel;
     }
   }
   return messages;

@@ -112,14 +112,23 @@ size_t MergeContext::group_arena_bytes() const {
   return total;
 }
 
-size_t MergeContext::EvictGroupsContaining(QueryId id) const {
+size_t MergeContext::EvictGroupsContaining(
+    const std::vector<QueryId>& ids) const {
+  if (ids.empty()) return 0;
+  std::vector<bool> dead(
+      static_cast<size_t>(*std::max_element(ids.begin(), ids.end())) + 1,
+      false);
+  for (QueryId id : ids) dead[id] = true;
+  auto holds_dead = [&dead](const QueryGroup& group) {
+    return std::any_of(group.begin(), group.end(), [&dead](QueryId member) {
+      return member < dead.size() && dead[member];
+    });
+  };
   size_t erased = 0;
   for (GroupShard& shard : group_shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto it = shard.cache.begin(); it != shard.cache.end();) {
-      // Groups are canonical (sorted ascending), so membership is a
-      // binary search.
-      if (std::binary_search(it->first.begin(), it->first.end(), id)) {
+      if (holds_dead(it->first)) {
         it = shard.cache.erase(it);
         ++erased;
       } else {

@@ -92,17 +92,18 @@ class MergeContext {
   /// and telemetry.
   size_t group_arena_bytes() const;
 
-  /// Evicts every memoized group that contains `id`, returning how many
-  /// entries were erased. The long-lived service calls this when a
-  /// subscription retires: ids are never reused (QuerySet is
-  /// append-only), so entries mentioning a dead id can only ever be
-  /// re-read by accident — dropping them bounds the memo's footprint
-  /// under sustained churn instead of letting it grow with the total
-  /// number of subscriptions ever seen. Correctness is unaffected
-  /// (entries are a pure function of the group's ids). Thread-safe, but
-  /// concurrent evaluators of a group containing `id` may re-insert it;
-  /// the service only evicts ids it already removed from every plan.
-  size_t EvictGroupsContaining(QueryId id) const;
+  /// Evicts every memoized group that contains any of `ids`, in one
+  /// pass over the memo, returning how many entries were erased. The
+  /// long-lived service calls this when subscriptions retire: ids are
+  /// never reused (QuerySet is append-only), so entries mentioning a
+  /// dead id can only ever be re-read by accident — dropping them bounds
+  /// the memo's footprint under sustained churn instead of letting it
+  /// grow with the total number of subscriptions ever seen. Correctness
+  /// is unaffected (entries are a pure function of the group's ids).
+  /// Thread-safe, but concurrent evaluators of a group containing a
+  /// listed id may re-insert it; the service only evicts ids it already
+  /// removed from every plan.
+  size_t EvictGroupsContaining(const std::vector<QueryId>& ids) const;
 
  private:
   struct GroupHash {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -40,6 +41,37 @@ TEST(ClientSetTest, SubscribersOf) {
   EXPECT_EQ(clients.SubscribersOf(7), (std::vector<ClientId>{a, b}));
   EXPECT_EQ(clients.SubscribersOf(9), (std::vector<ClientId>{b}));
   EXPECT_TRUE(clients.SubscribersOf(42).empty());
+}
+
+// The subscriber index Subscribe and Unsubscribe keep equals a scan of
+// every client's subscriptions, through random churn that repeats
+// subscriptions and retires ones that were never made.
+TEST(ClientSetTest, SubscribersOfMatchesScanUnderChurn) {
+  ClientSet clients;
+  for (int c = 0; c < 9; ++c) clients.AddClient();
+  Rng rng(5);
+  constexpr QueryId kQueries = 40;
+  for (int step = 0; step < 3000; ++step) {
+    const ClientId c = static_cast<ClientId>(rng.UniformInt(0, 8));
+    const QueryId q = static_cast<QueryId>(rng.UniformInt(0, kQueries - 1));
+    if (rng.UniformDouble(0, 1) < 0.55) {
+      clients.Subscribe(c, q);
+    } else {
+      clients.Unsubscribe(c, q);
+    }
+    if (step % 100 != 99) continue;
+    for (QueryId query = 0; query <= kQueries; ++query) {
+      std::vector<ClientId> scan;
+      for (ClientId client = 0; client < clients.num_clients(); ++client) {
+        const auto& subs = clients.QueriesOf(client);
+        if (std::binary_search(subs.begin(), subs.end(), query)) {
+          scan.push_back(client);
+        }
+      }
+      EXPECT_EQ(clients.SubscribersOf(query), scan)
+          << "query " << query << " after step " << step;
+    }
+  }
 }
 
 TEST(ClientSetTest, QueriesOfClientsUnion) {

@@ -160,6 +160,53 @@ TEST_F(IncrementalTest, RemoveQueryEvictsStaleCacheEntries) {
   EXPECT_NEAR(inc.cost(), model_.PartitionCost(ctx_, inc.partition()), 1e-9);
 }
 
+// Batched eviction leaves the memo per-id eviction leaves: two mergers
+// on twin contexts apply the same arrivals, departures and repairs, one
+// evicting at each RemoveQuery, one once per batch; after every batch
+// the memo's size and the evaluation count agree, and so do the plans.
+TEST_F(IncrementalTest, BatchedEvictionMatchesPerIdEviction) {
+  Rng rng(23);
+  QueryGenConfig config;
+  config.num_queries = 120;
+  config.cf = 0.7;
+  for (const Rect& r : GenerateQueries(config, &rng)) queries_.Add(r);
+  MergeContext batched_ctx(&queries_, &estimator_, &procedure_);
+  IncrementalMerger per_id(&ctx_, model_);
+  IncrementalMerger batched(&batched_ctx, model_);
+  std::vector<QueryId> live;
+  QueryId next = 0;
+  size_t departures = 0;
+  for (int batch = 0; batch < 12; ++batch) {
+    batched.BeginBatch();
+    for (int op = 0; op < 10 && next < queries_.size(); ++op) {
+      // Departures interleave with arrivals, as a service's queue does.
+      if (live.size() > 4 && rng.UniformDouble(0, 1) < 0.4) {
+        const size_t k = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+        per_id.RemoveQuery(live[k]);
+        batched.RemoveQuery(live[k]);
+        live.erase(live.begin() + static_cast<ptrdiff_t>(k));
+        ++departures;
+      } else {
+        per_id.AddQuery(next);
+        batched.AddQuery(next);
+        live.push_back(next++);
+      }
+    }
+    batched.EndBatch();
+    per_id.Repair(2);
+    batched.Repair(2);
+    ASSERT_EQ(batched.partition(), per_id.partition()) << "batch " << batch;
+    EXPECT_EQ(batched_ctx.cached_groups(), ctx_.cached_groups())
+        << "batch " << batch;
+    EXPECT_EQ(batched_ctx.groups_evaluated(), ctx_.groups_evaluated())
+        << "batch " << batch;
+  }
+  EXPECT_GT(departures, 10u);
+  // Eviction really ran: the memo holds fewer groups than were evaluated.
+  EXPECT_LT(batched_ctx.cached_groups(), batched_ctx.groups_evaluated());
+}
+
 TEST_F(IncrementalTest, AddRemoveRepairInterleaveKeepsPartitionExact) {
   // Regression for the removal path: interleaved Add/Remove/Repair must
   // leave a partition that covers exactly the live ids — no emptied

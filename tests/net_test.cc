@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "channel/channel_cost.h"
@@ -137,6 +138,78 @@ TEST(ServerTest, RecipientsOnlyListSubscribedChannelClients) {
       EXPECT_TRUE(std::binary_search(subs.begin(), subs.end(),
                                      entry.spec.query));
     }
+  }
+}
+
+// Message headers list every channel client subscribed to a member
+// query, in channel-client order, then member order: the order a scan of
+// the channel's clients gives. Queries get several subscribers, clients
+// sit on channels in shuffled (non-ascending) order, and groups are
+// random, over several seeds.
+TEST(ServerTest, HeadersFollowChannelOrderThenMemberOrder) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    World world(seed, /*num_objects=*/300, /*num_queries=*/30,
+                /*num_clients=*/7);
+    Rng rng(seed * 11);
+    for (int k = 0; k < 40; ++k) {
+      world.clients.Subscribe(
+          static_cast<ClientId>(rng.UniformInt(0, 6)),
+          static_cast<QueryId>(rng.UniformInt(0, 29)));
+    }
+    Allocation allocation(3);
+    for (ClientId c = 0; c < 7; ++c) {
+      allocation[static_cast<size_t>(rng.UniformInt(0, 2))].push_back(c);
+    }
+    // Each list ascends as built; reversed, with its head swapped, it is
+    // neither ascending nor descending.
+    for (auto& channel : allocation) {
+      std::reverse(channel.begin(), channel.end());
+      if (channel.size() > 2) std::swap(channel[0], channel[1]);
+    }
+    BoundingRectProcedure proc;
+    std::vector<std::vector<MergedQuery>> merged(allocation.size());
+    for (QueryId q = 0; q < 30;) {
+      QueryGroup group;
+      const int size = static_cast<int>(rng.UniformInt(1, 4));
+      for (int k = 0; k < size && q < 30; ++k) group.push_back(q++);
+      for (MergedQuery& m : proc.Merge(world.queries, group)) {
+        merged[static_cast<size_t>(rng.UniformInt(0, 2))].push_back(
+            std::move(m));
+      }
+    }
+    Server server(&world.table, world.index.get(), &world.queries,
+                  &world.clients);
+    const std::vector<Message> messages =
+        server.ExecuteRoundMerged(allocation, merged);
+    size_t m = 0;
+    for (size_t ch = 0; ch < allocation.size(); ++ch) {
+      for (const MergedQuery& mq : merged[ch]) {
+        ASSERT_LT(m, messages.size());
+        const Message& msg = messages[m++];
+        std::vector<ClientId> recipients;
+        std::vector<std::pair<ClientId, QueryId>> extractors;
+        for (ClientId client : allocation[ch]) {
+          bool is_recipient = false;
+          for (QueryId member : mq.members) {
+            const auto& subs = world.clients.QueriesOf(client);
+            if (std::binary_search(subs.begin(), subs.end(), member)) {
+              extractors.emplace_back(client, member);
+              is_recipient = true;
+            }
+          }
+          if (is_recipient) recipients.push_back(client);
+        }
+        EXPECT_EQ(msg.recipients, recipients) << "seed " << seed;
+        ASSERT_EQ(msg.extractors.size(), extractors.size()) << "seed " << seed;
+        for (size_t k = 0; k < extractors.size(); ++k) {
+          EXPECT_EQ(msg.extractors[k].client, extractors[k].first);
+          EXPECT_EQ(msg.extractors[k].spec.query, extractors[k].second);
+          EXPECT_EQ(msg.extractors[k].spec.rect,
+                    world.queries.rect(extractors[k].second));
+        }
+      }
+    }
+    EXPECT_EQ(m, messages.size());
   }
 }
 

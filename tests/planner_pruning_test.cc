@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -302,13 +303,48 @@ std::vector<Rect> DenseRects(uint64_t seed) {
   return rects;
 }
 
-struct DenseInstance {
+// A dispersed population: 300 small rectangles spread over [0, 1000]^2,
+// plus duplicates, zero-width, zero-height and empty boxes. Under the
+// Figure 16 density a partner's bound stays positive out to a few dozen
+// box widths, so a grid sized to the bound's reach is far coarser than
+// one sized to the boxes.
+std::vector<Rect> DispersedRects(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Rect> rects;
+  for (int k = 0; k < 300; ++k) {
+    const double x = rng.UniformDouble(0, 1000);
+    const double y = rng.UniformDouble(0, 1000);
+    rects.push_back(Rect(x, y, x + rng.UniformDouble(0.5, 3),
+                         y + rng.UniformDouble(0.5, 3)));
+  }
+  for (int k = 0; k < 10; ++k) rects.push_back(rects[static_cast<size_t>(k)]);
+  for (int k = 0; k < 3; ++k) {
+    const double x = rects[static_cast<size_t>(20 + k)].x_lo();
+    const double y = rects[static_cast<size_t>(20 + k)].y_lo();
+    rects.push_back(Rect(x, y, x, y + 2));  // zero width
+    rects.push_back(Rect(x, y, x + 2, y));  // zero height
+  }
+  rects.push_back(Rect::Empty());
+  rects.push_back(Rect::Empty());
+  return rects;
+}
+
+// Bounding-rect merging under a uniform density: the distance-aware
+// configuration the partner query serves.
+struct UniformInstance {
   QuerySet queries;
-  UniformDensityEstimator estimator{0.5};
+  UniformDensityEstimator estimator;
   BoundingRectProcedure procedure;
   MergeContext ctx{&queries, &estimator, &procedure};
 
-  explicit DenseInstance(uint64_t seed) : queries(DenseRects(seed)) {}
+  UniformInstance(std::vector<Rect> rects, double density)
+      : queries(std::move(rects)), estimator(density) {}
+};
+
+// The dense clustered population under density 0.5.
+struct DenseInstance : UniformInstance {
+  explicit DenseInstance(uint64_t seed)
+      : UniformInstance(DenseRects(seed), 0.5) {}
 };
 
 // Unique output of the partner query for `g` over `grid`, sorted here
@@ -324,75 +360,169 @@ std::vector<uint32_t> PartnersOf(const plan::BenefitBounder& bounder,
   return out;
 }
 
-// Admissibility of the partner query: every group with a positive benefit
-// bound against the probe comes back, for singletons, cluster groups and
-// a group spanning two clusters, under grids sized to the population,
-// fixed to the domain (the outside clusters clamp into edge cells) and
-// far smaller than it (most boxes lie outside the bounds). The query must
-// also actually reject cells, or the property would hold vacuously.
+// Admissibility of the partner query: filtered by UpperBound > 0, what
+// the query returns is exactly the set of groups with a positive bound
+// against the probe, for singletons, multi-member groups and (on the
+// clustered population) a group spanning two clusters. It must hold at
+// every grid sizing, since the sizing only decides how many ids a walk
+// returns: the planners' reach-sized grid (BenefitBounder::PartnerGrid),
+// join sizing, one cell, a grid fixed to the domain (outside boxes clamp
+// into edge cells) and one far smaller than it (most boxes lie outside
+// the bounds). Both populations carry duplicate, hairline and empty
+// boxes. The multi-cell grids must actually reject cells, or the
+// property would hold vacuously.
 TEST(PlannerPruningTest, PartnerQueryReturnsEveryPositiveBound) {
   const CostModel model = bench::Fig16CostModel();
   for (const uint64_t seed : kSeeds) {
-    DenseInstance inst(seed);
-    const plan::BenefitBounder bounder(inst.ctx, model);
-    ASSERT_TRUE(bounder.distance_aware());
-    const QueryId n = static_cast<QueryId>(inst.queries.size());
-    std::vector<QueryGroup> groups;
-    for (QueryId q = 0; q < n; ++q) groups.push_back({q});
-    Rng rng(seed * 3 + 1);
-    for (int k = 0; k < 12; ++k) {
-      // Cluster mates (ids are generated cluster by cluster).
-      const QueryId first = static_cast<QueryId>(10 * rng.UniformInt(0, 13) +
-                                                 rng.UniformInt(0, 7));
-      groups.push_back({first, first + 1, first + 2});
-    }
-    // The two nearest in-domain clusters, joined by one group.
-    QueryGroup across = {0, 10};
-    double nearest = std::numeric_limits<double>::infinity();
-    for (QueryId a = 0; a < 120; a += 10) {
-      for (QueryId b = a + 10; b < 120; b += 10) {
-        const Point pa = inst.queries.rect(a).Center();
-        const Point pb = inst.queries.rect(b).Center();
-        const double d = std::hypot(pa.x - pb.x, pa.y - pb.y);
-        if (d < nearest) {
-          nearest = d;
-          across = {a, b};
+    for (const bool dispersed : {false, true}) {
+      UniformInstance inst(dispersed ? DispersedRects(seed) : DenseRects(seed),
+                           dispersed ? bench::kFig16Density : 0.5);
+      const std::string label = std::string(dispersed ? "dispersed" : "dense") +
+                                " seed " + std::to_string(seed);
+      const plan::BenefitBounder bounder(inst.ctx, model);
+      ASSERT_TRUE(bounder.distance_aware());
+      const QueryId n = static_cast<QueryId>(inst.queries.size());
+      std::vector<QueryGroup> groups;
+      for (QueryId q = 0; q < n; ++q) groups.push_back({q});
+      Rng rng(seed * 3 + 1);
+      for (int k = 0; k < 12; ++k) {
+        if (dispersed) {
+          // A box and its two nearest neighbours.
+          const QueryId a = static_cast<QueryId>(rng.UniformInt(0, 299));
+          const Point pa = inst.queries.rect(a).Center();
+          std::vector<std::pair<double, QueryId>> by_distance;
+          for (QueryId b = 0; b < 300; ++b) {
+            if (b == a) continue;
+            const Point pb = inst.queries.rect(b).Center();
+            by_distance.emplace_back(std::hypot(pa.x - pb.x, pa.y - pb.y), b);
+          }
+          std::sort(by_distance.begin(), by_distance.end());
+          QueryGroup group = {a, by_distance[0].second, by_distance[1].second};
+          CanonicalizeGroup(&group);
+          groups.push_back(group);
+        } else {
+          // Cluster mates (ids are generated cluster by cluster).
+          const QueryId first = static_cast<QueryId>(
+              10 * rng.UniformInt(0, 13) + rng.UniformInt(0, 7));
+          groups.push_back({first, first + 1, first + 2});
         }
       }
-    }
-    groups.push_back(across);
-    std::vector<plan::GroupSummary> sums;
-    std::vector<Rect> bboxes;
-    for (const QueryGroup& g : groups) {
-      sums.push_back(bounder.Summarize(g));
-      bboxes.push_back(sums.back().bbox);
-    }
-    const SpatialGrid grids[] = {SpatialGrid::ForRects(bboxes),
-                                 SpatialGrid(Rect(0, 0, 1000, 1000), 30, 30),
-                                 SpatialGrid(Rect(400, 400, 600, 600), 7, 5)};
-    for (size_t k = 0; k < std::size(grids); ++k) {
-      SpatialGrid grid = grids[k];
-      for (size_t i = 0; i < groups.size(); ++i) {
-        grid.Insert(static_cast<uint32_t>(i), bboxes[i], sums[i].cost);
+      if (!dispersed) {
+        // The two nearest in-domain clusters, joined by one group.
+        QueryGroup across = {0, 10};
+        double nearest = std::numeric_limits<double>::infinity();
+        for (QueryId a = 0; a < 120; a += 10) {
+          for (QueryId b = a + 10; b < 120; b += 10) {
+            const Point pa = inst.queries.rect(a).Center();
+            const Point pb = inst.queries.rect(b).Center();
+            const double d = std::hypot(pa.x - pb.x, pa.y - pb.y);
+            if (d < nearest) {
+              nearest = d;
+              across = {a, b};
+            }
+          }
+        }
+        groups.push_back(across);
       }
-      SpatialGrid::Seen seen;
-      size_t omitted = 0;
-      for (size_t i = 0; i < groups.size(); ++i) {
-        const std::vector<uint32_t> partners =
-            PartnersOf(bounder, sums[i], grid, &seen);
-        omitted += groups.size() - partners.size();
-        for (size_t j = 0; j < groups.size(); ++j) {
-          if (j == i || bounder.UpperBound(sums[i], sums[j]) <= 0.0) continue;
-          EXPECT_TRUE(std::binary_search(partners.begin(), partners.end(),
-                                         static_cast<uint32_t>(j)))
-              << "seed " << seed << " grid " << k << " probe "
-              << GroupToString(groups[i]) << " lost partner "
-              << GroupToString(groups[j]);
+      std::vector<plan::GroupSummary> sums;
+      std::vector<Rect> bboxes;
+      for (const QueryGroup& g : groups) {
+        sums.push_back(bounder.Summarize(g));
+        bboxes.push_back(sums.back().bbox);
+      }
+      const SpatialGrid reach = bounder.PartnerGrid(sums);
+      ASSERT_GT(reach.cells_x() * reach.cells_y(), 1) << label;
+      struct Sized {
+        std::string name;
+        SpatialGrid grid;
+      };
+      std::vector<Sized> sized = {
+          {"join", SpatialGrid::ForRects(bboxes)},
+          {"one cell", SpatialGrid::ForRects(
+                           bboxes, std::numeric_limits<double>::infinity())},
+          {"domain", SpatialGrid(Rect(0, 0, 1000, 1000), 30, 30)},
+          {"small", SpatialGrid(Rect(400, 400, 600, 600), 7, 5)}};
+      for (Sized& s : sized) {
+        for (size_t i = 0; i < groups.size(); ++i) {
+          s.grid.Insert(static_cast<uint32_t>(i), bboxes[i], sums[i].cost);
         }
       }
-      EXPECT_GT(omitted, 0u) << "seed " << seed << " grid " << k;
+      sized.push_back({"reach", reach});
+      ASSERT_EQ(sized[1].grid.cells_x() * sized[1].grid.cells_y(), 1);
+      for (const Sized& s : sized) {
+        SpatialGrid::Seen seen;
+        size_t omitted = 0;
+        for (size_t i = 0; i < groups.size(); ++i) {
+          const std::vector<uint32_t> returned =
+              PartnersOf(bounder, sums[i], s.grid, &seen);
+          omitted += groups.size() - returned.size();
+          std::vector<uint32_t> walked, brute;
+          for (uint32_t j : returned) {
+            if (j != i && bounder.UpperBound(sums[i], sums[j]) > 0.0) {
+              walked.push_back(j);
+            }
+          }
+          for (size_t j = 0; j < groups.size(); ++j) {
+            if (j != i && bounder.UpperBound(sums[i], sums[j]) > 0.0) {
+              brute.push_back(static_cast<uint32_t>(j));
+            }
+          }
+          EXPECT_EQ(walked, brute) << label << " grid " << s.name
+                                   << " probe " << GroupToString(groups[i]);
+        }
+        if (s.grid.cells_x() * s.grid.cells_y() > 1) {
+          EXPECT_GT(omitted, 0u) << label << " grid " << s.name;
+        }
+      }
     }
   }
+}
+
+// The planners' grid sizing: coarsening to the bound's reach never adds
+// cells on either axis over join sizing, and a bounder without the
+// distance term gets one cell, since its walk accepts every cell.
+TEST(PlannerPruningTest, PartnerGridIsNoFinerThanJoinSizing) {
+  const CostModel model = bench::Fig16CostModel();
+  for (const uint64_t seed : kSeeds) {
+    for (const bool dispersed : {false, true}) {
+      UniformInstance inst(dispersed ? DispersedRects(seed) : DenseRects(seed),
+                           dispersed ? bench::kFig16Density : 0.5);
+      const plan::BenefitBounder bounder(inst.ctx, model);
+      std::vector<plan::GroupSummary> sums;
+      std::vector<Rect> bboxes;
+      for (QueryId q = 0; q < inst.queries.size(); ++q) {
+        sums.push_back(bounder.Summarize({q}));
+        bboxes.push_back(sums.back().bbox);
+      }
+      const SpatialGrid join = SpatialGrid::ForRects(bboxes);
+      const SpatialGrid reach = bounder.PartnerGrid(sums);
+      EXPECT_LE(reach.cells_x(), join.cells_x()) << "seed " << seed;
+      EXPECT_LE(reach.cells_y(), join.cells_y()) << "seed " << seed;
+      EXPECT_EQ(reach.size(), sums.size());
+      if (dispersed) {
+        // The reach spans several join cells here, so the walk's grid
+        // really is coarser.
+        EXPECT_LT(reach.cells_x() * reach.cells_y(),
+                  join.cells_x() * join.cells_y())
+            << "seed " << seed;
+      }
+
+      ExactCoverProcedure cover;
+      MergeContext cover_ctx(&inst.queries, &inst.estimator, &cover);
+      const plan::BenefitBounder flat(cover_ctx, model);
+      ASSERT_FALSE(flat.distance_aware());
+      const SpatialGrid one = flat.PartnerGrid(sums);
+      EXPECT_EQ(one.cells_x(), 1);
+      EXPECT_EQ(one.cells_y(), 1);
+      EXPECT_EQ(one.size(), sums.size());
+    }
+  }
+  // No groups: a valid, empty one-cell grid.
+  DenseInstance inst(kSeeds[0]);
+  const plan::BenefitBounder bounder(inst.ctx, model);
+  const SpatialGrid empty = bounder.PartnerGrid({});
+  EXPECT_EQ(empty.cells_x() * empty.cells_y(), 1);
+  EXPECT_EQ(empty.size(), 0u);
 }
 
 // The partner test itself on hand-made regions: it accepts the probe's

@@ -410,6 +410,35 @@ TEST(SpatialGridTest, WeightedMaximaStayExactUnderChurn) {
   }
 }
 
+// Coarsened sizings of `rects` (the planners' reach-sized partner
+// grids, down to one cell) terminate on any population, never add cells
+// on either axis over join sizing, and still find every placed rect.
+void ExpectCoarseningsSound(const std::vector<Rect>& rects) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const SpatialGrid join = SpatialGrid::ForRects(rects);
+  for (const double edge : {1e-300, 1.0, 1e6, 1e300, kInf,
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    SpatialGrid grid = SpatialGrid::ForRects(rects, edge);
+    EXPECT_GE(grid.cells_x(), 1) << "edge " << edge;
+    EXPECT_GE(grid.cells_y(), 1) << "edge " << edge;
+    EXPECT_LE(grid.cells_x(), join.cells_x()) << "edge " << edge;
+    EXPECT_LE(grid.cells_y(), join.cells_y()) << "edge " << edge;
+    if (edge == kInf) {
+      EXPECT_EQ(grid.cells_x() * grid.cells_y(), 1);
+    }
+    for (size_t i = 0; i < rects.size(); ++i) {
+      grid.Insert(static_cast<uint32_t>(i), rects[i]);
+    }
+    SpatialGrid::Seen seen;
+    for (size_t i = 0; i < rects.size(); ++i) {
+      std::vector<uint32_t> out;
+      grid.Query(rects[i], &seen, &out);
+      EXPECT_TRUE(std::count(out.begin(), out.end(), static_cast<uint32_t>(i)))
+          << "edge " << edge << " rect " << i;
+    }
+  }
+}
+
 // Regression (ISSUE 8): the cell-cap loop halves cx/cy with (c + 1) / 2,
 // which is a fixed point at 1, and the ideal counts used to be cast to
 // int before any finiteness check — sizing must provably terminate (and
@@ -434,6 +463,7 @@ TEST(SpatialGridTest, ForRectsTerminatesOnDegenerateAspectRatios) {
     SpatialGrid::Seen seen;
     grid.Query(Rect(-1, -1, 1, 1), &seen, &out);
     EXPECT_TRUE(std::count(out.begin(), out.end(), 0u));
+    ExpectCoarseningsSound(rects);
   }
   // Coordinate span that overflows double subtraction: the bounding
   // union's Width() is +inf, so the ideal count is ceil(inf / inf) = NaN
@@ -452,6 +482,7 @@ TEST(SpatialGridTest, ForRectsTerminatesOnDegenerateAspectRatios) {
     SpatialGrid::Seen seen;
     grid.Query(Rect(0, 0, 2, 2), &seen, &out);
     EXPECT_EQ(out, std::vector<uint32_t>({0, 1}));
+    ExpectCoarseningsSound(rects);
   }
   // Hairline strip: denormal heights must not break sizing or lookups.
   {
@@ -473,7 +504,10 @@ TEST(SpatialGridTest, ForRectsTerminatesOnDegenerateAspectRatios) {
     grid.Query(Rect(0, -1, 2e6, 1), &seen, &out);
     EXPECT_TRUE(std::count(out.begin(), out.end(), 0u));
     EXPECT_TRUE(std::count(out.begin(), out.end(), 1u));
+    ExpectCoarseningsSound(rects);
   }
+  // A random population with empty rects.
+  ExpectCoarseningsSound(RandomRects(200, 7, 0.1));
 }
 
 }  // namespace
