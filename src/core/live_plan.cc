@@ -264,7 +264,9 @@ BatchReport LivePlanManager::ProcessBatch() {
   // Budgeted repair under the per-batch deadline (SLO): one steepest-
   // descent move at a time so the deadline is checked between moves.
   if (opts_.repair_max_moves >= 0) {
-    const double repair_start = NowUs();
+    // Latency is measured time (obs::CurrentClock()), never the control
+    // clock: a test's FakeClock would make every sample 0.
+    const double repair_start = obs::CurrentClock()->NowMicros();
     while (true) {
       if (opts_.repair_max_moves > 0 &&
           report.repair_moves >= opts_.repair_max_moves) {
@@ -282,7 +284,8 @@ BatchReport LivePlanManager::ProcessBatch() {
       if (!(merger_.cost() < before)) break;  // Local minimum.
       ++report.repair_moves;
     }
-    report.repair_latency_us = NowUs() - repair_start;
+    report.repair_latency_us =
+        obs::CurrentClock()->NowMicros() - repair_start;
     obs::Observe("service.repair.latency_us", report.repair_latency_us);
   }
 

@@ -87,7 +87,8 @@ struct LiveServiceConfig {
   bool inject_replan_failure = false;
   /// Control clock for lease expiry and deadlines (non-owning; must
   /// outlive the service). Tests inject a FakeClock here. Null = the
-  /// process clock (obs::CurrentClock()).
+  /// process clock (obs::CurrentClock()). Latencies are measured on
+  /// obs::CurrentClock() whatever this is.
   obs::Clock* clock = nullptr;
 };
 
@@ -108,6 +109,8 @@ struct BatchReport {
   /// Repair accounting.
   int repair_moves = 0;
   bool repair_deadline_hit = false;
+  /// Wall time of the repair loop on obs::CurrentClock(), the
+  /// measurement clock (not the control clock).
   double repair_latency_us = 0.0;
   /// Exact group evaluations spent this batch (adds + removes + repair).
   uint64_t evaluations = 0;
@@ -155,7 +158,8 @@ struct LiveStats {
 /// which the owner calls explicitly or lets the background tick drive.
 /// The injected obs::Clock is the *control* clock (lease expiry, repair
 /// and replan deadlines); tests inject a FakeClock to make lease
-/// semantics exact and soaks byte-deterministic.
+/// semantics exact and soaks byte-deterministic. Latency metrics read the
+/// measurement clock, obs::CurrentClock(), so they stay real under it.
 ///
 /// Does not own the QuerySet/MergeContext; both must outlive it. The
 /// QuerySet must only be mutated through this manager while live.

@@ -14,7 +14,6 @@
 #include "obs/metrics.h"
 #include "obs/phase_tracer.h"
 #include "relation/grid_index.h"
-#include "relation/rtree.h"
 #include "stats/exact_estimator.h"
 #include "stats/histogram_estimator.h"
 
@@ -53,14 +52,7 @@ SubscriptionService::SubscriptionService(Table table, const Rect& domain,
     : table_(std::move(table)), domain_(domain), config_(config) {
   if (config_.telemetry) obs::SetEnabled(true);
   exec::SetDefaultThreads(config_.threads);
-  switch (config_.index) {
-    case IndexKind::kGrid:
-      index_ = std::make_unique<GridIndex>(table_, domain_);
-      break;
-    case IndexKind::kRTree:
-      index_ = std::make_unique<RTree>(table_);
-      break;
-  }
+  index_ = std::make_unique<GridIndex>(table_, domain_);
   procedure_ = MakeProcedure(config_.procedure);
   switch (config_.estimator) {
     case EstimatorKind::kUniform:

@@ -50,10 +50,10 @@ enum class EstimatorKind {
   kExact,
 };
 
-/// Which spatial access path the server evaluates merged queries with.
+/// The spatial access path the server evaluates merged queries with.
+/// GridIndex is the only one; see ServiceConfig::index.
 enum class IndexKind {
   kGrid,
-  kRTree,
 };
 
 /// Configuration of the subscription service.
@@ -73,7 +73,8 @@ struct ServiceConfig {
   uint64_t seed = 42;
   /// Histogram resolution when estimator == kHistogram.
   int histogram_buckets = 32;
-  /// Access path for evaluating merged queries.
+  /// Not read: merged queries are always evaluated on a GridIndex. Kept
+  /// so existing configurations that assign it still compile.
   IndexKind index = IndexKind::kGrid;
   /// Extractor implementation (Section 3.1): clients re-apply their
   /// query, or the server tags payload objects.
@@ -83,8 +84,9 @@ struct ServiceConfig {
   /// planner and simulator then reduces to a flag check.
   bool telemetry = false;
   /// Worker threads for the planner's parallel loops (profit-table
-  /// construction, clustering bounds, search restarts, per-channel
-  /// broadcast), applied process-wide via qsp::exec at construction.
+  /// construction, clustering bounds, search restarts) and the lossless
+  /// broadcast, which delivers one channel per task; applied
+  /// process-wide via qsp::exec at construction.
   /// 1 — the default — runs the exact serial code path (byte-identical
   /// to a build without the exec subsystem); any value N > 1 must return
   /// the same partitions and costs, only faster (DESIGN.md §7).

@@ -1,8 +1,8 @@
 #ifndef QSP_COST_COST_MODEL_H_
 #define QSP_COST_COST_MODEL_H_
 
-#include "query/merge_context.h"  // qsp-lint: allow(layer-back-edge) cost prices merge decisions over query groups; co-designed with query (PAPER.md §4), split deliberately not taken
-#include "query/query.h"  // qsp-lint: allow(layer-back-edge) cost is keyed by QueryId/QuerySet; co-designed with query, see note above
+#include "query/merge_context.h"
+#include "query/query.h"
 
 namespace qsp {
 

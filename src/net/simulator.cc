@@ -1,7 +1,5 @@
 #include "net/simulator.h"
 
-#include <map>
-#include <set>
 #include <string>
 #include <utility>
 
@@ -73,26 +71,49 @@ void RecordRoundMetrics(const RoundStats& stats) {
 
 }  // namespace
 
-void MulticastSimulator::RunLossyRound(const std::vector<Message>& messages,
-                                       RoundStats* stats) {
+/// Messages [msg_begin, msg_end) of the round's message list and clients
+/// [client_begin, client_end) of sim_clients_.
+struct MulticastSimulator::ChannelRange {
+  size_t msg_begin = 0;
+  size_t msg_end = 0;
+  size_t client_begin = 0;
+  size_t client_end = 0;
+
+  uint32_t num_messages() const {
+    return static_cast<uint32_t>(msg_end - msg_begin);
+  }
+};
+
+std::vector<MulticastSimulator::ChannelRange> MulticastSimulator::ChannelRanges(
+    size_t num_channels, const std::vector<Message>& messages) const {
+  std::vector<ChannelRange> ranges(num_channels);
+  size_t m = 0;
+  size_t c = 0;
+  for (size_t ch = 0; ch < num_channels; ++ch) {
+    ChannelRange& range = ranges[ch];
+    range.msg_begin = m;
+    while (m < messages.size() && messages[m].channel == ch) {
+      QSP_CHECK(messages[m].seq == m - range.msg_begin);
+      ++m;
+    }
+    range.msg_end = m;
+    range.client_begin = c;
+    while (c < sim_clients_.size() && sim_clients_[c].channel() == ch) ++c;
+    range.client_end = c;
+  }
+  // Server::ExecuteRoundMerged emits messages in ascending channel order
+  // and RunRound builds the clients channel by channel; an item left
+  // over here breaks one of those orderings.
+  QSP_CHECK(m == messages.size());
+  QSP_CHECK(c == sim_clients_.size());
+  return ranges;
+}
+
+void MulticastSimulator::RunLossyRound(
+    const std::vector<Message>& messages,
+    const std::vector<ChannelRange>& channels, RoundStats* stats) {
   FaultInjector& injector = *fault_;
   const FaultPolicy& policy = injector.policy();
-
-  // Per-channel views: message order within a channel is seq order, so
-  // by_channel[ch][s]->seq == s.
-  std::map<size_t, std::vector<const Message*>> by_channel;
-  for (const Message& msg : messages) by_channel[msg.channel].push_back(&msg);
-  for (const auto& [channel, channel_messages] : by_channel) {
-    for (size_t s = 0; s < channel_messages.size(); ++s) {
-      QSP_CHECK(channel_messages[s]->seq == s);
-    }
-  }
-  auto channel_total = [&by_channel](size_t channel) -> uint32_t {
-    auto it = by_channel.find(channel);
-    return it == by_channel.end()
-               ? 0u
-               : static_cast<uint32_t>(it->second.size());
-  };
 
   // Per-round churn: crashed clients receive nothing and send no NACKs;
   // late joiners miss the broadcast pass and recover through NACKs only.
@@ -107,57 +128,56 @@ void MulticastSimulator::RunLossyRound(const std::vector<Message>& messages,
 
   // Corruption is modeled on the real encoded frames: a delivery whose
   // corrupted frame fails the checksummed decode is a detected drop. The
-  // pristine frame is encoded once per message.
+  // pristine frame is encoded once per message (empty if encoding failed).
   const bool model_corruption = policy.corrupt_rate > 0;
-  std::map<const Message*, std::vector<uint8_t>> frames;
+  std::vector<std::vector<uint8_t>> frames;
   if (model_corruption) {
-    for (const Message& msg : messages) {
-      auto frame = EncodeMessage(msg, *table_);
-      if (frame.ok()) frames.emplace(&msg, std::move(frame).value());
+    frames.resize(messages.size());
+    for (size_t m = 0; m < messages.size(); ++m) {
+      auto frame = EncodeMessage(messages[m], *table_);
+      if (frame.ok()) frames[m] = std::move(frame).value();
     }
   }
 
-  // Hands one frame to a client, possibly corrupting it in flight. A
+  // Hands message m to a client, possibly corrupting it in flight. A
   // corrupted frame that fails the checksummed decode is a detected drop.
-  auto deliver = [&](const Message& msg, SimClient& client) {
-    if (model_corruption) {
-      auto it = frames.find(&msg);
-      if (it != frames.end()) {
-        std::vector<uint8_t> corrupted = it->second;
-        if (injector.CorruptFrame(&corrupted) > 0 &&
-            !DecodeMessage(corrupted, table_->schema()).ok()) {
-          ++stats->corrupted_frames;
-          ++stats->drops;
-          return;
-        }
+  auto deliver = [&](size_t m, SimClient& client) {
+    if (model_corruption && !frames[m].empty()) {
+      std::vector<uint8_t> corrupted = frames[m];
+      if (injector.CorruptFrame(&corrupted) > 0 &&
+          !DecodeMessage(corrupted, table_->schema()).ok()) {
+        ++stats->corrupted_frames;
+        ++stats->drops;
+        return;
       }
     }
-    client.Receive(msg, *table_);
+    client.Receive(messages[m], *table_);
   };
 
   // Broadcast pass: per client, build the delivery queue the lossy
   // channel presents (drops, duplicates, reordering), then deliver it.
-  for (const auto& [channel, channel_messages] : by_channel) {
-    obs::ScopedSpan channel_span("broadcast/ch" + std::to_string(channel));
-    for (size_t i = 0; i < sim_clients_.size(); ++i) {
-      SimClient& client = sim_clients_[i];
-      if (client.channel() != channel || crashed[i] || late[i]) continue;
-      std::vector<const Message*> queue;
-      for (const Message* msg : channel_messages) {
-        if (injector.DropDelivery(msg->seq, /*attempt=*/0)) {
-          ++stats->drops;
-          continue;
+  {
+    obs::ScopedSpan broadcast_span("broadcast");
+    for (const ChannelRange& range : channels) {
+      for (size_t i = range.client_begin; i < range.client_end; ++i) {
+        if (crashed[i] || late[i]) continue;
+        std::vector<size_t> queue;
+        for (size_t m = range.msg_begin; m < range.msg_end; ++m) {
+          if (injector.DropDelivery(messages[m].seq, /*attempt=*/0)) {
+            ++stats->drops;
+            continue;
+          }
+          queue.push_back(m);
+          if (injector.DuplicateDelivery()) queue.push_back(m);
         }
-        queue.push_back(msg);
-        if (injector.DuplicateDelivery()) queue.push_back(msg);
-      }
-      for (size_t j = 0; j + 1 < queue.size(); ++j) {
-        if (injector.ReorderPair()) {
-          std::swap(queue[j], queue[j + 1]);
-          ++stats->reordered_deliveries;
+        for (size_t j = 0; j + 1 < queue.size(); ++j) {
+          if (injector.ReorderPair()) {
+            std::swap(queue[j], queue[j + 1]);
+            ++stats->reordered_deliveries;
+          }
         }
+        for (size_t m : queue) deliver(m, sim_clients_[i]);
       }
-      for (const Message* msg : queue) deliver(*msg, client);
     }
   }
 
@@ -167,15 +187,17 @@ void MulticastSimulator::RunLossyRound(const std::vector<Message>& messages,
   // pass. After max_retx passes clients degrade to partial answers.
   obs::ScopedSpan recover_span("recover");
   for (int attempt = 1; attempt <= policy.max_retx; ++attempt) {
-    std::map<size_t, std::set<uint32_t>> nacked;
+    // nacked[m]: a live client on message m's channel misses it.
+    std::vector<bool> nacked(messages.size(), false);
     size_t nacks_this_pass = 0;
-    for (size_t i = 0; i < sim_clients_.size(); ++i) {
-      if (crashed[i]) continue;
-      const SimClient& client = sim_clients_[i];
-      const std::vector<uint32_t> missing =
-          client.MissingSeqs(channel_total(client.channel()));
-      nacks_this_pass += missing.size();
-      for (uint32_t s : missing) nacked[client.channel()].insert(s);
+    for (const ChannelRange& range : channels) {
+      for (size_t i = range.client_begin; i < range.client_end; ++i) {
+        if (crashed[i]) continue;
+        const std::vector<uint32_t> missing =
+            sim_clients_[i].MissingSeqs(range.num_messages());
+        nacks_this_pass += missing.size();
+        for (uint32_t s : missing) nacked[range.msg_begin + s] = true;
+      }
     }
     if (nacks_this_pass == 0) break;
     stats->nacks += nacks_this_pass;
@@ -183,30 +205,33 @@ void MulticastSimulator::RunLossyRound(const std::vector<Message>& messages,
     stats->backoff_units += static_cast<size_t>(1) << (attempt - 1);
 
     obs::ScopedSpan pass_span("retx" + std::to_string(attempt));
-    for (const auto& [channel, seqs] : nacked) {
-      for (uint32_t s : seqs) {
-        const Message& msg = *by_channel[channel][s];
+    for (const ChannelRange& range : channels) {
+      for (size_t m = range.msg_begin; m < range.msg_end; ++m) {
+        if (!nacked[m]) continue;
+        const Message& msg = messages[m];
         ++stats->retx_messages;
         stats->retx_bytes += msg.HeaderBytes() + msg.PayloadBytes(*table_);
         // Retransmissions are multicast too: every live client on the
         // channel sees them (and dedups by seq); each delivery runs the
         // same lossy gauntlet as the original.
-        for (size_t i = 0; i < sim_clients_.size(); ++i) {
-          if (sim_clients_[i].channel() != channel || crashed[i]) continue;
+        for (size_t i = range.client_begin; i < range.client_end; ++i) {
+          if (crashed[i]) continue;
           if (injector.DropDelivery(msg.seq, attempt)) {
             ++stats->drops;
             continue;
           }
-          deliver(msg, sim_clients_[i]);
+          deliver(m, sim_clients_[i]);
         }
       }
     }
   }
 
   // Grade every subscription; remaining gaps degrade to partial/failed.
-  for (SimClient& client : sim_clients_) {
-    client.FinalizeRound(channel_total(client.channel()));
-    stats->incomplete_answers += client.num_incomplete();
+  for (const ChannelRange& range : channels) {
+    for (size_t i = range.client_begin; i < range.client_end; ++i) {
+      sim_clients_[i].FinalizeRound(range.num_messages());
+      stats->incomplete_answers += sim_clients_[i].num_incomplete();
+    }
   }
 }
 
@@ -248,15 +273,17 @@ RoundStats MulticastSimulator::RunRound(const DisseminationPlan& plan,
   obs::PhaseTracer::Default().End();
   const uint32_t round_id = round_counter_++;
   for (Message& msg : messages) msg.round_id = round_id;
+  const std::vector<ChannelRange> channels =
+      ChannelRanges(plan.allocation.size(), messages);
   stats.num_messages = messages.size();
-  std::set<size_t> used_channels;
   for (const Message& msg : messages) {
     stats.payload_bytes += msg.PayloadBytes(*table_);
     stats.header_bytes += msg.HeaderBytes();
     stats.payload_rows += msg.payload.size();
-    used_channels.insert(msg.channel);
   }
-  stats.channels_used = used_channels.size();
+  for (const ChannelRange& range : channels) {
+    if (range.num_messages() > 0) ++stats.channels_used;
+  }
 
   // Optional wire-format round trip: what a real deployment would
   // actually broadcast.
@@ -286,55 +313,26 @@ RoundStats MulticastSimulator::RunRound(const DisseminationPlan& plan,
     }
   }
 
-  // Broadcast: every client on a channel sees every message on it. Each
-  // client listens to exactly one channel, so delivering channel-by-channel
-  // preserves every client's message order; with tracing on, that grouping
-  // gives one span per channel. With a fault policy, delivery instead runs
-  // the lossy channel + NACK recovery path (kept serial: the injector's
-  // seeded draw order is part of the reproducibility contract).
+  // Broadcast: every client on a channel sees every message on it, in seq
+  // order. Channels partition the clients, so each channel is one
+  // independent task, run across the exec pool when there is one and
+  // serially otherwise; the phase tracer is single-threaded, so the tasks
+  // record no spans of their own. With a fault policy, delivery instead
+  // runs the lossy channel + NACK recovery path (kept serial: the
+  // injector's seeded draw order is part of the reproducibility
+  // contract).
   if (fault_.has_value()) {
-    RunLossyRound(messages, &stats);
-  } else if (exec::DefaultPool() != nullptr) {
-    // Channels partition the clients, so the per-channel passes are
-    // independent and fan out across the exec pool; within a channel,
-    // message order (and therefore every client's delivery order) is
-    // unchanged. The phase tracer is single-threaded, so the parallel
-    // pass records one span for the whole broadcast instead of one per
-    // channel.
+    RunLossyRound(messages, channels, &stats);
+  } else {
     obs::ScopedSpan broadcast_span("broadcast");
-    std::map<size_t, std::vector<const Message*>> by_channel;
-    for (const Message& msg : messages) by_channel[msg.channel].push_back(&msg);
-    std::vector<const std::vector<const Message*>*> channel_messages;
-    std::vector<size_t> channel_ids;
-    for (const auto& [channel, msgs] : by_channel) {
-      channel_ids.push_back(channel);
-      channel_messages.push_back(&msgs);
-    }
-    exec::ParallelFor(channel_ids.size(), [&](size_t k) {
-      const size_t channel = channel_ids[k];
-      for (const Message* msg : *channel_messages[k]) {
-        for (SimClient& client : sim_clients_) {
-          if (client.channel() == channel) client.Receive(*msg, *table_);
+    exec::ParallelFor(channels.size(), [&](size_t ch) {
+      const ChannelRange& range = channels[ch];
+      for (size_t m = range.msg_begin; m < range.msg_end; ++m) {
+        for (size_t i = range.client_begin; i < range.client_end; ++i) {
+          sim_clients_[i].Receive(messages[m], *table_);
         }
       }
     });
-  } else if (!obs::Enabled()) {
-    for (const Message& msg : messages) {
-      for (SimClient& client : sim_clients_) {
-        if (client.channel() == msg.channel) client.Receive(msg, *table_);
-      }
-    }
-  } else {
-    std::map<size_t, std::vector<const Message*>> by_channel;
-    for (const Message& msg : messages) by_channel[msg.channel].push_back(&msg);
-    for (const auto& [channel, channel_messages] : by_channel) {
-      obs::ScopedSpan channel_span("broadcast/ch" + std::to_string(channel));
-      for (const Message* msg : channel_messages) {
-        for (SimClient& client : sim_clients_) {
-          if (client.channel() == channel) client.Receive(*msg, *table_);
-        }
-      }
-    }
   }
 
   // Client-side accounting + end-to-end verification.

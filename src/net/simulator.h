@@ -2,7 +2,6 @@
 #define QSP_NET_SIMULATOR_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -119,8 +118,19 @@ class MulticastSimulator {
   const std::vector<SimClient>& sim_clients() const { return sim_clients_; }
 
  private:
+  /// One channel's message range and client range in a round.
+  struct ChannelRange;
+
+  /// Each channel's ranges, indexed by channel. Checks the orderings they
+  /// rely on: `messages` ascend by channel with seq equal to the offset
+  /// within the channel, and sim_clients_ is grouped by channel.
+  std::vector<ChannelRange> ChannelRanges(
+      size_t num_channels, const std::vector<Message>& messages) const;
+
   /// Lossy broadcast pass plus bounded NACK/retransmission recovery.
-  void RunLossyRound(const std::vector<Message>& messages, RoundStats* stats);
+  void RunLossyRound(const std::vector<Message>& messages,
+                     const std::vector<ChannelRange>& channels,
+                     RoundStats* stats);
 
   const Table* table_;
   const SpatialIndex* index_;

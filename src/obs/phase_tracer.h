@@ -13,7 +13,7 @@ namespace qsp {
 namespace obs {
 
 /// Records a tree of named phases with wall times and per-span counter
-/// deltas: plan -> merge/<algo> -> ... -> simulate -> broadcast/channelN.
+/// deltas: plan -> merge/<algo> -> ... -> simulate -> broadcast.
 /// On Begin() the tracer snapshots the default registry's counters; on
 /// End() every counter that advanced during the span is attached to it as
 /// a delta, so a span shows not just how long a phase took but how much

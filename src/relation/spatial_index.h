@@ -10,8 +10,8 @@
 namespace qsp {
 
 /// Access-path abstraction for evaluating geographic range queries: the
-/// server and the exact size estimator work against this interface, so
-/// the grid file and the R-tree are interchangeable.
+/// server and the exact size estimator work against this interface.
+/// GridIndex implements it.
 class SpatialIndex {
  public:
   virtual ~SpatialIndex() = default;

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/live_plan.h"  // qsp-lint: allow(layer-back-edge) the churn simulator drives the live plan maintainer end to end; sim is a harness over core, not a dependency of it
+#include "core/live_plan.h"
 #include "cost/cost_model.h"
 #include "geom/rect.h"
 #include "net/fault_injector.h"

@@ -4,7 +4,7 @@
 #include <deque>
 #include <limits>
 
-#include "core/live_plan.h"  // qsp-lint: allow(layer-back-edge) continuous-mode sim exercises the live maintainer; harness-over-core, as in churn.h
+#include "core/live_plan.h"
 #include "query/merge_context.h"
 #include "stats/size_estimator.h"
 #include "util/rng.h"

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/subscription_service.h"  // qsp-lint: allow(layer-back-edge) scenarios script the whole service; sim is the outermost harness and nothing in core includes sim back
+#include "core/subscription_service.h"
 #include "relation/generator.h"
 #include "util/status.h"
 #include "workload/client_gen.h"

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "geom/rect.h"
-#include "relation/table.h"  // qsp-lint: allow(layer-back-edge) estimators summarize the relation they sample; read-only upward dependency, acyclic by construction
+#include "relation/table.h"
 #include "stats/size_estimator.h"
 
 namespace qsp {

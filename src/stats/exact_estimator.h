@@ -2,7 +2,7 @@
 #define QSP_STATS_EXACT_ESTIMATOR_H_
 
 #include "geom/rect.h"
-#include "relation/spatial_index.h"  // qsp-lint: allow(layer-back-edge) exact selectivity walks the spatial index directly; read-only upward dependency, acyclic by construction
+#include "relation/spatial_index.h"
 #include "stats/size_estimator.h"
 
 namespace qsp {

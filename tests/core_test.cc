@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/subscription_service.h"
+#include "exec/thread_pool.h"
 #include "merge/sharded_planner.h"
 #include "relation/generator.h"
 #include "util/rng.h"
@@ -183,28 +184,6 @@ TEST(SubscriptionServiceTest, SubscribeWhereParsesGeographicPredicate) {
   EXPECT_FALSE(service.SubscribeWhere(a, "not valid ((").ok());
 }
 
-TEST(SubscriptionServiceTest, RTreeIndexProducesSameRoundResults) {
-  auto run = [](IndexKind index) {
-    ServiceConfig config = BasicConfig();
-    config.index = index;
-    SubscriptionService service(MakeWorldTable(9), Rect(0, 0, 100, 100),
-                                config);
-    const ClientId a = service.AddClient();
-    service.Subscribe(a, Rect(10, 10, 40, 40));
-    service.Subscribe(a, Rect(30, 30, 60, 60));
-    EXPECT_TRUE(service.Plan().ok());
-    auto stats = service.RunRound();
-    EXPECT_TRUE(stats.ok());
-    return *stats;
-  };
-  const RoundStats grid = run(IndexKind::kGrid);
-  const RoundStats rtree = run(IndexKind::kRTree);
-  EXPECT_TRUE(grid.all_answers_correct);
-  EXPECT_TRUE(rtree.all_answers_correct);
-  EXPECT_EQ(grid.payload_rows, rtree.payload_rows);
-  EXPECT_EQ(grid.num_messages, rtree.num_messages);
-}
-
 TEST(SubscriptionServiceTest, FactoriesCoverAllKinds) {
   EXPECT_NE(MakeProcedure(ProcedureKind::kBoundingRect), nullptr);
   EXPECT_NE(MakeProcedure(ProcedureKind::kBoundingPolygon), nullptr);
@@ -261,18 +240,24 @@ INSTANTIATE_TEST_SUITE_P(
                           EstimatorKind::kExact),
         ::testing::Values(1, 2)));
 
-/// Second matrix over the runtime dimensions: index structure x
-/// extractor implementation x channels, all with the pair merger.
+/// Second matrix over the runtime dimensions: extractor implementation
+/// x channels x threads, all with the pair merger. With threads > 1 the
+/// broadcast delivers one channel per pool task.
 class RuntimeMatrix
-    : public ::testing::TestWithParam<
-          std::tuple<IndexKind, ExtractionMode, int>> {};
+    : public ::testing::TestWithParam<std::tuple<ExtractionMode, int, int>> {
+};
 
 TEST_P(RuntimeMatrix, PlansAndDeliversCorrectly) {
   ServiceConfig config = BasicConfig();
-  config.index = std::get<0>(GetParam());
-  config.extraction = std::get<1>(GetParam());
-  config.num_channels = std::get<2>(GetParam());
+  config.extraction = std::get<0>(GetParam());
+  config.num_channels = std::get<1>(GetParam());
+  config.threads = std::get<2>(GetParam());
   config.cost_model.k_check = 0.5;
+  // The service applies its thread count process-wide; restore the
+  // serial default however the test ends.
+  struct SerialOnExit {
+    ~SerialOnExit() { exec::SetDefaultThreads(1); }
+  } serial_on_exit;
 
   SubscriptionService service(MakeWorldTable(21), Rect(0, 0, 100, 100),
                               config);
@@ -295,10 +280,9 @@ TEST_P(RuntimeMatrix, PlansAndDeliversCorrectly) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, RuntimeMatrix,
     ::testing::Combine(
-        ::testing::Values(IndexKind::kGrid, IndexKind::kRTree),
         ::testing::Values(ExtractionMode::kSelfExtract,
                           ExtractionMode::kServerTags),
-        ::testing::Values(1, 2, 3)));
+        ::testing::Values(1, 2, 3), ::testing::Values(1, 4)));
 
 }  // namespace
 }  // namespace qsp

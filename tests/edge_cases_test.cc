@@ -20,7 +20,6 @@
 #include "query/merge_procedure.h"
 #include "query/predicate.h"
 #include "relation/grid_index.h"
-#include "relation/rtree.h"
 #include "stats/size_estimator.h"
 #include "util/table_printer.h"
 
@@ -162,16 +161,6 @@ TEST(EdgeCases, GridIndexSingleCell) {
   GridIndex index(table, Rect(0, 0, 10, 10), 1, 1);
   EXPECT_EQ(index.Query(Rect(0, 0, 10, 10)).size(), 1u);
   EXPECT_EQ(index.Query(Rect(4, 4, 10, 10)).size(), 0u);
-}
-
-TEST(EdgeCases, RTreeMinimumFanout) {
-  Table table(Schema::Geographic(0));
-  for (int i = 0; i < 9; ++i) {
-    ASSERT_TRUE(table.Insert({static_cast<double>(i), 0.0}).ok());
-  }
-  RTree tree(table, 2);
-  EXPECT_EQ(tree.Query(Rect(-1, -1, 10, 1)).size(), 9u);
-  EXPECT_EQ(tree.Count(Rect(2, 0, 6, 0)), 5u);
 }
 
 // ----------------------------------------------------- Predicate depth

@@ -262,6 +262,45 @@ TEST(FaultRecoveryTest, RandomLossStillCorrectWithGenerousRetxBudget) {
   EXPECT_EQ(stats.incomplete_answers, 0u);
 }
 
+// A 3-channel plan whose middle channel carries no messages (its one
+// client subscribes to nothing): a zero policy still reproduces the
+// lossless stats, random loss on the two busy channels is recovered, and
+// the idle client receives nothing.
+TEST(FaultRecoveryTest, ChannelWithoutMessagesStaysQuietUnderLoss) {
+  World world(48, 800, 10, 4);
+  DisseminationPlan plan = world.TwoChannelPlan();
+  const ClientId idle = world.clients.AddClient();
+  plan.allocation.insert(plan.allocation.begin() + 1, {idle});
+  plan.channel_partitions.insert(plan.channel_partitions.begin() + 1,
+                                 Partition{});
+  BoundingRectProcedure proc;
+  MulticastSimulator lossless(&world.table, world.index.get(), &world.queries,
+                              &world.clients);
+  MulticastSimulator zero(&world.table, world.index.get(), &world.queries,
+                          &world.clients, false, false, FaultPolicy{});
+  EXPECT_EQ(lossless.RunRound(plan, proc), zero.RunRound(plan, proc));
+
+  FaultPolicy policy;
+  policy.drop_rate = 0.2;
+  policy.duplicate_rate = 0.1;
+  policy.reorder_rate = 0.1;
+  policy.max_retx = 16;
+  policy.seed = FaultSeed();
+  MulticastSimulator sim(&world.table, world.index.get(), &world.queries,
+                         &world.clients, false, false, policy);
+  const RoundStats stats = sim.RunRound(plan, proc);
+  EXPECT_EQ(stats.channels_used, 2u);
+  EXPECT_TRUE(stats.all_answers_correct);
+  EXPECT_EQ(stats.incomplete_answers, 0u);
+  ASSERT_EQ(sim.sim_clients().size(), world.clients.num_clients());
+  for (const SimClient& client : sim.sim_clients()) {
+    if (client.id() != idle) continue;
+    EXPECT_EQ(client.channel(), 1u);
+    EXPECT_EQ(client.stats().headers_checked, 0u);
+    EXPECT_EQ(client.stats().rows_examined, 0u);
+  }
+}
+
 TEST(FaultRecoveryTest, CorruptionIsDetectedAndRecovered) {
   World world(48, 600, 6, 3);
   FaultPolicy policy;

@@ -197,6 +197,47 @@ TEST_F(LiveServiceTest, RepairDeadlineStopsMovesDeterministically) {
   EXPECT_LE(unbounded.cost(), live.cost() + 1e-9);
 }
 
+// Repair latency is measured time: the control clock here is frozen at
+// 0, so a latency read from it would be 0 for every batch, however long
+// its repair ran.
+TEST_F(LiveServiceTest, RepairLatencyReadsTheMeasurementClock) {
+  LiveServiceConfig opts = Opts();
+  opts.repair_max_moves = 0;
+  LivePlanManager live(&queries_, &ctx_, model_, opts);
+  Rng rng(13);
+  QueryGenConfig shape;
+  shape.num_queries = 32;
+  shape.cf = 0.8;
+  for (const Rect& r : GenerateQueries(shape, &rng)) {
+    ASSERT_TRUE(live.Subscribe(r, 0).ok());
+  }
+  const BatchReport report = live.ProcessBatch();
+  EXPECT_EQ(report.admitted, 32u);
+  EXPECT_GT(report.repair_latency_us, 0.0);
+}
+
+TEST_F(LiveServiceTest, RepairLatencyHistogramRecordsWallTime) {
+  LiveServiceConfig opts = Opts();
+  opts.repair_max_moves = 0;
+  LivePlanManager live(&queries_, &ctx_, model_, opts);
+  Rng rng(14);
+  QueryGenConfig shape;
+  shape.num_queries = 32;
+  shape.cf = 0.8;
+  for (const Rect& r : GenerateQueries(shape, &rng)) {
+    ASSERT_TRUE(live.Subscribe(r, 0).ok());
+  }
+  obs::Histogram& latency =
+      obs::MetricRegistry::Default().histogram("service.repair.latency_us");
+  latency.Reset();
+  obs::SetEnabled(true);
+  const BatchReport report = live.ProcessBatch();
+  obs::SetEnabled(false);
+  EXPECT_EQ(report.admitted, 32u);
+  EXPECT_EQ(latency.count(), 1u);
+  EXPECT_GT(latency.max(), 0.0);
+}
+
 TEST_F(LiveServiceTest, DriftTriggerReplansAndAdoptionImproves) {
   LiveServiceConfig opts = Opts();
   opts.repair_max_moves = -1;      // Greedy placement only: drift builds.

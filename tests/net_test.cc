@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <tuple>
 #include <utility>
@@ -405,6 +406,75 @@ TEST(SimulatorTest, FewerMessagesAfterMergingThanUnmerged) {
   const RoundStats stats = sim.RunRound(merged, proc);
   EXPECT_LT(stats.num_messages, unmerged.num_messages);
   EXPECT_TRUE(stats.all_answers_correct);
+}
+
+// The orderings the simulator's per-channel delivery relies on, on a
+// 3-channel plan whose middle channel carries no groups (its one client
+// subscribes to nothing): the server emits a round's messages in
+// non-decreasing channel order, each with its offset within its channel
+// as seq and its channel's message count as total_in_round, and the
+// simulator's clients are grouped by channel in allocation order.
+TEST(SimulatorTest, RoundMessagesAndClientsAreGroupedByChannel) {
+  World world(12, /*num_objects=*/500, /*num_queries=*/9, /*num_clients=*/3);
+  const ClientId idle = world.clients.AddClient();
+  DisseminationPlan plan;
+  plan.allocation = {{2, 0}, {idle}, {1}};
+  for (const std::vector<ClientId>& channel_clients : plan.allocation) {
+    std::vector<QueryId> served;
+    for (ClientId c : channel_clients) {
+      const std::vector<QueryId>& subs = world.clients.QueriesOf(c);
+      served.insert(served.end(), subs.begin(), subs.end());
+    }
+    std::sort(served.begin(), served.end());
+    served.erase(std::unique(served.begin(), served.end()), served.end());
+    // The first two served queries share a group, the rest are singletons.
+    Partition partition;
+    for (size_t k = 0; k < served.size(); ++k) {
+      if (k == 1) {
+        partition.back().push_back(served[k]);
+      } else {
+        partition.push_back(QueryGroup{served[k]});
+      }
+    }
+    plan.channel_partitions.push_back(partition);
+  }
+  ASSERT_GE(plan.channel_partitions[0].size(), 2u);
+  ASSERT_TRUE(plan.channel_partitions[1].empty());
+  ASSERT_GE(plan.channel_partitions[2].size(), 2u);
+
+  BoundingRectProcedure proc;
+  Server server(&world.table, world.index.get(), &world.queries,
+                &world.clients);
+  const std::vector<Message> messages = server.ExecuteRound(plan, proc);
+  std::vector<uint32_t> per_channel(plan.allocation.size(), 0);
+  for (size_t m = 0; m < messages.size(); ++m) {
+    const Message& msg = messages[m];
+    ASSERT_LT(msg.channel, plan.allocation.size());
+    if (m > 0) {
+      EXPECT_LE(messages[m - 1].channel, msg.channel) << m;
+    }
+    EXPECT_EQ(msg.seq, per_channel[msg.channel]++) << m;
+  }
+  EXPECT_EQ(per_channel,
+            (std::vector<uint32_t>{
+                static_cast<uint32_t>(plan.channel_partitions[0].size()), 0,
+                static_cast<uint32_t>(plan.channel_partitions[2].size())}));
+  for (const Message& msg : messages) {
+    EXPECT_EQ(msg.total_in_round, per_channel[msg.channel]);
+  }
+
+  MulticastSimulator sim(&world.table, world.index.get(), &world.queries,
+                         &world.clients);
+  const RoundStats stats = sim.RunRound(plan, proc);
+  EXPECT_TRUE(stats.all_answers_correct);
+  EXPECT_EQ(stats.num_messages, messages.size());
+  EXPECT_EQ(stats.channels_used, 2u);
+  std::vector<std::pair<ClientId, size_t>> clients;
+  for (const SimClient& client : sim.sim_clients()) {
+    clients.emplace_back(client.id(), client.channel());
+  }
+  EXPECT_EQ(clients, (std::vector<std::pair<ClientId, size_t>>{
+                         {2, 0}, {0, 0}, {idle, 1}, {1, 2}}));
 }
 
 TEST(ServerTest, ServerTagsMarkMembershipBits) {

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -339,6 +342,95 @@ TEST_P(GridIndexProperty, EquivalentToScan) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GridIndexProperty,
                          ::testing::Values(11, 22, 33, 44));
+
+Table ClusteredTable(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  TableGeneratorConfig config;
+  config.domain = Rect(0, 0, 100, 100);
+  config.num_objects = n;
+  config.clustered_fraction = 0.6;
+  config.num_clusters = 3;
+  config.payload_fields = 0;
+  return GenerateTable(config, &rng);
+}
+
+TEST(GridIndexTest, EmptyTable) {
+  Table table(Schema::Geographic(0));
+  GridIndex index(table, Rect(0, 0, 100, 100));
+  EXPECT_TRUE(index.Query(Rect(0, 0, 100, 100)).empty());
+  EXPECT_EQ(index.Count(Rect(0, 0, 100, 100)), 0u);
+}
+
+TEST(GridIndexTest, SingleRow) {
+  Table table(Schema::Geographic(0));
+  ASSERT_TRUE(table.Insert({5.0, 5.0}).ok());
+  GridIndex index(table, Rect(0, 0, 100, 100));
+  EXPECT_EQ(index.Query(Rect(0, 0, 10, 10)), (std::vector<RowId>{0}));
+  EXPECT_EQ(index.Count(Rect(0, 0, 10, 10)), 1u);
+  EXPECT_TRUE(index.Query(Rect(6, 6, 10, 10)).empty());
+  EXPECT_EQ(index.Count(Rect(6, 6, 10, 10)), 0u);
+}
+
+TEST(GridIndexTest, EmptyQueryRect) {
+  Table table = ClusteredTable(1, 100);
+  GridIndex index(table, Rect(0, 0, 100, 100));
+  EXPECT_TRUE(index.Query(Rect::Empty()).empty());
+  EXPECT_EQ(index.Count(Rect::Empty()), 0u);
+}
+
+TEST(GridIndexTest, FullDomainReturnsEverything) {
+  Table table = ClusteredTable(3, 500);
+  GridIndex index(table, Rect(0, 0, 100, 100));
+  EXPECT_EQ(index.Query(Rect(0, 0, 100, 100)).size(), 500u);
+  EXPECT_EQ(index.Count(Rect(0, 0, 100, 100)), 500u);
+}
+
+TEST(GridIndexTest, WholeCellCountIsExact) {
+  // A rect covering most of the domain takes most cells whole, without
+  // a per-row test; compare against the scan.
+  Table table = ClusteredTable(4, 2000);
+  GridIndex index(table, Rect(0, 0, 100, 100), 8, 8);
+  const Rect big(5, 5, 95, 95);
+  EXPECT_EQ(index.Count(big), table.CountRange(big));
+  EXPECT_EQ(index.Query(big), table.ScanRange(big));
+}
+
+TEST(GridIndexTest, DuplicatePositionsAllFound) {
+  Table table(Schema::Geographic(0));
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(table.Insert({5.0, 5.0}).ok());
+  GridIndex index(table, Rect(0, 0, 10, 10), 4, 4);
+  EXPECT_EQ(index.Query(Rect(5, 5, 5, 5)).size(), 20u);
+  EXPECT_EQ(index.Count(Rect(5, 5, 5, 5)), 20u);
+}
+
+/// Property: Query and Count agree with the full scan on clustered data
+/// at every grid resolution from one cell (each query reads the whole
+/// table) to 64 x 64 (most cells hold a handful of rows).
+class GridIndexScanEquivalence
+    : public ::testing::TestWithParam<std::tuple<uint64_t, int>> {};
+
+TEST_P(GridIndexScanEquivalence, MatchesScan) {
+  const uint64_t seed = std::get<0>(GetParam());
+  const int cells = std::get<1>(GetParam());
+  Table table = ClusteredTable(seed, 800);
+  GridIndex index(table, Rect(0, 0, 100, 100), cells, cells);
+
+  Rng rng(seed ^ 0xFEED);
+  for (int i = 0; i < 40; ++i) {
+    const double x = rng.UniformDouble(-10, 95);
+    const double y = rng.UniformDouble(-10, 95);
+    const Rect q(x, y, x + rng.UniformDouble(0, 40),
+                 y + rng.UniformDouble(0, 40));
+    const std::vector<RowId> scan = table.ScanRange(q);
+    ASSERT_EQ(index.Query(q), scan) << q.ToString() << " cells " << cells;
+    ASSERT_EQ(index.Count(q), scan.size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndCells, GridIndexScanEquivalence,
+    ::testing::Combine(::testing::Values(11, 22, 33),
+                       ::testing::Values(1, 4, 16, 64)));
 
 // ------------------------------------------------------------- Generator
 
