@@ -118,16 +118,22 @@ size_t LivePlanManager::SweepExpired() {
   return swept;
 }
 
-void LivePlanManager::RunReplanJob(ReplanJob* job, const CostModel& model,
-                                   bool pruning, int shards) {
+void LivePlanManager::RunReplanJob(ReplanJob* job, const MergeContext* live,
+                                   const CostModel& model, bool pruning,
+                                   int shards) {
   // The dense snapshot plans exactly like an offline plan (DESIGN.md
   // §13): sharded across the exec pool when shards > 1, a plain pair
-  // merge otherwise. The job's context is private, so this never races
-  // the incremental merger; failure flows into the abandon path.
+  // merge otherwise. The snapshot context is private, so this never
+  // races the incremental merger (only the live context's estimator and
+  // procedure are shared — read-only and safe for concurrent const
+  // calls); it serves only this pair merge and its seam pass, so it
+  // takes the merger's memo policy. Failure flows into the abandon path.
   const PairMerger merger(/*use_heap=*/true, pruning);
+  const MergeContext ctx(&job->snap_queries, &live->estimator(),
+                         &live->procedure(), merger.ContextMemo());
   const ShardedPlanner planner(
       &merger, ShardedPlanner::Options{.shards = shards, .pruning = pruning});
-  Result<ShardedMergeOutcome> outcome = planner.Plan(*job->ctx, model);
+  Result<ShardedMergeOutcome> outcome = planner.Plan(ctx, model);
   if (outcome.ok()) {
     job->result = std::move(outcome.value().outcome.partition);
     job->candidates = outcome.value().outcome.candidates;
@@ -140,10 +146,7 @@ void LivePlanManager::RunReplanJob(ReplanJob* job, const CostModel& model,
 void LivePlanManager::TriggerReplan() {
   auto job = std::make_unique<ReplanJob>();
   // Snapshot the in-plan population with dense private ids: the replan
-  // must never race QuerySet growth from concurrent Subscribes, and a
-  // private MergeContext keeps its memo from colliding with the
-  // incremental merger's (the estimator and procedure are shared —
-  // read-only and safe for concurrent const calls).
+  // must never race QuerySet growth from concurrent Subscribes.
   for (const QueryGroup& g : merger_.partition()) {
     for (QueryId q : g) job->snap_ids.push_back(q);
   }
@@ -151,21 +154,20 @@ void LivePlanManager::TriggerReplan() {
   for (QueryId q : job->snap_ids) {
     QSP_IGNORE_RESULT(job->snap_queries.Add(queries_->rect(q)));
   }
-  job->ctx = std::make_unique<MergeContext>(
-      &job->snap_queries, &ctx_->estimator(), &ctx_->procedure());
   job->started_us = NowUs();
   obs::Count("service.replan.triggered");
   if (opts_.replan_background) {
     ReplanJob* raw = job.get();
+    const MergeContext* live = ctx_;
     const CostModel model = model_;
     const bool pruning = opts_.replan_pruning;
     const int shards = opts_.shards;
-    job->thread = std::thread([raw, model, pruning, shards] {
-      RunReplanJob(raw, model, pruning, shards);
+    job->thread = std::thread([raw, live, model, pruning, shards] {
+      RunReplanJob(raw, live, model, pruning, shards);
     });
     replan_job_ = std::move(job);
   } else {
-    RunReplanJob(job.get(), model_, opts_.replan_pruning, opts_.shards);
+    RunReplanJob(job.get(), ctx_, model_, opts_.replan_pruning, opts_.shards);
     replan_job_ = std::move(job);
     // Inline replans finish immediately; adoption happens in the same
     // batch (FinishReplan is the caller's next step).

@@ -252,13 +252,10 @@ class LivePlanManager {
   };
 
   /// In-flight from-scratch replan: a private snapshot of the live rects
-  /// (ids remapped dense) so the planner never races QuerySet growth,
-  /// plus its own MergeContext sharing the (const, thread-safe)
-  /// estimator and procedure.
+  /// (ids remapped dense) so the planner never races QuerySet growth.
   struct ReplanJob {
     std::vector<QueryId> snap_ids;
     QuerySet snap_queries;
-    std::unique_ptr<MergeContext> ctx;
     double started_us = 0.0;
     std::thread thread;
     std::atomic<bool> done{false};
@@ -275,11 +272,12 @@ class LivePlanManager {
   /// Launches a replan (inline or background per the config).
   void TriggerReplan() QSP_REQUIRES(mu_);
   /// Runs the snapshot merge through ShardedPlanner (no lock held;
-  /// called on the replan thread or inline from ReplanNow). The snapshot
-  /// context is private, so the sharded fan-out never races the
-  /// incremental merger.
-  static void RunReplanJob(ReplanJob* job, const CostModel& model,
-                           bool pruning, int shards);
+  /// called on the replan thread or inline from ReplanNow) on a private
+  /// snapshot context that shares only `live`'s estimator and procedure,
+  /// so the sharded fan-out never races the incremental merger. The
+  /// snapshot context takes the PairMerger's memo policy (evaluate-only).
+  static void RunReplanJob(ReplanJob* job, const MergeContext* live,
+                           const CostModel& model, bool pruning, int shards);
   /// Adopts or abandons a finished job; fills report flags.
   void FinishReplan(BatchReport* report) QSP_REQUIRES(mu_);
   void PublishGauges() QSP_REQUIRES(mu_);

@@ -15,8 +15,9 @@ Result<MergeOutcome> Merger::Merge(const MergeContext& ctx,
   const size_t groups_before = ctx.groups_evaluated();
   Result<MergeOutcome> outcome = DoMerge(ctx, model);
   obs::Count(prefix + ".runs");
-  // Distinct new groups whose statistics were computed for this run — the
-  // memoized-oracle work actually performed (cache hits excluded).
+  // Group statistics computed for this run — the oracle work actually
+  // performed: memo hits are excluded on a storing context, and on an
+  // evaluate-only context every lookup computes, so every lookup counts.
   obs::Count(prefix + ".group_evals",
              ctx.groups_evaluated() - groups_before);
   if (outcome.ok()) {

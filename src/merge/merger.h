@@ -50,6 +50,14 @@ class Merger {
 
   virtual std::string name() const = 0;
 
+  /// The memo policy of a context built only to run this merger, as
+  /// ShardedPlanner's shard contexts and the live replan snapshot are:
+  /// kStore when one run asks again for groups it has already evaluated,
+  /// kEvaluateOnly when it does not. The searches do — candidate
+  /// partitions share subgroups, and clustering re-reads the pairs it
+  /// bounds — so they keep the default.
+  virtual GroupMemo ContextMemo() const { return GroupMemo::kStore; }
+
  protected:
   /// The actual algorithm; implemented by each merger.
   virtual Result<MergeOutcome> DoMerge(const MergeContext& ctx,

@@ -56,6 +56,11 @@ class PairMerger : public Merger {
 
   std::string name() const override { return "pair-merging"; }
 
+  /// Evaluate-only: each candidate pair is refined at most once, and
+  /// only the groups a merge forms (and the final partition's cost) are
+  /// looked up again.
+  GroupMemo ContextMemo() const override { return GroupMemo::kEvaluateOnly; }
+
  protected:
   Result<MergeOutcome> DoMerge(const MergeContext& ctx,
                                const CostModel& model) const override;

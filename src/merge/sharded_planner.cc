@@ -16,7 +16,8 @@ namespace qsp {
 namespace {
 
 /// One shard's planning sub-problem: a snapshot QuerySet with dense
-/// local ids plus a context sharing the parent's estimator/procedure.
+/// local ids plus a context sharing the parent's estimator/procedure and
+/// taking the inner merger's memo policy (it serves only that merge).
 /// local id j <-> global id members[j].
 struct ShardProblem {
   std::vector<QueryId> members;
@@ -107,7 +108,8 @@ Result<ShardedMergeOutcome> ShardedPlanner::Plan(const MergeContext& ctx,
     }
     if (!problem.members.empty()) {
       problem.ctx = std::make_unique<MergeContext>(
-          &problem.queries, &ctx.estimator(), &ctx.procedure());
+          &problem.queries, &ctx.estimator(), &ctx.procedure(),
+          inner_->ContextMemo());
     }
   }
 
@@ -201,8 +203,8 @@ Result<ShardedMergeOutcome> ShardedPlanner::Plan(const MergeContext& ctx,
   result.seam_groups_in = seam_start.size();
 
   // --- Boundary pass: greedy pair-merge over the seam groups only,
-  // against the full context (so cross-shard statistics come from the
-  // same memo the final costing uses). Interior groups are untouched.
+  // against the caller's context (so cross-shard statistics come from
+  // the context the final costing uses). Interior groups are untouched.
   if (seam_start.size() > 1) {
     CanonicalizePartition(&seam_start);
     const PairMerger seam_merger(/*use_heap=*/true, options_.pruning);

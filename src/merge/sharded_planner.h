@@ -46,7 +46,11 @@ struct ShardedMergeOutcome {
 /// workers), then reconciles across shards with a boundary pass — a
 /// greedy pair-merge restricted to groups whose MBRs touch a shard
 /// seam (a bisection cut line that faces a neighbor), the only groups
-/// that can profitably merge with a neighbor shard's work.
+/// that can profitably merge with a neighbor shard's work. Each shard
+/// plans on a private context with the inner merger's ContextMemo()
+/// (evaluate-only under a PairMerger, storing under the searches); the
+/// boundary pass and the final costing run on the caller's context,
+/// whichever policy it has.
 ///
 /// This is the single-channel planning call: shards <= 1 delegates to
 /// the inner merger outright — same call, same context, byte-identical

@@ -9,11 +9,15 @@ namespace qsp {
 
 MergeContext::MergeContext(const QuerySet* queries,
                            const SizeEstimator* estimator,
-                           const MergeProcedure* procedure)
-    : queries_(queries), estimator_(estimator), procedure_(procedure) {
+                           const MergeProcedure* procedure, GroupMemo memo)
+    : queries_(queries),
+      estimator_(estimator),
+      procedure_(procedure),
+      memo_(memo) {
   QSP_CHECK(queries != nullptr);
   QSP_CHECK(estimator != nullptr);
   QSP_CHECK(procedure != nullptr);
+  bounding_box_region_ = procedure->traits().region_is_bounding_box;
   size_cache_.resize(queries->size(), 0.0);
   size_known_.resize(queries->size(), false);
   if (obs::Enabled()) {
@@ -65,7 +69,11 @@ double MergeContext::Size(QueryId id) const {
   return size_cache_[id];
 }
 
-const GroupStats& MergeContext::Stats(const QueryGroup& group) const {
+GroupStats MergeContext::Stats(const QueryGroup& group) const {
+  if (memo_ == GroupMemo::kEvaluateOnly) {
+    groups_computed_.fetch_add(1, std::memory_order_relaxed);
+    return Compute(group);
+  }
   GroupShard& shard =
       group_shards_[GroupHash{}(group) % kGroupShards];
   {
@@ -78,7 +86,7 @@ const GroupStats& MergeContext::Stats(const QueryGroup& group) const {
   }
   // Compute outside the lock (procedure merge + estimator calls dominate;
   // both are deterministic). try_emplace keeps the first insert on a
-  // race, so every caller sees the same node.
+  // race, so every caller sees the same value.
   GroupStats stats = Compute(group);
   if (group_misses_ != nullptr) group_misses_->Add();
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -86,6 +94,9 @@ const GroupStats& MergeContext::Stats(const QueryGroup& group) const {
 }
 
 size_t MergeContext::groups_evaluated() const {
+  if (memo_ == GroupMemo::kEvaluateOnly) {
+    return groups_computed_.load(std::memory_order_relaxed);
+  }
   size_t total = groups_evicted_.load(std::memory_order_relaxed);
   for (const GroupShard& shard : group_shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -151,29 +162,51 @@ GroupStats MergeContext::Compute(const QueryGroup& group) const {
     stats.irrelevant = 0.0;
     return stats;
   }
-  for (const MergedQuery& merged : procedure_->Merge(*queries_, group)) {
-    const double merged_size = estimator_->EstimateRegionSize(merged.region);
-    stats.messages += 1.0;
-    stats.size += merged_size;
-    for (QueryId member : merged.members) {
-      const Rect& member_rect = queries_->rect(member);
-      // Portion of the merged answer relevant to this member. A single
-      // piece containing a non-empty member clips to the member rect
-      // itself, whose estimate Size() already holds.
-      if (merged.region.size() == 1 && !member_rect.IsEmpty() &&
-          merged.region.front().Contains(member_rect)) {
-        stats.irrelevant += merged_size - Size(member);
-        continue;
-      }
-      double relevant = 0.0;
-      for (const Rect& piece : merged.region) {
-        const Rect clipped = piece.Intersection(member_rect);
-        if (!clipped.IsEmpty()) relevant += estimator_->EstimateSize(clipped);
-      }
-      stats.irrelevant += merged_size - relevant;
+  if (bounding_box_region_) {
+    // The procedure's one merged query, built here without calling it:
+    // the members' bounding box (no piece when every member is empty)
+    // serving the whole group. Its size is the sum EstimateRegionSize
+    // makes over that one piece.
+    Rect box = Rect::Empty();
+    for (QueryId id : group) box = box.BoundingUnion(queries_->rect(id));
+    const std::span<const Rect> region(&box, box.IsEmpty() ? 0 : 1);
+    double merged_size = 0.0;
+    for (const Rect& piece : region) {
+      merged_size += estimator_->EstimateSize(piece);
     }
+    AddMergedQuery(region, merged_size, group, &stats);
+    return stats;
+  }
+  for (const MergedQuery& merged : procedure_->Merge(*queries_, group)) {
+    AddMergedQuery(merged.region, estimator_->EstimateRegionSize(merged.region),
+                   merged.members, &stats);
   }
   return stats;
+}
+
+void MergeContext::AddMergedQuery(std::span<const Rect> region,
+                                  double merged_size,
+                                  const QueryGroup& members,
+                                  GroupStats* stats) const {
+  stats->messages += 1.0;
+  stats->size += merged_size;
+  for (QueryId member : members) {
+    const Rect& member_rect = queries_->rect(member);
+    // Portion of the merged answer relevant to this member. A single
+    // piece containing a non-empty member clips to the member rect
+    // itself, whose estimate Size() already holds.
+    if (region.size() == 1 && !member_rect.IsEmpty() &&
+        region.front().Contains(member_rect)) {
+      stats->irrelevant += merged_size - Size(member);
+      continue;
+    }
+    double relevant = 0.0;
+    for (const Rect& piece : region) {
+      const Rect clipped = piece.Intersection(member_rect);
+      if (!clipped.IsEmpty()) relevant += estimator_->EstimateSize(clipped);
+    }
+    stats->irrelevant += merged_size - relevant;
+  }
 }
 
 std::vector<MergedQuery> MergeContext::Merged(const QueryGroup& group) const {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -30,28 +31,53 @@ struct GroupStats {
   double irrelevant = 0.0;
 };
 
+/// What a MergeContext keeps of the group statistics it computes; fixed
+/// at construction.
+enum class GroupMemo {
+  /// Memoize every evaluated group, so a repeated lookup is one hash
+  /// probe. The default: callers that ask for the same group again (the
+  /// exhaustive, partition and directed searches, clustering, the
+  /// channel allocator, the live maintainer) need it.
+  kStore,
+  /// Compute every lookup afresh and store nothing: no hashing, no memo
+  /// allocation, nothing to evict or tear down. For a context that
+  /// serves one run of a merger that does not revisit groups
+  /// (Merger::ContextMemo()), where a memo would mostly hold groups that
+  /// are never read again.
+  kEvaluateOnly,
+};
+
 /// The oracle the merging algorithms run against: size(q), and the merged
 /// statistics of any candidate group under a chosen merge procedure and
-/// size estimator. All lookups are memoized, which is what makes the
-/// exhaustive partition searches of Sections 6.1/8.1 tractable — the same
-/// subgroups recur across thousands of candidate partitions.
+/// size estimator. Single-query sizes are always memoized. Group
+/// statistics are memoized under GroupMemo::kStore, which is what makes
+/// the exhaustive partition searches of Sections 6.1/8.1 tractable — the
+/// same subgroups recur across thousands of candidate partitions; a
+/// GroupMemo::kEvaluateOnly context computes each group lookup afresh.
+/// Both policies return bit-identical statistics.
+///
+/// A group whose procedure declares `region_is_bounding_box` is
+/// evaluated without calling the procedure: one pass over the members
+/// builds the box, with the same arithmetic the procedure's output would
+/// get (this relies on EstimateRegionSize({box}) == EstimateSize(box),
+/// which the base SizeEstimator implementation gives).
 ///
 /// Safe for concurrent callers (the qsp::exec parallel planner loops):
 /// the group memo is sharded by group hash, each shard guarded by its own
 /// mutex, and statistics are computed outside the lock — two threads
 /// racing on the same uncached group both compute the (deterministic)
-/// value and the first insert wins. Returned GroupStats references stay
-/// valid for the context's lifetime (unordered_map nodes are stable).
-/// The underlying estimator and procedure must be safe for concurrent
-/// const calls; all estimators in src/stats are (read-only after
-/// construction).
+/// value and the first insert wins. Stats() returns a copy, so no caller
+/// holds a reference into the memo. The underlying estimator and
+/// procedure must be safe for concurrent const calls; all estimators in
+/// src/stats are (read-only after construction).
 ///
 /// Does not own the query set, estimator, or procedure; all must outlive
 /// the context.
 class MergeContext {
  public:
   MergeContext(const QuerySet* queries, const SizeEstimator* estimator,
-               const MergeProcedure* procedure);
+               const MergeProcedure* procedure,
+               GroupMemo memo = GroupMemo::kStore);
 
   const QuerySet& queries() const { return *queries_; }
   const MergeProcedure& procedure() const { return *procedure_; }
@@ -62,8 +88,9 @@ class MergeContext {
   /// size(q): estimated answer size of one original query.
   double Size(QueryId id) const;
 
-  /// Memoized merged statistics of a canonical group.
-  const GroupStats& Stats(const QueryGroup& group) const;
+  /// Merged statistics of a canonical group: memoized under kStore,
+  /// computed on every call under kEvaluateOnly.
+  GroupStats Stats(const QueryGroup& group) const;
 
   /// The merged queries themselves (geometry + members); not memoized —
   /// used once per group by the dissemination server.
@@ -77,19 +104,22 @@ class MergeContext {
   /// Estimated size of the intersection of two queries.
   double IntersectionSize(QueryId a, QueryId b) const;
 
-  /// Number of distinct groups evaluated so far (search-effort metric).
-  /// With parallel callers this can exceed the serial count slightly
-  /// (racing threads may both compute a group before one inserts), so it
-  /// is reported as telemetry, never used in cost decisions. Evicted
-  /// groups stay counted — eviction reclaims memory, not effort history.
+  /// Group statistics computed so far, a search-effort metric that
+  /// never decreases. A storing context counts the distinct groups it
+  /// memoized, evicted ones included (eviction reclaims memory, not
+  /// effort history); two threads racing on one uncached group compute
+  /// it twice but count it once. An evaluate-only context counts every
+  /// Stats() call, since each one computes. Reported as telemetry, never
+  /// used in cost decisions.
   size_t groups_evaluated() const;
 
-  /// Groups currently memoized (groups_evaluated() minus evictions).
+  /// Groups currently memoized (groups_evaluated() minus evictions);
+  /// always 0 on an evaluate-only context.
   size_t cached_groups() const;
 
   /// Bytes the group-memo arenas have handed out (bump allocations only;
   /// recycled chunks are not re-counted). A footprint gauge for tests
-  /// and telemetry.
+  /// and telemetry; always 0 on an evaluate-only context.
   size_t group_arena_bytes() const;
 
   /// Evicts every memoized group that contains any of `ids`, in one
@@ -102,7 +132,8 @@ class MergeContext {
   /// is unaffected (entries are a pure function of the group's ids).
   /// Thread-safe, but concurrent evaluators of a group containing a
   /// listed id may re-insert it; the service only evicts ids it already
-  /// removed from every plan.
+  /// removed from every plan. An evaluate-only context holds nothing to
+  /// evict and returns 0.
   size_t EvictGroupsContaining(const std::vector<QueryId>& ids) const;
 
  private:
@@ -128,8 +159,8 @@ class MergeContext {
   /// the live high-water mark under eviction churn). Only the allocator
   /// touches the arena, and every allocator call happens inside an
   /// insert/erase/clear made under `mu`, so the arena needs no lock of
-  /// its own. Node pointers stay stable, preserving the Stats()
-  /// reference-lifetime contract.
+  /// its own. An evaluate-only context never inserts, so its shards stay
+  /// empty and their arenas never allocate.
   static constexpr size_t kGroupShards = 16;
   struct GroupShard {
     mutable std::mutex mu;
@@ -143,10 +174,18 @@ class MergeContext {
   };
 
   GroupStats Compute(const QueryGroup& group) const;
+  /// Adds one merged query (region pieces, their estimated size, the
+  /// members it serves) to `stats`: the arithmetic shared by the
+  /// procedure path and the bounding-box path of Compute().
+  void AddMergedQuery(std::span<const Rect> region, double merged_size,
+                      const QueryGroup& members, GroupStats* stats) const;
 
   const QuerySet* queries_;
   const SizeEstimator* estimator_;
   const MergeProcedure* procedure_;
+  const GroupMemo memo_;
+  /// procedure_->traits().region_is_bounding_box, read once.
+  bool bounding_box_region_ = false;
   mutable std::mutex size_mu_;
   mutable std::vector<double> size_cache_ QSP_GUARDED_BY(size_mu_);
   mutable std::vector<bool> size_known_ QSP_GUARDED_BY(size_mu_);
@@ -154,6 +193,8 @@ class MergeContext {
   /// Entries erased by EvictGroupsContaining, folded back into
   /// groups_evaluated() so the effort metric stays monotone.
   mutable std::atomic<size_t> groups_evicted_{0};
+  /// Groups computed by an evaluate-only context (its groups_evaluated()).
+  mutable std::atomic<size_t> groups_computed_{0};
 
   // Memoization hit/miss counters of the default registry (ctx.*).
   // Resolved once at construction — null when telemetry was off then, so

@@ -43,6 +43,13 @@ struct ProcedureTraits {
   /// the only distance-aware bound: it is what lets the spatial index
   /// prune far-apart pairs entirely.
   bool covers_bounding_union = false;
+  /// The procedure emits exactly one MergedQuery per group: its region
+  /// is the bounding box of the members' rectangles (no piece when every
+  /// member is empty) and its members are the group, in order. Licenses
+  /// MergeContext to evaluate a group without calling Merge(); a
+  /// procedure (or a wrapper forwarding traits()) that sets it must
+  /// produce exactly that output.
+  bool region_is_bounding_box = false;
 };
 
 /// The paper's mrg() function (Section 3.2, Figure 5): combines a group of
@@ -80,7 +87,7 @@ class BoundingRectProcedure : public MergeProcedure {
   /// The merged region *is* the bounding union, so every trait holds:
   /// one message, bbox-monotone, disjoint bboxes => disjoint regions.
   ProcedureTraits traits() const override {
-    return ProcedureTraits{true, true, true, true};
+    return ProcedureTraits{true, true, true, true, true};
   }
 };
 

@@ -40,7 +40,9 @@ class SizeEstimator {
   /// Estimated answer size of a region given as interior-disjoint pieces
   /// (the output of the exact-cover or bounding-polygon merge). The
   /// default sums the per-piece estimates, which is exact for disjoint
-  /// pieces under any additive estimator.
+  /// pieces under any additive estimator. An override must keep
+  /// EstimateRegionSize({r}) == EstimateSize(r): MergeContext sizes a
+  /// bounding-box region with EstimateSize alone.
   virtual double EstimateRegionSize(const std::vector<Rect>& pieces) const {
     double total = 0.0;
     for (const Rect& r : pieces) total += EstimateSize(r);

@@ -6,11 +6,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/live_plan.h"
 #include "core/subscription_service.h"
+#include "merge/pair_merger.h"
+#include "merge/sharded_planner.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "query/merge_context.h"
@@ -330,6 +333,68 @@ TEST_F(LiveServiceTest, ShardedReplanCostMatchesFreshRecomputation) {
   // Sharding trades a bounded amount of plan quality for parallel
   // planning; at this scale the plans must stay close.
   EXPECT_LE(sharded.cost(), unsharded.cost() * 1.10 + 1e-9);
+}
+
+// A replan plans its snapshot on a private evaluate-only context (the
+// pair merge never revisits a group). Inline or on its own thread, and
+// with or without shards, it must adopt exactly the partition — and the
+// maintained cost — that the same planner gives on a storing context
+// over the same snapshot.
+TEST_F(LiveServiceTest, ReplansAdoptTheStoringContextsPlan) {
+  Rng rng(61);
+  QueryGenConfig shape;
+  shape.num_queries = 60;
+  shape.cf = 0.7;
+  const std::vector<Rect> rects = GenerateQueries(shape, &rng);
+  for (const bool background : {false, true}) {
+    for (const int shards : {1, 4}) {
+      const std::string label =
+          std::string(background ? "background" : "inline") + " shards " +
+          std::to_string(shards);
+      QuerySet queries;
+      MergeContext ctx(&queries, &estimator_, &procedure_);
+      LiveServiceConfig opts = Opts();
+      opts.default_ttl_ms = 0;
+      opts.repair_max_moves = -1;  // Greedy placement: the replan has work.
+      opts.replan_background = background;
+      opts.shards = shards;
+      LivePlanManager live(&queries, &ctx, model_, opts);
+      for (const Rect& r : rects) ASSERT_TRUE(live.Subscribe(r, 0).ok());
+      live.DrainAll();
+
+      // The snapshot the replan takes: every planned id, dense and in
+      // ascending order, planned on a storing context.
+      std::vector<QueryId> snap_ids;
+      for (const QueryGroup& g : live.PlanSnapshot()) {
+        snap_ids.insert(snap_ids.end(), g.begin(), g.end());
+      }
+      std::sort(snap_ids.begin(), snap_ids.end());
+      QuerySet snapshot;
+      for (QueryId id : snap_ids) {
+        QSP_IGNORE_RESULT(snapshot.Add(queries.rect(id)));
+      }
+      const MergeContext stored(&snapshot, &estimator_, &procedure_);
+      const PairMerger merger;
+      auto expected = ShardedPlanner(&merger, {.shards = shards,
+                                               .pruning = true})
+                          .Plan(stored, model_);
+      ASSERT_TRUE(expected.ok()) << label;
+      Partition expected_plan;
+      for (const QueryGroup& group : expected->outcome.partition) {
+        QueryGroup real;
+        for (QueryId local : group) real.push_back(snap_ids[local]);
+        expected_plan.push_back(std::move(real));
+      }
+      CanonicalizePartition(&expected_plan);
+
+      ASSERT_TRUE(live.ReplanNow().ok()) << label;
+      Partition adopted = live.PlanSnapshot();
+      CanonicalizePartition(&adopted);
+      EXPECT_EQ(adopted, expected_plan) << label;
+      EXPECT_EQ(live.cost(), expected->outcome.cost) << label;
+      EXPECT_EQ(live.Stats().replans_adopted, 1u) << label;
+    }
+  }
 }
 
 TEST_F(LiveServiceTest, InjectedReplanFailureLeavesOldPlanServing) {

@@ -21,6 +21,7 @@
 #include "merge/pair_merger.h"
 #include "merge/shard_assign.h"
 #include "merge/sharded_planner.h"
+#include "obs/metrics.h"
 #include "query/merge_context.h"
 #include "query/merge_procedure.h"
 #include "stats/size_estimator.h"
@@ -320,6 +321,96 @@ TEST(ShardedPlannerTest, BoundlessQueriesFlowThroughSeamPass) {
           << " was not seam-classified";
     }
     EXPECT_TRUE(found) << "boundless query " << empty_id << " missing";
+  }
+}
+
+// A PairMerger never asks again for a group it has evaluated, so shard
+// contexts are evaluate-only under it, and the caller's context may be
+// either kind: the partition, shard attribution, cost and effort
+// counters are the same, byte for byte, at every shard and thread count.
+TEST(ShardedPlannerTest, PairPlansDoNotDependOnTheCallersMemo) {
+  const CostModel model = bench::Fig16CostModel();
+  const PairMerger inner(/*use_heap=*/true, /*pruning=*/true);
+  ASSERT_EQ(inner.ContextMemo(), GroupMemo::kEvaluateOnly);
+  for (const uint64_t seed : kSeeds) {
+    for (const int shards : {1, 4, 8}) {
+      for (const int threads : {1, 4}) {
+        exec::SetDefaultThreads(threads);
+        const std::string label = "seed " + std::to_string(seed) +
+                                  " shards " + std::to_string(shards) +
+                                  " threads " + std::to_string(threads);
+        const ShardedPlanner planner(
+            &inner, ShardedPlanner::Options{.shards = shards, .pruning = true});
+        Instance inst(150, seed);
+        const MergeContext evaluate_only(&inst.queries, inst.estimator.get(),
+                                         inst.procedure.get(),
+                                         GroupMemo::kEvaluateOnly);
+        auto stored = planner.Plan(*inst.ctx, model);
+        auto computed = planner.Plan(evaluate_only, model);
+        ASSERT_TRUE(stored.ok()) << label;
+        ASSERT_TRUE(computed.ok()) << label;
+        EXPECT_EQ(computed->outcome.partition, stored->outcome.partition)
+            << label;
+        EXPECT_EQ(computed->outcome.cost, stored->outcome.cost) << label;
+        EXPECT_EQ(computed->group_shard, stored->group_shard) << label;
+        EXPECT_EQ(computed->outcome.candidates, stored->outcome.candidates)
+            << label;
+        EXPECT_EQ(computed->outcome.bounds_refined,
+                  stored->outcome.bounds_refined)
+            << label;
+        EXPECT_EQ(computed->outcome.bounds_pruned,
+                  stored->outcome.bounds_pruned)
+            << label;
+        EXPECT_EQ(computed->seam_merges, stored->seam_merges) << label;
+        EXPECT_EQ(evaluate_only.cached_groups(), 0u) << label;
+        EXPECT_GT(evaluate_only.groups_evaluated(), 0u) << label;
+      }
+    }
+  }
+  exec::SetDefaultThreads(1);
+}
+
+// The searches revisit groups, so their shard contexts keep the memo.
+// With an evaluate-only caller context, memo hits can only come from the
+// shard contexts: a clustering inner merger records some, a pair inner
+// merger none.
+TEST(ShardedPlannerTest, ShardContextsStoreOnlyForMergersThatRevisitGroups) {
+  const CostModel model = bench::Fig16CostModel();
+  const ClusteringMerger clustering(/*exact_component_limit=*/10,
+                                    /*tight_bound=*/true, /*pruning=*/true);
+  const PairMerger pair(/*use_heap=*/true, /*pruning=*/true);
+  ASSERT_EQ(clustering.ContextMemo(), GroupMemo::kStore);
+  auto& registry = obs::MetricRegistry::Default();
+  for (const Merger* inner : {static_cast<const Merger*>(&clustering),
+                              static_cast<const Merger*>(&pair)}) {
+    Instance inst(150, 5);
+    auto reference = ShardedPlanner(inner, {.shards = 4, .pruning = true})
+                         .Plan(*inst.ctx, model);
+    ASSERT_TRUE(reference.ok()) << inner->name();
+
+    obs::SetEnabled(true);
+    registry.Reset();
+    const MergeContext evaluate_only(&inst.queries, inst.estimator.get(),
+                                     inst.procedure.get(),
+                                     GroupMemo::kEvaluateOnly);
+    auto plan = ShardedPlanner(inner, {.shards = 4, .pruning = true})
+                    .Plan(evaluate_only, model);
+    const uint64_t hits = registry.CounterValue("ctx.group_cache.hits");
+    const uint64_t misses = registry.CounterValue("ctx.group_cache.misses");
+    registry.Reset();
+    obs::SetEnabled(false);
+
+    ASSERT_TRUE(plan.ok()) << inner->name();
+    EXPECT_EQ(plan->outcome.partition, reference->outcome.partition)
+        << inner->name();
+    EXPECT_EQ(plan->outcome.cost, reference->outcome.cost) << inner->name();
+    if (inner == &clustering) {
+      EXPECT_GT(hits, 0u);
+      EXPECT_GT(misses, 0u);
+    } else {
+      EXPECT_EQ(hits, 0u);
+      EXPECT_EQ(misses, 0u);
+    }
   }
 }
 
