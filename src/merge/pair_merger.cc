@@ -1,6 +1,8 @@
 #include "merge/pair_merger.h"
 
 #include <algorithm>
+#include <deque>
+#include <limits>
 #include <map>
 #include <queue>
 #include <utility>
@@ -14,17 +16,21 @@
 namespace qsp {
 namespace {
 
+/// RowEntry::exact of a pair whose benefit is still an upper bound.
+constexpr uint32_t kBound = std::numeric_limits<uint32_t>::max();
+
 /// One pair in a partner row (DESIGN.md §8). `benefit` is the exact merge
-/// benefit when `exact`, else an admissible upper bound on it. A row is a
-/// max-heap on benefit; equal benefits rank the smaller partner first.
-/// Every pair in a row shares the row's group, so this is the order of
-/// the pairs' (benefit, lo, hi) keys: the tie-break comes from the stable
-/// group ids, never from push order, and picks what the Profit Table's
-/// ordered scan picks.
+/// benefit when `exact` indexes the merged group's statistics (kept for
+/// the merge, which then evaluates nothing), else an admissible upper
+/// bound on it. A row is a max-heap on benefit; equal benefits rank the
+/// smaller partner first. Every pair in a row shares the row's group, so
+/// this is the order of the pairs' (benefit, lo, hi) keys: the tie-break
+/// comes from the stable group ids, never from push order, and picks
+/// what the Profit Table's ordered scan picks.
 struct RowEntry {
   double benefit;
   uint32_t partner;
-  bool exact;
+  uint32_t exact;
 };
 
 bool RowBelow(const RowEntry& x, const RowEntry& y) {
@@ -194,6 +200,16 @@ MergeOutcome PairMerger::MergeFromHeap(const MergeContext& ctx,
   SpatialGrid grid = bounder.PartnerGrid(summaries);
 
   std::vector<std::vector<RowEntry>> rows(groups.size());
+  // Merged statistics of the exact row entries, by RowEntry::exact. A
+  // slot is freed when its entry leaves a row, so the store holds only
+  // the exact entries that rows still hold. A deque grows in small
+  // blocks: a vector's doubling reallocations on dense inputs raised the
+  // process's peak resident memory.
+  std::deque<GroupStats> refined_stats;
+  std::vector<uint32_t> free_slots;
+  auto release = [&free_slots](const RowEntry& entry) {
+    if (entry.exact != kBound) free_slots.push_back(entry.exact);
+  };
   std::priority_queue<RowHead> heads;
   size_t live_count = groups.size();
 
@@ -228,7 +244,7 @@ MergeOutcome PairMerger::MergeFromHeap(const MergeContext& ctx,
       const size_t hi = std::max<size_t>(i, j);
       const double ub = bounder.UpperBound(summaries[lo], summaries[hi]);
       if (ub > 0.0) {
-        row.push_back({ub, j, false});
+        row.push_back({ub, j, kBound});
       } else {
         ++bounds_pruned;
       }
@@ -260,26 +276,36 @@ MergeOutcome PairMerger::MergeFromHeap(const MergeContext& ctx,
       // Pairs with a merged-away partner are dropped lazily, when they
       // reach their row's head.
       do {
+        release(row.front());
         std::pop_heap(row.begin(), row.end(), RowBelow);
         row.pop_back();
       } while (!row.empty() && !alive[row.front().partner]);
       push_head(top.row);
       continue;
     }
-    if (!row.front().exact) {
+    if (row.front().exact == kBound) {
       // Refine: the exact expression is the one EvaluatePairBenefits
       // uses, so the refined value is bit-identical to the Profit
       // Table's. Non-positive exact benefits are dropped: the table
       // never applies them.
       ++bounds_refined;
       ++outcome.candidates;
-      const QueryGroup merged = UnionGroups(groups[top.lo], groups[top.hi]);
+      const GroupStats stats =
+          ctx.Stats(UnionGroups(groups[top.lo], groups[top.hi]));
       const double benefit = group_cost[top.lo] + group_cost[top.hi] -
-                             model.GroupCost(ctx, merged);
+                             model.GroupCost(stats);
       std::pop_heap(row.begin(), row.end(), RowBelow);
       if (benefit > 0.0) {
+        uint32_t slot = static_cast<uint32_t>(refined_stats.size());
+        if (free_slots.empty()) {
+          refined_stats.push_back(stats);
+        } else {
+          slot = free_slots.back();
+          free_slots.pop_back();
+          refined_stats[slot] = stats;
+        }
         row.back().benefit = benefit;
-        row.back().exact = true;
+        row.back().exact = slot;
         std::push_heap(row.begin(), row.end(), RowBelow);
       } else {
         row.pop_back();
@@ -289,17 +315,19 @@ MergeOutcome PairMerger::MergeFromHeap(const MergeContext& ctx,
     }
 
     ++merges_applied;
+    const GroupStats merged_stats = refined_stats[row.front().exact];
     QueryGroup merged = UnionGroups(groups[top.lo], groups[top.hi]);
     for (const uint32_t dead : {top.lo, top.hi}) {
       alive[dead] = false;
       grid.Remove(dead, summaries[dead].bbox);
+      for (const RowEntry& entry : rows[dead]) release(entry);
       std::vector<RowEntry>().swap(rows[dead]);
     }
     --live_count;
     const size_t new_index = groups.size();
     groups.push_back(std::move(merged));
     alive.push_back(true);
-    summaries.push_back(bounder.Summarize(groups[new_index]));
+    summaries.push_back(bounder.Summarize(groups[new_index], merged_stats));
     group_cost.push_back(summaries[new_index].cost);
     grid.Insert(static_cast<uint32_t>(new_index), summaries[new_index].bbox,
                 group_cost[new_index]);
@@ -307,11 +335,24 @@ MergeOutcome PairMerger::MergeFromHeap(const MergeContext& ctx,
     fill_row(new_index, /*above=*/false, /*possible=*/live_count - 1);
   }
 
+  // The survivors in canonical order, costed from group_cost: the
+  // values, in the order, that PartitionCost would evaluate again. Every
+  // group is canonical already (singletons, canonical start groups and
+  // UnionGroups results); empty start groups are dropped, as
+  // CanonicalizePartition drops them.
+  std::vector<uint32_t> survivors;
   for (size_t i = 0; i < groups.size(); ++i) {
-    if (alive[i]) outcome.partition.push_back(groups[i]);
+    if (alive[i] && !groups[i].empty()) {
+      survivors.push_back(static_cast<uint32_t>(i));
+    }
   }
-  CanonicalizePartition(&outcome.partition);
-  outcome.cost = model.PartitionCost(ctx, outcome.partition);
+  std::sort(survivors.begin(), survivors.end(), [&](uint32_t a, uint32_t b) {
+    return groups[a].front() < groups[b].front();
+  });
+  for (const uint32_t i : survivors) {
+    outcome.partition.push_back(std::move(groups[i]));
+    outcome.cost += group_cost[i];
+  }
   obs::Count("merge.pair-merging.merges_applied", merges_applied);
   obs::Count("merge.pair-merging.stale_heap_pops", stale_heap_pops);
   obs::Count("plan.bounds.pruned", bounds_pruned);

@@ -36,9 +36,9 @@ class PairMerger : public Merger {
   explicit PairMerger(bool use_heap = true, bool pruning = true)
       : use_heap_(use_heap), pruning_(pruning) {}
 
-  /// Runs the same greedy loop starting from an arbitrary partition
-  /// instead of singletons (used by the directed search and the channel
-  /// allocator).
+  /// Runs the same greedy loop starting from an arbitrary partition of
+  /// canonical (ascending, duplicate-free) groups instead of singletons
+  /// (used by clustering, the seam pass and the channel allocator).
   MergeOutcome MergeFrom(const MergeContext& ctx, const CostModel& model,
                          Partition start) const;
 
@@ -56,9 +56,9 @@ class PairMerger : public Merger {
 
   std::string name() const override { return "pair-merging"; }
 
-  /// Evaluate-only: each candidate pair is refined at most once, and
-  /// only the groups a merge forms (and the final partition's cost) are
-  /// looked up again.
+  /// Evaluate-only: each candidate pair is refined at most once, and a
+  /// merge reuses its refinement's statistics, so no group is looked up
+  /// again.
   GroupMemo ContextMemo() const override { return GroupMemo::kEvaluateOnly; }
 
  protected:

@@ -40,8 +40,12 @@ BenefitBounder::BenefitBounder(const MergeContext& ctx, const CostModel& model,
 }
 
 GroupSummary BenefitBounder::Summarize(const QueryGroup& group) const {
+  return Summarize(group, ctx_->Stats(group));
+}
+
+GroupSummary BenefitBounder::Summarize(const QueryGroup& group,
+                                       const GroupStats& stats) const {
   GroupSummary s;
-  const GroupStats& stats = ctx_->Stats(group);
   s.cost = model_->GroupCost(stats);
   s.size = stats.size;
   s.bbox = Rect::Empty();

@@ -91,6 +91,10 @@ class BenefitBounder {
   /// exact group statistics.
   [[nodiscard]] GroupSummary Summarize(const QueryGroup& group) const;
 
+  /// Same, from statistics the caller already holds for `group`.
+  [[nodiscard]] GroupSummary Summarize(const QueryGroup& group,
+                                       const GroupStats& stats) const;
+
   /// Admissible upper bound: UpperBound(a, b) >= MergeBenefit(a, b);
   /// +infinity when !enabled().
   [[nodiscard]] double UpperBound(const GroupSummary& a, const GroupSummary& b) const;

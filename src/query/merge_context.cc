@@ -1,6 +1,7 @@
 #include "query/merge_context.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "geom/region.h"
 #include "util/status.h"
@@ -18,8 +19,6 @@ MergeContext::MergeContext(const QuerySet* queries,
   QSP_CHECK(estimator != nullptr);
   QSP_CHECK(procedure != nullptr);
   bounding_box_region_ = procedure->traits().region_is_bounding_box;
-  size_cache_.resize(queries->size(), 0.0);
-  size_known_.resize(queries->size(), false);
   if (obs::Enabled()) {
     auto& registry = obs::MetricRegistry::Default();
     size_hits_ = &registry.counter("ctx.size_cache.hits");
@@ -29,44 +28,85 @@ MergeContext::MergeContext(const QuerySet* queries,
   }
 }
 
+MergeContext::SizeSlot& MergeContext::SizeSlotOf(QueryId id) const {
+  // Chunk k starts at id kFirstChunk * (2^k - 1), so the highest bit of
+  // id / kFirstChunk + 1 is bit k.
+  const size_t k = std::bit_width(size_t{id} / kFirstChunk + 1) - 1;
+  return size_chunks_[k].load(std::memory_order_acquire)
+      [id - kFirstChunk * ((size_t{1} << k) - 1)];
+}
+
 double MergeContext::Size(QueryId id) const {
+  // The lock-free hit path: a query-set size equal to size_synced_ means
+  // the chunks covering every id below it are published.
+  const size_t n = queries_->size();
+  if (id < n && n == size_synced_.load(std::memory_order_acquire)) {
+    const uint64_t bits = SizeSlotOf(id).load(std::memory_order_relaxed);
+    if (bits != kUnknownSize) {
+      if (size_hits_ != nullptr) size_hits_->Add();
+      return std::bit_cast<double>(bits);
+    }
+  }
+  return SizeMiss(id);
+}
+
+double MergeContext::SizeMiss(QueryId id) const {
   {
     std::lock_guard<std::mutex> lock(size_mu_);
-    if (size_cache_.size() != queries_->size()) {
-      // The query set changed size (dynamic scenario). Growth keeps old
-      // ids valid, so cached entries survive; a shrink reassigns ids, so
-      // every cached size — and every cached group keyed by those ids —
-      // is stale and must go. (Not safe concurrently with planning; the
-      // dynamic scenario mutates between rounds.)
-      if (size_cache_.size() > queries_->size()) {
-        size_cache_.clear();
-        size_known_.clear();
-        for (GroupShard& shard : group_shards_) {
-          std::lock_guard<std::mutex> shard_lock(shard.mu);
-          shard.cache.clear();
-        }
-      }
-      size_cache_.resize(queries_->size(), 0.0);
-      size_known_.resize(queries_->size(), false);
-    }
-    QSP_CHECK(id < size_cache_.size());
-    if (size_known_[id]) {
+    SyncSizeSlots();
+    QSP_CHECK(id < queries_->size());
+    const uint64_t bits = SizeSlotOf(id).load(std::memory_order_relaxed);
+    if (bits != kUnknownSize) {
       if (size_hits_ != nullptr) size_hits_->Add();
-      return size_cache_[id];
+      return std::bit_cast<double>(bits);
     }
   }
   // Compute outside the lock: the estimator call is the expensive part
   // and is deterministic, so racing threads agree on the value.
   const double size = estimator_->EstimateSize(queries_->rect(id));
   std::lock_guard<std::mutex> lock(size_mu_);
-  if (!size_known_[id]) {
+  SizeSlot& slot = SizeSlotOf(id);
+  const uint64_t bits = slot.load(std::memory_order_relaxed);
+  if (bits == kUnknownSize) {
     if (size_misses_ != nullptr) size_misses_->Add();
-    size_cache_[id] = size;
-    size_known_[id] = true;
-  } else if (size_hits_ != nullptr) {
-    size_hits_->Add();
+    slot.store(std::bit_cast<uint64_t>(size), std::memory_order_relaxed);
+    return size;
   }
-  return size_cache_[id];
+  if (size_hits_ != nullptr) size_hits_->Add();
+  return std::bit_cast<double>(bits);
+}
+
+void MergeContext::SyncSizeSlots() const {
+  const size_t n = queries_->size();
+  const size_t synced = size_synced_.load(std::memory_order_relaxed);
+  if (n == synced) return;
+  if (n < synced) {
+    // The query set shrank (dynamic scenario): a shrink reassigns ids,
+    // so every known size — and every cached group keyed by those ids —
+    // is stale and must go. Growth keeps old ids valid, so known sizes
+    // survive it. (Not safe concurrently with planning; the dynamic
+    // scenario mutates between rounds.)
+    for (size_t k = 0; k < size_chunk_count_; ++k) {
+      for (size_t i = 0; i < kFirstChunk << k; ++i) {
+        size_chunk_owners_[k][i].store(kUnknownSize,
+                                       std::memory_order_relaxed);
+      }
+    }
+    for (GroupShard& shard : group_shards_) {
+      std::lock_guard<std::mutex> shard_lock(shard.mu);
+      shard.cache.clear();
+    }
+  }
+  while (kFirstChunk * ((size_t{1} << size_chunk_count_) - 1) < n) {
+    const size_t k = size_chunk_count_++;
+    auto chunk = std::make_unique<SizeSlot[]>(kFirstChunk << k);
+    for (size_t i = 0; i < kFirstChunk << k; ++i) {
+      chunk[i].store(kUnknownSize, std::memory_order_relaxed);
+    }
+    size_chunks_[k].store(chunk.get(), std::memory_order_release);
+    size_chunk_owners_[k] = std::move(chunk);
+  }
+  size_synced_.store(n, std::memory_order_release);
 }
 
 GroupStats MergeContext::Stats(const QueryGroup& group) const {

@@ -4,6 +4,8 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
@@ -67,7 +69,12 @@ enum class GroupMemo {
 /// mutex, and statistics are computed outside the lock — two threads
 /// racing on the same uncached group both compute the (deterministic)
 /// value and the first insert wins. Stats() returns a copy, so no caller
-/// holds a reference into the memo. The underlying estimator and
+/// holds a reference into the memo. Size() reads a known size without
+/// any lock: one atomic slot per query id holds the size's bits or
+/// "unknown", in chunks of doubling length that never move once
+/// published. Only a miss, or a query set that changed size, takes
+/// `size_mu_`; the miss's estimate is computed outside it and stored
+/// under it, the first store winning. The underlying estimator and
 /// procedure must be safe for concurrent const calls; all estimators in
 /// src/stats are (read-only after construction).
 ///
@@ -180,6 +187,27 @@ class MergeContext {
   void AddMergedQuery(std::span<const Rect> region, double merged_size,
                       const QueryGroup& members, GroupStats* stats) const;
 
+  /// One slot per query id: the bits of its known size, or kUnknownSize.
+  using SizeSlot = std::atomic<uint64_t>;
+  /// A NaN bit pattern no estimator returns: "size not known yet".
+  static constexpr uint64_t kUnknownSize = ~uint64_t{0};
+  /// The slots sit in chunks that never move once published: chunk k
+  /// holds the kFirstChunk << k ids from kFirstChunk * (2^k - 1) on, so
+  /// kSizeChunks chunks cover every QueryId.
+  static constexpr size_t kFirstChunk = 64;
+  static constexpr size_t kSizeChunks = 27;
+  static_assert(kFirstChunk * ((size_t{1} << kSizeChunks) - 1) >
+                std::numeric_limits<QueryId>::max());
+
+  /// The slot of `id`, whose chunk must be published.
+  SizeSlot& SizeSlotOf(QueryId id) const;
+  /// The locked part of Size(): reconciles the slots with the query set
+  /// and computes a size that is not known yet.
+  double SizeMiss(QueryId id) const;
+  /// Brings the slots in line with queries_->size(): growth publishes
+  /// chunks until they cover it, a shrink forgets every size and group.
+  void SyncSizeSlots() const QSP_REQUIRES(size_mu_);
+
   const QuerySet* queries_;
   const SizeEstimator* estimator_;
   const MergeProcedure* procedure_;
@@ -187,8 +215,16 @@ class MergeContext {
   /// procedure_->traits().region_is_bounding_box, read once.
   bool bounding_box_region_ = false;
   mutable std::mutex size_mu_;
-  mutable std::vector<double> size_cache_ QSP_GUARDED_BY(size_mu_);
-  mutable std::vector<bool> size_known_ QSP_GUARDED_BY(size_mu_);
+  /// Owners of the published chunks, the first size_chunk_count_ of them.
+  mutable std::array<std::unique_ptr<SizeSlot[]>, kSizeChunks>
+      size_chunk_owners_ QSP_GUARDED_BY(size_mu_);
+  mutable size_t size_chunk_count_ QSP_GUARDED_BY(size_mu_) = 0;
+  /// The published chunks, read without the lock.
+  mutable std::array<std::atomic<SizeSlot*>, kSizeChunks> size_chunks_{};
+  /// The query-set size the slots were last brought in line with, stored
+  /// after the chunks that cover it are published; a Size() call that
+  /// sees another size takes the lock.
+  mutable std::atomic<size_t> size_synced_{0};
   mutable std::array<GroupShard, kGroupShards> group_shards_;
   /// Entries erased by EvictGroupsContaining, folded back into
   /// groups_evaluated() so the effort metric stays monotone.

@@ -1,6 +1,7 @@
 #include "relation/grid_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "util/status.h"
@@ -91,22 +92,58 @@ void GridIndex::VisitCells(const Rect& rect, const Visit& visit) const {
 
 std::vector<RowId> GridIndex::Query(const Rect& rect) const {
   std::vector<RowId> out;
+  // Each cell's run is ascending, so its first and last ids bound it.
+  RowId min_id = std::numeric_limits<RowId>::max();
+  RowId max_id = 0;
+  auto note_run = [&](size_t first) {
+    if (first == out.size()) return;
+    min_id = std::min(min_id, out[first]);
+    max_id = std::max(max_id, out.back());
+  };
   VisitCells(rect, [&](size_t begin, size_t end, bool whole) {
+    const size_t first = out.size();
     if (whole) {
       out.insert(out.end(), ids_.begin() + static_cast<ptrdiff_t>(begin),
                  ids_.begin() + static_cast<ptrdiff_t>(end));
+      note_run(first);
       return;
     }
     // Write every candidate and advance past the ones inside.
-    size_t k = out.size();
+    size_t k = first;
     out.resize(k + (end - begin));
     for (size_t i = begin; i < end; ++i) {
       out[k] = ids_[i];
       k += rect.Contains(positions_[i]);
     }
     out.resize(k);
+    note_run(first);
   });
-  std::sort(out.begin(), out.end());
+  if (out.empty()) return out;
+  if (!OrdersByBitmap(min_id, max_id, out.size())) {
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+  // Every id occurs once (each row sits in one cell), so the set bits
+  // read back in order are the answer. Reading a word clears it, which
+  // leaves the buffer all zero for the thread's next query.
+  thread_local std::vector<uint64_t> bits;
+  const size_t words = BitmapWords(min_id, max_id);
+  if (bits.size() < words) bits.resize(words, 0);
+  for (const RowId id : out) {
+    const RowId offset = id - min_id;
+    bits[offset >> 6] |= uint64_t{1} << (offset & 63);
+  }
+  size_t k = 0;
+  for (size_t w = 0; w < words; ++w) {
+    uint64_t word = bits[w];
+    if (word == 0) continue;
+    bits[w] = 0;
+    const RowId base = min_id + static_cast<RowId>(w << 6);
+    do {
+      out[k++] = base + static_cast<RowId>(std::countr_zero(word));
+      word &= word - 1;
+    } while (word != 0);
+  }
   return out;
 }
 

@@ -1,6 +1,7 @@
 #ifndef QSP_RELATION_GRID_INDEX_H_
 #define QSP_RELATION_GRID_INDEX_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -22,8 +23,24 @@ namespace qsp {
 /// box lies inside the query rectangle is taken whole, without a per-row
 /// test, and a cell whose box misses it is skipped. The index is a snapshot
 /// of the rows the table held at construction.
+///
+/// Query gathers the cells' runs one after another and then orders them
+/// (OrdersByBitmap): a dense answer sets one bit per id over its id span
+/// and reads the bits back in order, a sparse one is sorted. The bitmap
+/// is a thread-local buffer, so concurrent queries share nothing.
 class GridIndex : public SpatialIndex {
  public:
+  /// An answer whose id span needs at most this many 64-bit bitmap words
+  /// per gathered id is ordered through the bitmap; a sparser one by
+  /// std::sort.
+  static constexpr size_t kBitmapWordsPerId = 8;
+
+  /// The ordering rule: true when `count` distinct ids spanning
+  /// [min_id, max_id] are ordered through the bitmap.
+  static bool OrdersByBitmap(RowId min_id, RowId max_id, size_t count) {
+    return BitmapWords(min_id, max_id) <= kBitmapWordsPerId * count;
+  }
+
   /// Builds an index over `table` with `cells_x` x `cells_y` buckets
   /// covering `domain`. Rows outside the domain are clamped into the
   /// boundary cells so no row is lost.
@@ -39,6 +56,11 @@ class GridIndex : public SpatialIndex {
   const Rect& domain() const { return domain_; }
 
  private:
+  /// 64-bit words of a bitmap over the ids [min_id, max_id].
+  static size_t BitmapWords(RowId min_id, RowId max_id) {
+    return (static_cast<size_t>(max_id - min_id) >> 6) + 1;
+  }
+
   size_t CellIndex(int cx, int cy) const {
     return static_cast<size_t>(cy) * static_cast<size_t>(cells_x_) +
            static_cast<size_t>(cx);

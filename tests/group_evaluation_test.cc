@@ -10,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cost/cost_model.h"
+#include "exec/thread_pool.h"
 #include "merge/pair_merger.h"
 #include "obs/metrics.h"
 #include "query/merge_context.h"
@@ -318,8 +320,10 @@ TEST(GroupEvaluationTest, EvaluateOnlyContextCountsEveryComputation) {
 
 TEST(GroupEvaluationTest, MergerGroupEvalsCountEvaluateOnlyWork) {
   // merge.<name>.group_evals reads groups_evaluated(), so on an
-  // evaluate-only context it counts every computation of the run — more
-  // than the distinct groups a storing context memoizes, same plan.
+  // evaluate-only context it counts every computation of the run. Pair
+  // merging computes each group once (a merge reuses its refinement's
+  // statistics, the outcome's cost sums cached costs), so that equals
+  // the distinct groups a storing context memoizes, same plan.
   const QuerySet queries(RandomRects(23, 60));
   const UniformDensityEstimator estimator(0.004);
   const BoundingRectProcedure procedure;
@@ -349,7 +353,104 @@ TEST(GroupEvaluationTest, MergerGroupEvalsCountEvaluateOnlyWork) {
   EXPECT_EQ(a->cost, b->cost);
   EXPECT_EQ(computed_evals, computed.groups_evaluated());
   EXPECT_EQ(stored_evals, stored.groups_evaluated());
-  EXPECT_GT(computed_evals, stored_evals);
+  EXPECT_EQ(computed_evals, stored_evals);
+}
+
+// ------------------------------------------------------------ size memo
+
+/// Sets the default pool's size for one test and restores the serial
+/// pool when it ends.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(int n) { exec::SetDefaultThreads(n); }
+  ~ScopedThreads() { exec::SetDefaultThreads(1); }
+};
+
+TEST(SizeMemoTest, ConcurrentLookupsAgreeWhileTheQuerySetGrows) {
+  // Size() reads a known size without a lock. Pool workers look up sizes
+  // and group statistics on one storing context while the query set
+  // grows between parallel regions, across four chunks of size slots
+  // (ids 0–63, 64–191, 192–447, 448–959), and then shrinks; every value
+  // must equal the estimator's own and a fresh serial context's, bit for
+  // bit.
+  const std::vector<Rect> rects = RandomRects(31, 600);
+  QuerySet queries(std::vector<Rect>(rects.begin(), rects.begin() + 5));
+  const UniformDensityEstimator estimator(0.004);
+  const BoundingRectProcedure procedure;
+  const MergeContext ctx(&queries, &estimator, &procedure);
+  const ScopedThreads threads(4);
+  auto check_region = [&](size_t salt) {
+    const size_t n = queries.size();
+    std::vector<double> sizes(4 * n);
+    std::vector<GroupStats> stats(n);
+    // Four lookups of every id, in an order that differs per region, and
+    // one pair group per id.
+    auto id_of = [&](size_t k) {
+      return static_cast<QueryId>((k * 7 + salt) % n);
+    };
+    auto pair_of = [n](size_t k) {
+      return QueryGroup{static_cast<QueryId>(std::min(k, (k + 1) % n)),
+                        static_cast<QueryId>(std::max(k, (k + 1) % n))};
+    };
+    exec::ParallelFor(4 * n, [&](size_t k) {
+      sizes[k] = ctx.Size(id_of(k));
+      if (k < n) stats[k] = ctx.Stats(pair_of(k));
+    });
+    const MergeContext serial(&queries, &estimator, &procedure);
+    for (size_t k = 0; k < 4 * n; ++k) {
+      ASSERT_EQ(sizes[k], estimator.EstimateSize(queries.rect(id_of(k))))
+          << "n " << n << " id " << id_of(k);
+    }
+    for (size_t k = 0; k < n; ++k) {
+      const GroupStats expected = serial.Stats(pair_of(k));
+      ASSERT_EQ(stats[k].messages, expected.messages) << "n " << n;
+      ASSERT_EQ(stats[k].size, expected.size) << "n " << n;
+      ASSERT_EQ(stats[k].irrelevant, expected.irrelevant) << "n " << n;
+    }
+  };
+  size_t added = 5;
+  for (const size_t target : {9, 40, 41, 170, 600}) {
+    while (added < target) queries.Add(rects[added++]);
+    check_region(target);
+  }
+  // A shrink reassigns ids: the context must forget every size.
+  queries = QuerySet(std::vector<Rect>(rects.rbegin(), rects.rbegin() + 7));
+  check_region(1);
+  queries.Add(rects[0]);
+  check_region(2);
+}
+
+TEST(SizeMemoTest, HitsPlusMissesCountEveryCall) {
+  // ctx.size_cache.hits + misses equals the number of Size() calls, and
+  // each id misses once however many workers race on it, through the
+  // lock-free hits, the locked misses and the growths between regions.
+  const std::vector<Rect> rects = RandomRects(37, 300);
+  QuerySet queries(std::vector<Rect>(rects.begin(), rects.begin() + 3));
+  const UniformDensityEstimator estimator(0.004);
+  const BoundingRectProcedure procedure;
+  obs::SetEnabled(true);
+  auto& registry = obs::MetricRegistry::Default();
+  registry.Reset();
+  const MergeContext ctx(&queries, &estimator, &procedure);
+  uint64_t calls = 0;
+  {
+    const ScopedThreads threads(4);
+    size_t added = 3;
+    for (const size_t target : {3, 4, 50, 51, 300}) {
+      while (added < target) queries.Add(rects[added++]);
+      const size_t n = queries.size();
+      exec::ParallelFor(3 * n, [&](size_t k) {
+        ctx.Size(static_cast<QueryId>(k % n));
+      });
+      calls += 3 * n;
+    }
+  }
+  const uint64_t hits = registry.CounterValue("ctx.size_cache.hits");
+  const uint64_t misses = registry.CounterValue("ctx.size_cache.misses");
+  registry.Reset();
+  obs::SetEnabled(false);
+  EXPECT_EQ(hits + misses, calls);
+  EXPECT_EQ(misses, queries.size());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -401,6 +402,200 @@ TEST(GridIndexTest, DuplicatePositionsAllFound) {
   GridIndex index(table, Rect(0, 0, 10, 10), 4, 4);
   EXPECT_EQ(index.Query(Rect(5, 5, 5, 5)).size(), 20u);
   EXPECT_EQ(index.Count(Rect(5, 5, 5, 5)), 20u);
+}
+
+// Query orders what it gathers from the cells either through a bitmap
+// over the answer's id span or by sorting (GridIndex::OrdersByBitmap).
+// The cases below force each path and compare with Table::ScanRange.
+
+/// Which ordering path Query takes for `answer` (ascending, non-empty).
+bool TakesBitmap(const std::vector<RowId>& answer) {
+  return GridIndex::OrdersByBitmap(answer.front(), answer.back(),
+                                   answer.size());
+}
+
+TEST(GridIndexTest, LargeTableTakesBothOrderingPaths) {
+  // 10^5 uniform rows: a tiny rectangle holds a few ids spread over the
+  // whole id range (sorted), a large one thousands (bitmap).
+  Rng rng(41);
+  TableGeneratorConfig config;
+  config.domain = Rect(0, 0, 1000, 1000);
+  config.num_objects = 100000;
+  config.payload_fields = 0;
+  Table table = GenerateTable(config, &rng);
+  GridIndex index(table, config.domain);
+  int sorted = 0;
+  int bitmap = 0;
+  for (int i = 0; i < 40; ++i) {
+    const double side = i % 2 == 0 ? rng.UniformDouble(1, 8)
+                                   : rng.UniformDouble(100, 600);
+    const double x = rng.UniformDouble(-20, 1000 - side / 2);
+    const double y = rng.UniformDouble(-20, 1000 - side / 2);
+    const Rect q(x, y, x + side, y + side);
+    const std::vector<RowId> expected = table.ScanRange(q);
+    ASSERT_EQ(index.Query(q), expected) << q.ToString();
+    ASSERT_EQ(index.Count(q), expected.size()) << q.ToString();
+    if (expected.empty()) continue;
+    ++(TakesBitmap(expected) ? bitmap : sorted);
+  }
+  EXPECT_GE(sorted, 5);
+  EXPECT_GE(bitmap, 5);
+}
+
+/// A 4 x 4 grid over [0, 100]^2 (cell edge 25) holding `n` rows dealt
+/// round-robin over its 16 cells, so consecutive ids sit in different
+/// cells and every multi-cell answer arrives as interleaved runs. The
+/// m-th row of a cell lies at a distinct point of [1, 23]^2 inside it
+/// (an irrational rotation per axis), so the cells' boxes span most of
+/// each cell and no two rows share a position.
+Table DealtTable(size_t n) {
+  Table table(Schema::Geographic(0));
+  for (size_t k = 0; k < n; ++k) {
+    const size_t cell = k % 16;
+    const auto m = static_cast<double>(k / 16);
+    EXPECT_TRUE(
+        table
+            .Insert({25.0 * static_cast<double>(cell % 4) + 1 +
+                         22 * std::fmod(m * 0.6180339887, 1.0),
+                     25.0 * static_cast<double>(cell / 4) + 1 +
+                         22 * std::fmod(m * 0.7548776662, 1.0)})
+            .ok());
+  }
+  return table;
+}
+
+TEST(GridIndexTest, WholeCellPartialCellSingleRowAndEmptyAnswersMatchScan) {
+  Table table = DealtTable(4000);
+  GridIndex index(table, Rect(0, 0, 100, 100), 4, 4);
+  const Point one = table.PositionOf(1234);
+  const Rect whole(25, 25, 75, 75);  // holds the boxes of 4 cells
+  const Rect partial(10, 10, 37, 37);  // cuts the boxes of the 4 it meets
+  const Rect single(one.x, one.y, one.x, one.y);
+  const Rect none(5.123456, 0, 5.123456, 80);  // meets 4 boxes, no row
+  const std::pair<const char*, Rect> cases[] = {
+      {"whole cells", whole},
+      {"one whole cell", Rect(0, 0, 25, 25)},
+      {"partial cells", partial},
+      {"one partial cell", Rect(3, 3, 12, 12)},
+      {"single row", single},
+      {"no rows, cells met", none},
+      {"no rows, empty rect", Rect::Empty()},
+  };
+  for (const auto& [name, rect] : cases) {
+    const std::vector<RowId> expected = table.ScanRange(rect);
+    EXPECT_EQ(index.Query(rect), expected) << name;
+    EXPECT_EQ(index.Count(rect), expected.size()) << name;
+  }
+  EXPECT_EQ(table.CountRange(whole), 1000u);
+  EXPECT_TRUE(TakesBitmap(table.ScanRange(whole)));
+  EXPECT_TRUE(TakesBitmap(table.ScanRange(partial)));
+  EXPECT_EQ(table.ScanRange(single), (std::vector<RowId>{1234}));
+  EXPECT_TRUE(table.ScanRange(none).empty());
+}
+
+/// A table of `n` rows where exactly the rows in `inside` (ascending)
+/// lie in [0, 50]^2, dealt over its four cells of a 4 x 4 grid on
+/// [0, 100]^2; every other row lies in [60, 100]^2.
+Table TableWithAnswer(size_t n, const std::vector<RowId>& inside) {
+  Table table(Schema::Geographic(0));
+  size_t next = 0;
+  for (size_t k = 0; k < n; ++k) {
+    const auto v = static_cast<double>(k % 37);
+    if (next < inside.size() && inside[next] == k) {
+      const size_t cell = next++ % 4;
+      EXPECT_TRUE(table
+                      .Insert({25.0 * static_cast<double>(cell % 2) + 1 + v / 2,
+                               25.0 * static_cast<double>(cell / 2) + 1 + v / 2})
+                      .ok());
+    } else {
+      EXPECT_TRUE(table.Insert({60 + v, 60 + v}).ok());
+    }
+  }
+  return table;
+}
+
+TEST(GridIndexTest, AnswersAtTheIdExtremesMatchScan) {
+  // Answers holding the table's first and last ids, spans of exactly one
+  // and two bitmap words, and two ids either side of the bitmap's limit
+  // (16 words for two ids: a span of 1,023 takes it, 1,024 does not).
+  constexpr size_t kRows = 2000;
+  const Rect area(0, 0, 50, 50);
+  std::vector<std::vector<RowId>> answers = {
+      {0},        {1999},         {0, 63},       {0, 64},
+      {63, 64},   {0, 1023},      {0, 1024},     {0, 1999},
+      {1, 1998},  {0, 1000, 1999}, {0, 1, 2, 3}, {1995, 1996, 1997, 1998, 1999},
+      {127, 128, 191, 192}};
+  std::vector<RowId> all;
+  std::vector<RowId> odd;
+  for (RowId id = 0; id < kRows; ++id) {
+    all.push_back(id);
+    if (id % 2 == 1) odd.push_back(id);
+  }
+  answers.push_back(all);
+  answers.push_back(odd);
+  for (const std::vector<RowId>& answer : answers) {
+    Table table = TableWithAnswer(kRows, answer);
+    GridIndex index(table, Rect(0, 0, 100, 100), 4, 4);
+    ASSERT_EQ(table.ScanRange(area), answer);
+    EXPECT_EQ(index.Query(area), answer)
+        << answer.size() << " ids from " << answer.front();
+    EXPECT_EQ(index.Count(area), answer.size());
+  }
+  EXPECT_TRUE(TakesBitmap({0, 1023}));
+  EXPECT_FALSE(TakesBitmap({0, 1024}));
+  EXPECT_FALSE(TakesBitmap({0, 1999}));
+  EXPECT_FALSE(TakesBitmap({0, 1000, 1999}));
+  EXPECT_TRUE(TakesBitmap({1999}));
+  EXPECT_TRUE(TakesBitmap(all));
+  EXPECT_TRUE(TakesBitmap(odd));
+}
+
+TEST(GridIndexTest, ConcurrentQueriesOnOneIndexMatchScan) {
+  // Channels evaluate their messages on one index at once; each thread's
+  // bitmap buffer is its own.
+  Rng rng(43);
+  TableGeneratorConfig config;
+  config.domain = Rect(0, 0, 1000, 1000);
+  config.num_objects = 20000;
+  config.clustered_fraction = 0.5;
+  config.payload_fields = 0;
+  Table table = GenerateTable(config, &rng);
+  GridIndex index(table, config.domain);
+  std::vector<Rect> queries;
+  for (int i = 0; i < 24; ++i) {
+    const double side = i % 3 == 0 ? rng.UniformDouble(1, 10)
+                                   : rng.UniformDouble(50, 400);
+    const double x = rng.UniformDouble(0, 1000 - side);
+    const double y = rng.UniformDouble(0, 1000 - side);
+    queries.emplace_back(x, y, x + side, y + side);
+  }
+  std::vector<std::vector<RowId>> expected;
+  for (const Rect& q : queries) expected.push_back(table.ScanRange(q));
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::vector<RowId>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the queries from its own offset, several times.
+      for (size_t pass = 0; pass < 3 * queries.size(); ++pass) {
+        const size_t i = (pass + static_cast<size_t>(t) * 5) % queries.size();
+        std::vector<RowId> answer = index.Query(queries[i]);
+        if (pass < queries.size()) {
+          got[t].push_back(std::move(answer));
+        } else if (answer != expected[i]) {
+          got[t].push_back({});  // a later pass disagreed: fail below
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), queries.size()) << "thread " << t;
+    for (size_t pass = 0; pass < queries.size(); ++pass) {
+      const size_t i = (pass + static_cast<size_t>(t) * 5) % queries.size();
+      EXPECT_EQ(got[t][pass], expected[i]) << "thread " << t << " query " << i;
+    }
+  }
 }
 
 /// Property: Query and Count agree with the full scan on clustered data
