@@ -20,11 +20,12 @@ namespace qsp {
 /// cell overlap — a superset of the true rectangle overlaps — which is
 /// exactly what a conservative pruning layer needs.
 ///
-/// Every entry carries a weight (the planners store the group's exact
-/// cost), and the grid keeps the exact maximum weight of each cell and
-/// of each kBlock x kBlock block of cells, so a query can dismiss whole
-/// blocks and cells by a test on their extent and heaviest entry
-/// (QueryPassing).
+/// Every entry carries a weight (the planners store
+/// plan::BenefitBounder::PartnerWeight: the group's exact cost, plus its
+/// share of the irrelevant-data term when the bounds charge it), and the
+/// grid keeps the exact maximum weight of each cell and of each kBlock x
+/// kBlock block of cells, so a query can dismiss whole blocks and cells
+/// by a test on their extent and heaviest entry (QueryPassing).
 ///
 /// Empty rectangles have no position, so they are kept in a dedicated
 /// "boundless" bucket that every query returns: an id the index cannot

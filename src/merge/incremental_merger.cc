@@ -58,7 +58,8 @@ void IncrementalMerger::ExtendUniverse(QueryId id) {
   bounder_ = plan::BenefitBounder(*ctx_, model_, universe_);
   // Distance-awareness is monotone non-increasing as the universe grows;
   // once a query escapes the density-floor support the grid is dead
-  // weight (candidates fall back to the full scan order).
+  // weight (candidates fall back to the full scan order). PartnerWeight
+  // does not depend on the universe, so the grid's weights stay valid.
   if (!bounder_.distance_aware()) grid_.reset();
 }
 
@@ -92,7 +93,7 @@ void IncrementalMerger::AppendGroup(QueryGroup group,
   key_of_slot_.push_back(key);
   for (QueryId q : group) key_of_query_[q] = key;
   partition_.push_back(std::move(group));
-  if (grid_) grid_->Insert(key, summary.bbox, summary.cost);
+  if (grid_) grid_->Insert(key, summary.bbox, bounder_.PartnerWeight(summary));
   summaries_.push_back(std::move(summary));
 }
 
@@ -100,7 +101,7 @@ void IncrementalMerger::UpdateGroup(size_t slot, plan::GroupSummary summary) {
   if (grid_) {
     const uint32_t key = key_of_slot_[slot];
     grid_->Remove(key, summaries_[slot].bbox);
-    grid_->Insert(key, summary.bbox, summary.cost);
+    grid_->Insert(key, summary.bbox, bounder_.PartnerWeight(summary));
   }
   summaries_[slot] = std::move(summary);
 }

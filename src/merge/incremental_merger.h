@@ -32,12 +32,13 @@ namespace qsp {
 /// (DESIGN.md §8): cached GroupSummary per live group, admissible
 /// plan::BenefitBounder bounds skip candidates that provably cannot beat
 /// the current best, and — when the bounder is distance-aware — a
-/// SpatialGrid over group bounding boxes, weighted by group cost,
-/// restricts candidates to the cells BenefitBounder::PartnerTest lets
-/// through. Candidates are visited in ascending slot order and skipped
-/// only when the bound proves they cannot *strictly* improve, so every
-/// decision (and tie-break) is the one a scan evaluating every candidate
-/// would make; only evaluations() depends on the bounds. Under a cost
+/// SpatialGrid over group bounding boxes, weighted by
+/// BenefitBounder::PartnerWeight, restricts candidates to the cells
+/// BenefitBounder::PartnerTest lets through. Candidates are visited in
+/// ascending slot order and skipped only when the bound proves they
+/// cannot *strictly* improve, so every decision (and tie-break) is the
+/// one a scan evaluating every candidate would make; only evaluations()
+/// depends on the bounds. Under a cost
 /// model the bounder cannot bound, nothing is skipped. Because the query
 /// population grows after construction, the merger maintains the
 /// bounding union of every id it has seen and re-derives its bounder as

@@ -162,9 +162,9 @@ MergeOutcome PairMerger::MergeFromHeap(const MergeContext& ctx,
   // The bounded greedy loop (DESIGN.md §8). It applies the merges the
   // Profit Table would, in the same order:
   //  * candidate pairs come from a SpatialGrid over group bounding boxes
-  //    weighted by group cost — partners in cells the bounder's partner
-  //    test rejects provably have a non-positive benefit bound, and the
-  //    table never applies non-positive merges;
+  //    weighted by the bounder's PartnerWeight — partners in cells the
+  //    bounder's partner test rejects provably have a non-positive
+  //    benefit bound, and the table never applies non-positive merges;
   //  * each live group owns a partner row, a small max-heap of its pairs'
   //    admissible upper bounds, and a global heap holds each row's head.
   //    Popping a bound refines it to the exact benefit (the identical
@@ -187,6 +187,7 @@ MergeOutcome PairMerger::MergeFromHeap(const MergeContext& ctx,
   uint64_t stale_heap_pops = 0;
   uint64_t& bounds_pruned = outcome.bounds_pruned;
   uint64_t& bounds_refined = outcome.bounds_refined;
+  uint64_t partner_returned = 0;
   const plan::BenefitBounder bounder(ctx, model, pruning_);
   std::vector<QueryGroup> groups = std::move(start);
   std::vector<bool> alive(groups.size(), true);
@@ -197,7 +198,9 @@ MergeOutcome PairMerger::MergeFromHeap(const MergeContext& ctx,
     group_cost[i] = summaries[i].cost;
   }
 
-  SpatialGrid grid = bounder.PartnerGrid(summaries);
+  // Sized for every start group but filled as the rows are seeded: a
+  // group enters the grid after its own walk.
+  SpatialGrid grid = bounder.EmptyPartnerGrid(summaries);
 
   std::vector<std::vector<RowEntry>> rows(groups.size());
   // Merged statistics of the exact row entries, by RowEntry::exact. A
@@ -221,25 +224,23 @@ MergeOutcome PairMerger::MergeFromHeap(const MergeContext& ctx,
                 std::max(owner, partner), owner});
   };
 
-  // Fills row i with the bounds of the pairs (i, j) for every live
-  // candidate partner j != i of i, keeping only j `above` (j > i at
-  // seeding, where the rows cover each unordered pair once from its
-  // smaller side; the fresh group is the largest index, so incremental
-  // re-pairing passes above = false and its row owns every pair (j, i)
-  // it forms). Pairs skipped by the partner query or by a non-positive
-  // bound are counted against `possible`, the number of live partners
-  // the Profit Table would have evaluated.
+  // Fills row i with the bounds of the pairs (i, j) for every candidate
+  // partner j the walk returns, then enters i into the grid. The grid
+  // holds exactly the live groups row i must pair with: at seeding, the
+  // groups above i (rows cover each unordered pair once, from its
+  // smaller side, and are seeded from the largest index down), and at a
+  // merge every other live group (the fresh group is the largest index,
+  // so its row owns every pair (j, i) it forms). Pairs skipped by the
+  // walk or by a non-positive bound are counted against `possible`, the
+  // number of live partners the Profit Table would have evaluated.
   std::vector<uint32_t> cands;
   SpatialGrid::Seen seen;
-  auto fill_row = [&](size_t i, bool above, size_t possible) {
+  auto fill_row = [&](size_t i, size_t possible) {
     cands.clear();
     grid.QueryPassing(bounder.PartnerTestFor(summaries[i]), &seen, &cands);
+    partner_returned += cands.size();
     std::vector<RowEntry>& row = rows[i];
-    size_t considered = 0;
     for (uint32_t j : cands) {
-      if (j == i || !alive[j]) continue;
-      if (above && j < i) continue;
-      ++considered;
       const size_t lo = std::min<size_t>(i, j);
       const size_t hi = std::max<size_t>(i, j);
       const double ub = bounder.UpperBound(summaries[lo], summaries[hi]);
@@ -249,19 +250,15 @@ MergeOutcome PairMerger::MergeFromHeap(const MergeContext& ctx,
         ++bounds_pruned;
       }
     }
-    bounds_pruned += possible - considered;
+    bounds_pruned += possible - cands.size();
     std::make_heap(row.begin(), row.end(), RowBelow);
     push_head(i);
+    grid.Insert(static_cast<uint32_t>(i), summaries[i].bbox,
+                bounder.PartnerWeight(summaries[i]));
   };
 
-  {
-    // Seed every unordered live pair from its smaller index's window.
-    size_t live_above = live_count;
-    for (size_t i = 0; i < groups.size(); ++i) {
-      if (!alive[i]) continue;
-      --live_above;
-      fill_row(i, /*above=*/true, /*possible=*/live_above);
-    }
+  for (size_t i = groups.size(); i-- > 0;) {
+    fill_row(i, /*possible=*/groups.size() - 1 - i);
   }
 
   while (!heads.empty()) {
@@ -329,10 +326,8 @@ MergeOutcome PairMerger::MergeFromHeap(const MergeContext& ctx,
     alive.push_back(true);
     summaries.push_back(bounder.Summarize(groups[new_index], merged_stats));
     group_cost.push_back(summaries[new_index].cost);
-    grid.Insert(static_cast<uint32_t>(new_index), summaries[new_index].bbox,
-                group_cost[new_index]);
     rows.emplace_back();
-    fill_row(new_index, /*above=*/false, /*possible=*/live_count - 1);
+    fill_row(new_index, /*possible=*/live_count - 1);
   }
 
   // The survivors in canonical order, costed from group_cost: the
@@ -357,6 +352,7 @@ MergeOutcome PairMerger::MergeFromHeap(const MergeContext& ctx,
   obs::Count("merge.pair-merging.stale_heap_pops", stale_heap_pops);
   obs::Count("plan.bounds.pruned", bounds_pruned);
   obs::Count("plan.bounds.refined", bounds_refined);
+  obs::Count("plan.partner.returned", partner_returned);
   return outcome;
 }
 

@@ -27,6 +27,7 @@ BenefitBounder::BenefitBounder(const MergeContext& ctx, const CostModel& model,
   // coefficient is non-negative.
   enabled_ = pruning && model.SupportsBenefitBounds();
   if (!enabled_) return;
+  charges_irrelevant_ = traits_.single_message && model.k_u > 0.0;
   if (!traits_.covers_bounding_union || model.k_t <= 0.0) return;
   const SizeEstimator::DensityFloor floor = ctx.estimator().Floor();
   if (floor.density <= 0.0 || floor.support.IsEmpty()) return;
@@ -98,7 +99,7 @@ double BenefitBounder::UpperBound(const GroupSummary& a,
   // sum is inflated by the slack so floating-point summation-order
   // differences against the estimator's own accumulation stay on the
   // admissible side.
-  if (traits_.single_message && model_->k_u > 0.0) {
+  if (charges_irrelevant_) {
     const double irrelevant_lb = (a.members + b.members) * slacked_lb -
                                  (a.member_size_sum + b.member_size_sum) /
                                      kSlack;
@@ -115,34 +116,51 @@ BenefitBounder::PartnerTest BenefitBounder::PartnerTestFor(
   test.box_ = g.bbox;
   test.width_ = g.bbox.Width();
   test.height_ = g.bbox.Height();
-  test.scale_ = model_->k_t * kSlack * density_;
+  // Under a single-message procedure UpperBound(g, p) also subtracts
+  //   K_U * ((m_g + m_p) * sl - (S_g + S_p) / kSlack)
+  // whenever that is positive, with sl its slacked merged-size lower
+  // bound, so it never exceeds the same expression taken linearly. The
+  // S terms join the weights; every partner in a cell has a box, hence
+  // m_p >= 1, and the rest joins the per-area scale.
+  double per_area = model_->k_t;
+  if (charges_irrelevant_) per_area += model_->k_u * (g.members + 1.0);
+  test.scale_ = per_area * kSlack * density_;
   test.k_m_ = model_->k_m;
-  test.cost_ = g.cost;
+  test.weight_ = PartnerWeight(g);
   return test;
+}
+
+SpatialGrid BenefitBounder::EmptyPartnerGrid(
+    const std::vector<GroupSummary>& groups) const {
+  std::vector<Rect> boxes(groups.size());
+  double weight_sum = 0.0;
+  for (size_t i = 0; i < groups.size(); ++i) {
+    boxes[i] = groups[i].bbox;
+    weight_sum += PartnerWeight(groups[i]);
+  }
+  // The reach: PartnerTest rejects a region once K_M + scale * (merged
+  // box area) reaches weight_g + max_weight, so two groups of the mean
+  // weight stop pairing once their merged box has area `reach_area`
+  // under a singleton probe's scale, the smallest any probe's test takes.
+  double reach = std::numeric_limits<double>::infinity();
+  if (distance_aware_) {
+    const double mean_weight =
+        groups.empty() ? 0.0 : weight_sum / static_cast<double>(groups.size());
+    double per_area = model_->k_t;
+    if (charges_irrelevant_) per_area += 2.0 * model_->k_u;
+    const double reach_area =
+        (2.0 * mean_weight - model_->k_m) / (per_area * kSlack * density_);
+    reach = reach_area > 0.0 ? std::sqrt(reach_area) : 0.0;
+  }
+  return SpatialGrid::ForRects(boxes, reach);
 }
 
 SpatialGrid BenefitBounder::PartnerGrid(
     const std::vector<GroupSummary>& groups) const {
-  std::vector<Rect> boxes(groups.size());
-  double cost_sum = 0.0;
+  SpatialGrid grid = EmptyPartnerGrid(groups);
   for (size_t i = 0; i < groups.size(); ++i) {
-    boxes[i] = groups[i].bbox;
-    cost_sum += groups[i].cost;
-  }
-  // The reach: PartnerTest rejects a region once K_M + scale * (merged
-  // box area) reaches cost_g + max_partner_cost, so two groups of the
-  // mean cost stop pairing once their merged box has area `reach_area`.
-  double reach = std::numeric_limits<double>::infinity();
-  if (distance_aware_) {
-    const double mean_cost =
-        groups.empty() ? 0.0 : cost_sum / static_cast<double>(groups.size());
-    const double reach_area = (2.0 * mean_cost - model_->k_m) /
-                              (model_->k_t * kSlack * density_);
-    reach = reach_area > 0.0 ? std::sqrt(reach_area) : 0.0;
-  }
-  SpatialGrid grid = SpatialGrid::ForRects(boxes, reach);
-  for (size_t i = 0; i < groups.size(); ++i) {
-    grid.Insert(static_cast<uint32_t>(i), boxes[i], groups[i].cost);
+    grid.Insert(static_cast<uint32_t>(i), groups[i].bbox,
+                PartnerWeight(groups[i]));
   }
   return grid;
 }

@@ -99,29 +99,49 @@ class BenefitBounder {
   /// +infinity when !enabled().
   [[nodiscard]] double UpperBound(const GroupSummary& a, const GroupSummary& b) const;
 
+  /// True when UpperBound charges the irrelevant-data term: enabled(),
+  /// a single-message procedure and K_U > 0. The partner test and the
+  /// partner weight then charge it too.
+  [[nodiscard]] bool charges_irrelevant() const { return charges_irrelevant_; }
+
+  /// The weight a partner grid stores for group p: its exact cost, plus
+  /// K_U * member_size_sum / kSlack when charges_irrelevant() (the part
+  /// of UpperBound that grows with p's members, DESIGN.md §8). Every
+  /// grid a PartnerTest walks must weigh its entries with this.
+  [[nodiscard]] double PartnerWeight(const GroupSummary& p) const {
+    return charges_irrelevant_
+               ? p.cost + model_->k_u * p.member_size_sum / kSlack
+               : p.cost;
+  }
+
   /// The admissible partner test for one group g (DESIGN.md §8), with
-  /// g's quantities folded in. test(region, max_partner_cost) is false
-  /// only when every partner p whose bounding box meets `region` and
-  /// whose cost is <= max_partner_cost has UpperBound(g, p) <= 0, so
+  /// g's quantities folded in. test(region, max_weight) is false only
+  /// when every partner p whose bounding box meets `region` and whose
+  /// PartnerWeight is <= max_weight has UpperBound(g, p) <= 0, so
   /// SpatialGrid::QueryPassing with this test, over a grid whose entries
-  /// are weighted with their group's exact cost, returns every partner
-  /// with a positive bound: the one candidate query of every pruned
-  /// planner. It rejects when
+  /// carry PartnerWeight, returns every partner with a positive bound:
+  /// the one candidate query of every pruned planner. With m_g g's
+  /// member count, S_g their size sum, w x h g's box and g_x, g_y the
+  /// gaps from g's box to `region`, it rejects when
+  ///   K_M + (K_T + K_U * (m_g + 1)) * kSlack * density * (w + g_x) * (h + g_y)
+  ///     >= cost_g + K_U * S_g / kSlack + max_weight
+  /// if charges_irrelevant(), and when
   ///   K_M + K_T * kSlack * density * (w + g_x) * (h + g_y)
-  ///     >= cost_g + max_partner_cost,
-  /// with w x h g's box and g_x, g_y the gaps from g's box to `region`;
-  /// the left side is scaled down by kMargin, so the test's own rounding
-  /// can never make it bolder than UpperBound. Accepts everything when
-  /// !distance_aware() or g has no box: no partner can then be dismissed
-  /// by distance. Monotone, as SpatialGrid::QueryPassing requires.
+  ///     >= cost_g + max_weight
+  /// otherwise. The left side is scaled down by kMargin, so the test's
+  /// own rounding can never make it bolder than UpperBound. Accepts
+  /// everything when !distance_aware() or g has no box: no partner can
+  /// then be dismissed by distance. Monotone, as
+  /// SpatialGrid::QueryPassing requires.
   class PartnerTest {
    public:
-    bool operator()(const Rect& region, double max_partner_cost) const {
+    bool operator()(const Rect& region, double max_weight) const {
       if (accept_all_) return true;
       // A partner p whose box meets `region` lies at least gap_x / gap_y
       // away from g's box, so Area(BoundingUnion(g, p)) >= (w + gap_x) *
-      // (h + gap_y), and UpperBound's density-floor term gives
-      //   UpperBound(g, p) <= cost_g + cost_p - K_M - scale * Area(BU).
+      // (h + gap_y), and UpperBound's density-floor term (with its K_U
+      // term, m_p >= 1) gives
+      //   UpperBound(g, p) <= weight_g + weight_p - K_M - scale * Area(BU).
       // Every quantity here is non-negative, so relative rounding errors
       // compose, and kMargin covers them many times over.
       const double gap_x = std::max(
@@ -130,7 +150,7 @@ class BenefitBounder {
           {0.0, region.y_lo() - box_.y_hi(), box_.y_lo() - region.y_hi()});
       const double merged_lb =
           k_m_ + scale_ * ((width_ + gap_x) * (height_ + gap_y));
-      return merged_lb * (1.0 - kMargin) < cost_ + max_partner_cost;
+      return merged_lb * (1.0 - kMargin) < weight_ + max_weight;
     }
 
    private:
@@ -139,26 +159,38 @@ class BenefitBounder {
     Rect box_;
     double width_ = 0.0;
     double height_ = 0.0;
-    /// K_T * kSlack * density.
+    /// (K_T + K_U * (m_g + 1)) * kSlack * density, the K_U part only
+    /// when charges_irrelevant().
     double scale_ = 0.0;
     double k_m_ = 0.0;
-    double cost_ = 0.0;
+    /// PartnerWeight(g).
+    double weight_ = 0.0;
   };
   [[nodiscard]] PartnerTest PartnerTestFor(const GroupSummary& g) const;
 
-  /// The grid every partner walk runs over: entry i is groups[i]'s box
-  /// under its exact cost, so QueryPassing(PartnerTestFor(g)) on it
-  /// returns every group with a positive bound against g. Its cells are
-  /// sized to the bounder's reach, not to the boxes (DESIGN.md §8): with
-  /// c the groups' mean cost, two groups of cost c whose merged box has
-  /// side R = sqrt((2c - K_M) / (K_T * kSlack * density)) have a
-  /// non-positive bound, so a walk accepts cells out to about R around
-  /// the probe. The cell edge is max(mean box extent, R) under
-  /// ForRects' cell cap; join sizing (edge ~ mean extent) would make
-  /// the walk test hundreds of blocks and thousands of cells to return
-  /// a few hundred ids. Without the distance term every cell passes,
-  /// and the grid is one cell. The cells only change how many ids the
-  /// walk returns, never which positive-bound partners are among them.
+  /// The grid every partner walk runs over, sized for `groups` but
+  /// empty: the caller inserts each group i as its id, under
+  /// PartnerWeight(groups[i]). Its cells are sized to the bounder's
+  /// reach, not to the boxes (DESIGN.md §8): with w the groups' mean
+  /// PartnerWeight, a singleton probe of weight w stops accepting
+  /// partners of weight w whose merged box with it has side
+  ///   R = sqrt((2w - K_M) / ((K_T + 2 * K_U) * kSlack * density))
+  /// (no K_U part unless charges_irrelevant()), so a walk accepts cells
+  /// out to about R around the probe; a probe with more members has a
+  /// larger per-area scale, and reaches less far for the same weight.
+  /// The cell edge is max(mean box extent, R) under ForRects' cell cap;
+  /// join sizing (edge ~ mean extent) would make the walk test hundreds
+  /// of blocks and thousands of cells to return a few hundred ids.
+  /// Without the distance term every cell passes, and the grid is one
+  /// cell. The cells only change how many ids the walk returns, never
+  /// which positive-bound partners are among them.
+  [[nodiscard]] SpatialGrid EmptyPartnerGrid(
+      const std::vector<GroupSummary>& groups) const;
+
+  /// EmptyPartnerGrid(groups) holding every group: entry i is
+  /// groups[i]'s box under PartnerWeight(groups[i]), so
+  /// QueryPassing(PartnerTestFor(g)) on it returns every group with a
+  /// positive bound against g.
   [[nodiscard]] SpatialGrid PartnerGrid(
       const std::vector<GroupSummary>& groups) const;
 
@@ -210,6 +242,7 @@ class BenefitBounder {
   const CostModel* model_;
   ProcedureTraits traits_;
   bool enabled_ = false;
+  bool charges_irrelevant_ = false;
   bool distance_aware_ = false;
   double density_ = 0.0;
 };

@@ -6,7 +6,7 @@
 // merging), for every merge procedure, estimator, and seed. The bounds
 // themselves are checked as properties: UpperBound never falls below the
 // exact MergeBenefit, and the partner query never drops a group that
-// carries a positive bound.
+// carries a positive bound, on hand-made and on random groups.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -21,6 +22,8 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "channel/channel_cost.h"
+#include "channel/client_set.h"
 #include "cost/cost_model.h"
 #include "geom/region.h"
 #include "geom/spatial_grid.h"
@@ -29,6 +32,7 @@
 #include "merge/incremental_merger.h"
 #include "merge/pair_merger.h"
 #include "merge/plan_bounds.h"
+#include "obs/metrics.h"
 #include "query/merge_context.h"
 #include "query/merge_procedure.h"
 #include "relation/generator.h"
@@ -368,9 +372,10 @@ std::vector<uint32_t> PartnersOf(const plan::BenefitBounder& bounder,
 // returns: the planners' reach-sized grid (BenefitBounder::PartnerGrid),
 // join sizing, one cell, a grid fixed to the domain (outside boxes clamp
 // into edge cells) and one far smaller than it (most boxes lie outside
-// the bounds). Both populations carry duplicate, hairline and empty
-// boxes. The multi-cell grids must actually reject cells, or the
-// property would hold vacuously.
+// the bounds), each entry weighted with BenefitBounder::PartnerWeight as
+// the planners weigh theirs. Both populations carry duplicate, hairline
+// and empty boxes. The multi-cell grids must actually reject cells, or
+// the property would hold vacuously.
 TEST(PlannerPruningTest, PartnerQueryReturnsEveryPositiveBound) {
   const CostModel model = bench::Fig16CostModel();
   for (const uint64_t seed : kSeeds) {
@@ -444,7 +449,8 @@ TEST(PlannerPruningTest, PartnerQueryReturnsEveryPositiveBound) {
           {"small", SpatialGrid(Rect(400, 400, 600, 600), 7, 5)}};
       for (Sized& s : sized) {
         for (size_t i = 0; i < groups.size(); ++i) {
-          s.grid.Insert(static_cast<uint32_t>(i), bboxes[i], sums[i].cost);
+          s.grid.Insert(static_cast<uint32_t>(i), bboxes[i],
+                        bounder.PartnerWeight(sums[i]));
         }
       }
       sized.push_back({"reach", reach});
@@ -474,6 +480,217 @@ TEST(PlannerPruningTest, PartnerQueryReturnsEveryPositiveBound) {
           EXPECT_GT(omitted, 0u) << label << " grid " << s.name;
         }
       }
+    }
+  }
+}
+
+// Bounding-rect merging that does not promise one message per group:
+// the bounds keep the distance term but cannot charge the K_U one.
+class SeveralMessageBoundingRect : public BoundingRectProcedure {
+ public:
+  ProcedureTraits traits() const override {
+    ProcedureTraits traits = BoundingRectProcedure::traits();
+    traits.single_message = false;
+    return traits;
+  }
+};
+
+// Disjoint, spatially compact groups covering every query: each group
+// starts from a random unassigned query and takes its nearest unassigned
+// neighbours, 1-20 members in all (about half the groups are
+// singletons). A query without a box stays a singleton.
+std::vector<QueryGroup> CompactGroups(const QuerySet& queries, Rng* rng) {
+  const QueryId n = static_cast<QueryId>(queries.size());
+  std::vector<QueryId> order(n);
+  for (QueryId q = 0; q < n; ++q) order[q] = q;
+  rng->Shuffle(&order);
+  std::vector<bool> taken(n, false);
+  std::vector<QueryGroup> groups;
+  for (const QueryId first : order) {
+    if (taken[first]) continue;
+    taken[first] = true;
+    QueryGroup group = {first};
+    const size_t members =
+        rng->Bernoulli(0.5) ? 1 : static_cast<size_t>(rng->UniformInt(2, 20));
+    const Rect& box = queries.rect(first);
+    if (members > 1 && !box.IsEmpty()) {
+      const Point c = box.Center();
+      std::vector<std::pair<double, QueryId>> nearest;
+      for (QueryId q = 0; q < n; ++q) {
+        if (taken[q] || queries.rect(q).IsEmpty()) continue;
+        const Point p = queries.rect(q).Center();
+        nearest.emplace_back(std::hypot(c.x - p.x, c.y - p.y), q);
+      }
+      std::sort(nearest.begin(), nearest.end());
+      nearest.resize(std::min(nearest.size(), members - 1));
+      for (const auto& [distance, q] : nearest) {
+        taken[q] = true;
+        group.push_back(q);
+      }
+    }
+    CanonicalizeGroup(&group);
+    groups.push_back(std::move(group));
+  }
+  return groups;
+}
+
+// Admissibility of the partner query on random groups: for seeded
+// random disjoint groups of 1-20 members, every group with a positive
+// UpperBound against the probe comes back from the walk. The models
+// cover the irrelevant-data term on (Fig 16's constants, live-churn's
+// K_T 1 / K_U 0.5, and a channel's K_M as ChannelCostEvaluator inflates
+// it by k_check) and off (K_U = 0, a bounding rect that may send several
+// messages, exact cover); the estimators are uniform and a histogram
+// with a positive density floor; the grids are reach-sized, join-sized,
+// one cell and two odd-sized fixed grids. The sharpest form is checked
+// first: the probe's test accepts every such partner's own box under
+// its own weight (every cell holding the partner contains that box, and
+// the test is monotone). Over all seeds, populations and estimators,
+// each configuration must find positive bounds, and each distance-aware
+// one must omit groups on its multi-cell grids, or the property would
+// hold vacuously. (A heavy multi-member group in a cell lets a walk
+// accept the cell from far away, so a single instance may omit
+// nothing.)
+TEST(PlannerPruningTest, PartnerQueryReturnsEveryPositiveBoundOnRandomGroups) {
+  const CostModel fig16 = bench::Fig16CostModel();
+  CostModel no_ku = fig16;
+  no_ku.k_u = 0.0;
+  const CostModel churn{10.0, 1.0, 0.5, 0.0};
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::map<std::string, size_t> positive, omitted;
+  for (const uint64_t seed : kSeeds) {
+    for (const bool dispersed : {false, true}) {
+      const QuerySet queries(dispersed ? DispersedRects(seed)
+                                       : DenseRects(seed));
+      const double density = dispersed ? bench::kFig16Density : 0.5;
+      Rect domain = Rect::Empty();
+      for (QueryId q = 0; q < queries.size(); ++q) {
+        domain = domain.BoundingUnion(queries.rect(q));
+      }
+      domain = Rect(domain.x_lo() - 1, domain.y_lo() - 1, domain.x_hi() + 1,
+                    domain.y_hi() + 1);
+      TableGeneratorConfig tconfig;
+      tconfig.domain = domain;
+      tconfig.num_objects = 20000;
+      tconfig.clustered_fraction = 0.5;
+      Rng trng(seed + 1);
+      const Table table = GenerateTable(tconfig, &trng);
+      // The record size puts the histogram's mean density at `density`;
+      // its floor, the sparsest bucket's, lies below.
+      const HistogramEstimator histogram(
+          table, domain, 8, 8,
+          density * domain.Area() / static_cast<double>(tconfig.num_objects));
+      ASSERT_GT(histogram.Floor().density, 0.0);
+      const UniformDensityEstimator uniform(density);
+      const BoundingRectProcedure rect;
+      const SeveralMessageBoundingRect several;
+      const ExactCoverProcedure cover;
+      Rng rng(seed * 5 + 3);
+      const std::vector<QueryGroup> groups = CompactGroups(queries, &rng);
+
+      const std::pair<std::string, const SizeEstimator*> estimators[] = {
+          {"uniform", &uniform}, {"histogram", &histogram}};
+      for (const auto& [estimator_name, estimator] : estimators) {
+        // A channel of four clients under rounds-3ch's k_check 3.
+        const MergeContext rect_ctx(&queries, estimator, &rect);
+        CostModel multi_channel = fig16;
+        multi_channel.k_check = 3.0;
+        ClientSet clients;
+        for (int c = 0; c < 4; ++c) clients.AddClient();
+        const CostModel channel =
+            ChannelCostEvaluator(&rect_ctx, multi_channel, &clients)
+                .ChannelModel({0, 1, 2, 3});
+        ASSERT_EQ(channel.k_m, fig16.k_m + 12.0);
+        struct Config {
+          std::string name;
+          const MergeProcedure* procedure;
+          CostModel model;
+          bool charges;
+          bool distance_aware;
+        };
+        const Config configs[] = {
+            {"fig16", &rect, fig16, true, true},
+            {"churn", &rect, churn, true, true},
+            {"channel", &rect, channel, true, true},
+            {"k_u=0", &rect, no_ku, false, true},
+            {"several-message", &several, fig16, false, true},
+            {"exact-cover", &cover, fig16, false, false}};
+        for (const Config& config : configs) {
+          const MergeContext ctx(&queries, estimator, config.procedure);
+          const plan::BenefitBounder bounder(ctx, config.model);
+          const std::string label =
+              std::string(dispersed ? "dispersed" : "dense") + " seed " +
+              std::to_string(seed) + " " + estimator_name + " " +
+              config.name;
+          ASSERT_EQ(bounder.charges_irrelevant(), config.charges) << label;
+          ASSERT_EQ(bounder.distance_aware(), config.distance_aware) << label;
+          std::vector<plan::GroupSummary> sums;
+          std::vector<Rect> bboxes;
+          for (const QueryGroup& g : groups) {
+            sums.push_back(bounder.Summarize(g));
+            bboxes.push_back(sums.back().bbox);
+          }
+          for (size_t i = 0; i < groups.size(); ++i) {
+            const auto test = bounder.PartnerTestFor(sums[i]);
+            for (size_t j = 0; j < groups.size(); ++j) {
+              if (j == i || bboxes[j].IsEmpty() ||
+                  !(bounder.UpperBound(sums[i], sums[j]) > 0.0)) {
+                continue;
+              }
+              EXPECT_TRUE(test(bboxes[j], bounder.PartnerWeight(sums[j])))
+                  << label << " probe " << GroupToString(groups[i])
+                  << " partner " << GroupToString(groups[j]);
+            }
+          }
+          std::vector<std::pair<std::string, SpatialGrid>> grids;
+          grids.emplace_back("join", SpatialGrid::ForRects(bboxes));
+          grids.emplace_back("one cell", SpatialGrid::ForRects(bboxes, kInf));
+          grids.emplace_back("odd", SpatialGrid(domain, 13, 7));
+          grids.emplace_back(
+              "odd small",
+              SpatialGrid(Rect(domain.Center().x - 150, domain.Center().y - 50,
+                               domain.Center().x + 150, domain.Center().y + 50),
+                          5, 3));
+          for (auto& [name, grid] : grids) {
+            for (size_t i = 0; i < groups.size(); ++i) {
+              grid.Insert(static_cast<uint32_t>(i), bboxes[i],
+                          bounder.PartnerWeight(sums[i]));
+            }
+          }
+          grids.emplace_back("reach", bounder.PartnerGrid(sums));
+          for (const auto& [name, grid] : grids) {
+            SpatialGrid::Seen seen;
+            const bool cells = grid.cells_x() * grid.cells_y() > 1;
+            for (size_t i = 0; i < groups.size(); ++i) {
+              const std::vector<uint32_t> returned =
+                  PartnersOf(bounder, sums[i], grid, &seen);
+              if (cells) {
+                omitted[config.name] += groups.size() - returned.size();
+              }
+              std::vector<uint32_t> walked, brute;
+              for (uint32_t j : returned) {
+                if (j != i && bounder.UpperBound(sums[i], sums[j]) > 0.0) {
+                  walked.push_back(j);
+                }
+              }
+              for (size_t j = 0; j < groups.size(); ++j) {
+                if (j != i && bounder.UpperBound(sums[i], sums[j]) > 0.0) {
+                  brute.push_back(static_cast<uint32_t>(j));
+                }
+              }
+              positive[config.name] += brute.size();
+              EXPECT_EQ(walked, brute) << label << " grid " << name
+                                       << " probe " << GroupToString(groups[i]);
+            }
+          }
+        }
+      }
+    }
+  }
+  for (const auto& [name, count] : positive) {
+    EXPECT_GT(count, 0u) << name;
+    if (name != "exact-cover") {
+      EXPECT_GT(omitted[name], 0u) << name;
     }
   }
 }
@@ -526,27 +743,33 @@ TEST(PlannerPruningTest, PartnerGridIsNoFinerThanJoinSizing) {
 }
 
 // The partner test itself on hand-made regions: it accepts the probe's
-// own box for an equally costly partner, rejects a region without
+// own box for an equally weighted partner, rejects a region without
 // entries (weight -inf) and a far one, measures no gap on a region's open
 // side, and accepts everything for a probe without a box or a bounder
-// without the distance term.
+// without the distance term. Under Fig 16's single-message bounding rect
+// it charges the irrelevant-data term, so it rejects a region the
+// cost-only test accepts; with K_U = 0, or a procedure that may send
+// several messages, it is the cost-only test and the weight is the cost.
 TEST(PlannerPruningTest, PartnerTestRejectsOnlyUnprofitableRegions) {
   const CostModel model = bench::Fig16CostModel();
   DenseInstance inst(kSeeds[0]);
   const plan::BenefitBounder bounder(inst.ctx, model);
   ASSERT_TRUE(bounder.distance_aware());
+  ASSERT_TRUE(bounder.charges_irrelevant());
   const plan::GroupSummary g = bounder.Summarize({0});
+  const double weight = bounder.PartnerWeight(g);
+  EXPECT_GT(weight, g.cost);
   const auto test = bounder.PartnerTestFor(g);
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  EXPECT_TRUE(test(g.bbox, g.cost));
+  EXPECT_TRUE(test(g.bbox, weight));
   EXPECT_FALSE(test(g.bbox, -kInf));
   const Rect far(g.bbox.x_hi() + 500, g.bbox.y_lo(), g.bbox.x_hi() + 510,
                  g.bbox.y_hi());
-  EXPECT_FALSE(test(far, g.cost));
+  EXPECT_FALSE(test(far, weight));
   // A heavy enough partner pays for any gap.
   EXPECT_TRUE(test(far, 1e9));
   // Regions open outward (edge cells) have no gap on their open side.
-  EXPECT_TRUE(test(Rect(-kInf, -kInf, g.bbox.x_lo(), kInf), g.cost));
+  EXPECT_TRUE(test(Rect(-kInf, -kInf, g.bbox.x_lo(), kInf), weight));
 
   const QueryId empty = static_cast<QueryId>(inst.queries.size() - 1);
   ASSERT_TRUE(inst.queries.rect(empty).IsEmpty());
@@ -557,6 +780,78 @@ TEST(PlannerPruningTest, PartnerTestRejectsOnlyUnprofitableRegions) {
   const plan::BenefitBounder flat(cover_ctx, model);
   ASSERT_FALSE(flat.distance_aware());
   EXPECT_TRUE(flat.PartnerTestFor(flat.Summarize({0}))(far, -kInf));
+
+  // The cost-only test, as the bounds ran it before they charged the
+  // irrelevant-data term: reject when K_M + K_T * kSlack * density *
+  // (w + g_x)(h + g_y) reaches cost_g + max_weight.
+  const double density = 0.5;
+  const double slack = plan::BenefitBounder::kSlack;
+  auto cost_only = [&](const plan::GroupSummary& probe, const Rect& region,
+                       double max_weight) {
+    const Rect& box = probe.bbox;
+    const double gap_x = std::max(
+        {0.0, region.x_lo() - box.x_hi(), box.x_lo() - region.x_hi()});
+    const double gap_y = std::max(
+        {0.0, region.y_lo() - box.y_hi(), box.y_lo() - region.y_hi()});
+    const double merged_lb =
+        model.k_m + model.k_t * slack * density *
+                        ((box.Width() + gap_x) * (box.Height() + gap_y));
+    return merged_lb * (1.0 - plan::BenefitBounder::kMargin) <
+           probe.cost + max_weight;
+  };
+
+  // A partner equal to g stops passing the cost-only test once the
+  // region lies at area (w + g_x) * h = (2 cost_g - K_M) / (K_T * kSlack
+  // * density), and the charged one already at (2 weight_g - K_M) /
+  // ((K_T + 2 K_U) * kSlack * density). Halfway between, only the
+  // charged test rejects.
+  const double w = g.bbox.Width();
+  const double h = g.bbox.Height();
+  const double cost_only_area =
+      (2.0 * g.cost - model.k_m) / (model.k_t * slack * density);
+  const double charged_area = (2.0 * weight - model.k_m) /
+                              ((model.k_t + 2.0 * model.k_u) * slack * density);
+  ASSERT_LT(charged_area, cost_only_area);
+  const double gap = 0.5 * (charged_area + cost_only_area) / h - w;
+  ASSERT_GT(gap, 0.0);
+  const Rect between(g.bbox.x_hi() + gap, g.bbox.y_lo(),
+                     g.bbox.x_hi() + gap + 1, g.bbox.y_hi());
+  EXPECT_FALSE(test(between, weight));
+  EXPECT_TRUE(cost_only(g, between, g.cost));
+
+  // Without the term the test is the cost-only one, answer for answer.
+  CostModel no_ku = model;
+  no_ku.k_u = 0.0;
+  const plan::BenefitBounder unit_cost(inst.ctx, no_ku);
+  SeveralMessageBoundingRect several;
+  MergeContext several_ctx(&inst.queries, &inst.estimator, &several);
+  const plan::BenefitBounder several_bounder(several_ctx, model);
+  for (const plan::BenefitBounder* b : {&unit_cost, &several_bounder}) {
+    ASSERT_TRUE(b->distance_aware());
+    ASSERT_FALSE(b->charges_irrelevant());
+    const plan::GroupSummary probe = b->Summarize({0, 1, 2});
+    EXPECT_EQ(b->PartnerWeight(probe), probe.cost);
+    const auto uncharged = b->PartnerTestFor(probe);
+    size_t accepted = 0, rejected = 0;
+    for (const double gap_x : {0.0, 5.0, 20.0, 40.0, 80.0, 160.0, 640.0}) {
+      for (const double gap_y : {0.0, 10.0, 50.0}) {
+        const Rect region(probe.bbox.x_hi() + gap_x,
+                          probe.bbox.y_hi() + gap_y,
+                          probe.bbox.x_hi() + gap_x + 4,
+                          probe.bbox.y_hi() + gap_y + 4);
+        for (const double max_weight :
+             {-kInf, 0.5 * probe.cost, probe.cost, 4.0 * probe.cost}) {
+          const bool expected = cost_only(probe, region, max_weight);
+          EXPECT_EQ(uncharged(region, max_weight), expected)
+              << "gap " << gap_x << " x " << gap_y << " weight "
+              << max_weight;
+          ++(expected ? accepted : rejected);
+        }
+      }
+    }
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
+  }
 }
 
 // Plan identity where the partner query bites: on the dense instances,
@@ -629,6 +924,51 @@ TEST(PlannerPruningTest, DenseInstancesMatchExhaustivePlans) {
     EXPECT_EQ(pruned.partition(), plain.partition()) << "seed " << seed;
     EXPECT_LT(pruned.evaluations(), plain.evaluations()) << "seed " << seed;
   }
+}
+
+// Pair merging on the dispersed instances, where the partner walks are
+// most of the planning work: the plan equals the Profit Table's, and
+// the ids the walks return (`plan.partner.returned`) are pinned next to
+// the effort counters. The walks charge the irrelevant-data term, and
+// each seeding walk runs over a grid holding only the groups above its
+// own, so a walk that returns more ids (the cost-only partner test, or
+// a full grid at seeding) moves the pinned count, while the counters
+// that depend only on the positive-bound pairs cannot move.
+TEST(PlannerPruningTest, DispersedPartnerWalksReturnPinnedIds) {
+  const CostModel model = bench::Fig16CostModel();
+  struct Counters {
+    uint64_t candidates, bounds_refined, bounds_pruned, returned;
+  };
+  const Counters kPinned[] = {{173, 173, 88252, 7187},
+                              {180, 180, 89328, 7039},
+                              {172, 172, 88172, 5977}};
+  obs::SetEnabled(true);
+  auto& registry = obs::MetricRegistry::Default();
+  for (size_t s = 0; s < std::size(kSeeds); ++s) {
+    const uint64_t seed = kSeeds[s];
+    UniformInstance exhaustive_inst(DispersedRects(seed), bench::kFig16Density);
+    UniformInstance pruned_inst(DispersedRects(seed), bench::kFig16Density);
+    const auto exhaustive =
+        PairMerger(/*use_heap=*/false).Merge(exhaustive_inst.ctx, model);
+    registry.Reset();
+    const auto pruned = PairMerger(/*use_heap=*/true, /*pruning=*/true)
+                            .Merge(pruned_inst.ctx, model);
+    const uint64_t returned = registry.CounterValue("plan.partner.returned");
+    ASSERT_TRUE(exhaustive.ok());
+    ASSERT_TRUE(pruned.ok());
+    EXPECT_EQ(pruned->partition, exhaustive->partition) << "seed " << seed;
+    EXPECT_EQ(pruned->cost, exhaustive->cost) << "seed " << seed;
+    EXPECT_LT(pruned->partition.size(), pruned_inst.queries.size())
+        << "seed " << seed << ": nothing merged";
+    EXPECT_EQ(pruned->candidates, kPinned[s].candidates) << "seed " << seed;
+    EXPECT_EQ(pruned->bounds_refined, kPinned[s].bounds_refined)
+        << "seed " << seed;
+    EXPECT_EQ(pruned->bounds_pruned, kPinned[s].bounds_pruned)
+        << "seed " << seed;
+    EXPECT_EQ(returned, kPinned[s].returned) << "seed " << seed;
+  }
+  registry.Reset();
+  obs::SetEnabled(false);
 }
 
 // ---------------------------------------------------------- context fixes
