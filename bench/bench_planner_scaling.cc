@@ -10,7 +10,8 @@
 // are the speedup and the shrink in exact GroupCost evaluations.
 //
 //   evals     = MergeOutcome::candidates — exact profit evaluations the
-//               merger performed (bound refinements).
+//               merger performed (bound refinements; for directed search
+//               the descents' merge and extract evaluations).
 //   groups    = MergeContext::groups_evaluated() — distinct groups whose
 //               statistics were computed (the memo's size).
 //

@@ -4,8 +4,9 @@
 // and end, and the service maintains its merge plan *incrementally*
 // (future work, Section 11) instead of re-planning from scratch.
 //
-// Demonstrates: IncrementalMerger add/remove/repair, and the gap between
-// the maintained plan and a from-scratch pair merge.
+// Demonstrates: IncrementalMerger add/remove/repair, evicting finished
+// trips from the group memo, and the gap between the maintained plan and
+// a from-scratch pair merge.
 
 #include <cstdio>
 #include <deque>
@@ -56,10 +57,15 @@ int main() {
       active.push_back(id);
       live_plan.AddQuery(id);
     }
+    std::vector<QueryId> finished;
     for (int i = 0; i < 4 && active.size() > 6; ++i) {
       live_plan.RemoveQuery(active.front());
+      finished.push_back(active.front());
       active.pop_front();
     }
+    // Ids are never reused, so memoized groups holding a finished trip
+    // can only waste memory: one pass per tick drops them.
+    ctx.EvictGroupsContaining(finished);
     // Light repair pass each tick keeps drift bounded.
     live_plan.Repair(/*max_moves=*/3);
 

@@ -20,7 +20,9 @@
 # The planner-scaling golden pins planner effort rather than plans: the
 # merger, |Q|, pruning, evals and groups columns of
 # `bench_planner_scaling --smoke` (exact evaluations for pair merging,
-# clustering and directed search, pruning on and off) and its identity
+# clustering and directed search, pruning on and off; directed search's
+# evals are its descents' exact group evaluations, merge and extract
+# moves alike, as IncrementalMerger::Repair counts them) and its identity
 # line. The time, speedup and shrink columns vary run to run and are
 # dropped; regenerate by passing the bench's stdout through
 # effort_columns below into tests/golden/planner_scaling_smoke.txt. The

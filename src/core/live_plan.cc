@@ -233,9 +233,7 @@ BatchReport LivePlanManager::ProcessBatch() {
 
   // Admission: apply up to one batch of queued ops in FIFO order — an
   // id's add always precedes its remove, so expiry of a still-queued
-  // subscription is safe. The batch's departures leave the group memo
-  // in one pass when it ends.
-  merger_.BeginBatch();
+  // subscription is safe.
   size_t ops = 0;
   while (ops < opts_.admission_batch_max && !queue_.empty()) {
     const Op op = queue_.front();
@@ -261,7 +259,12 @@ BatchReport LivePlanManager::ProcessBatch() {
     }
     ++ops;
   }
-  merger_.EndBatch();
+  // Ids are never reused (QuerySet is append-only), so every memoized
+  // group holding a retired id is garbage. One pass over the memo per
+  // batch evicts them all and bounds its footprint under churn; no
+  // group holding a removed id is evaluated after its removal, so the
+  // memo is the one per-departure eviction would leave.
+  ctx_->EvictGroupsContaining(report.retired);
 
   // Budgeted repair under the per-batch deadline (SLO): one steepest-
   // descent move at a time so the deadline is checked between moves.

@@ -196,8 +196,9 @@ class LivePlanManager {
 
   /// Applies one admission batch: adopts a finished background replan,
   /// applies up to admission_batch_max queued ops through the
-  /// incremental merger, runs budgeted repair under the deadline, and
-  /// runs the drift check. Safe to call with an empty queue (repair and
+  /// incremental merger, evicts the memo entries of the ids it retired
+  /// (one pass over the memo), runs budgeted repair under the deadline,
+  /// and runs the drift check. Safe to call with an empty queue (repair and
   /// drift still run, so a stale plan keeps healing).
   BatchReport ProcessBatch();
 

@@ -14,15 +14,18 @@ namespace qsp {
 /// singleton — until no move lowers the cost. The best of T restarts is
 /// returned; the first restart starts from singletons so the result is
 /// never worse than plain pair merging. O(T * |Q|^2) per descent step.
-/// The merge-move scan inside each descent step is bounded (DESIGN.md
-/// §8): candidate partners come from a spatial grid over group bounding
-/// boxes, and a pair's exact MergeBenefit is only evaluated when its
-/// plan::BenefitBounder upper bound beats both the best move found so far
-/// and the improvement threshold — pairs skipped on either ground could
-/// never have been selected, so every descent walks the move sequence a
-/// scan of every pair would. `pruning = false`, or a cost model the
-/// bounder cannot bound, runs the same scan with bounds that prune
-/// nothing.
+///
+/// A restart is IncrementalMerger::Reset(start) followed by Repair(), the
+/// one bounded descent (DESIGN.md §8): merge partners come from a spatial
+/// grid over group bounding boxes, rebuilt every step, and a merge or an
+/// extract is evaluated exactly only when its plan::BenefitBounder bound
+/// beats the best move found so far, so every descent walks the move
+/// sequence a scan evaluating every move would. `pruning = false`, or a
+/// cost model the bounder cannot bound, runs the same descent with bounds
+/// that prune nothing. MergeOutcome::candidates (= bounds_refined) counts
+/// the descents' exact group evaluations, bounds_pruned the moves they
+/// skipped; summarizing each start is not counted. Restarts fan out over
+/// the exec pool. `restarts` < 1 is rejected with InvalidArgument.
 class DirectedSearchMerger : public Merger {
  public:
   explicit DirectedSearchMerger(int restarts = 8, uint64_t seed = 42,

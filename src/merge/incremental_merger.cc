@@ -19,8 +19,11 @@ const MergeContext& NonNull(const MergeContext* ctx) {
 }  // namespace
 
 IncrementalMerger::IncrementalMerger(const MergeContext* ctx,
-                                     const CostModel& model)
-    : ctx_(ctx), model_(model), bounder_(NonNull(ctx), model_, universe_) {}
+                                     const CostModel& model, bool pruning)
+    : ctx_(ctx),
+      model_(model),
+      pruning_(pruning),
+      bounder_(NonNull(ctx), model_, universe_, pruning) {}
 
 plan::GroupSummary IncrementalMerger::Summarize(const QueryGroup& group) {
   ++evaluations_;
@@ -55,7 +58,7 @@ void IncrementalMerger::ExtendUniverse(QueryId id) {
   const Rect grown = universe_.BoundingUnion(ctx_->queries().rect(id));
   if (universe_.Contains(grown)) return;
   universe_ = grown;
-  bounder_ = plan::BenefitBounder(*ctx_, model_, universe_);
+  bounder_ = plan::BenefitBounder(*ctx_, model_, universe_, pruning_);
   // Distance-awareness is monotone non-increasing as the universe grows;
   // once a query escapes the density-floor support the grid is dead
   // weight (candidates fall back to the full scan order). PartnerWeight
@@ -125,13 +128,13 @@ void IncrementalMerger::CandidateSlots(const plan::GroupSummary& summary,
     if (!grid_ || partition_.size() > 2 * grid_built_groups_ + 8) {
       RebuildGrid();
     }
-    std::vector<uint32_t> keys;
-    grid_->QueryPassing(bounder_.PartnerTestFor(summary), &seen_, &keys);
+    keys_.clear();
+    grid_->QueryPassing(bounder_.PartnerTestFor(summary), &seen_, &keys_);
     // The grid returns keys unordered. Keys ascend in creation order,
     // which equals slot order, so sorted keys visit groups in ascending
     // slot order: the order of the full scan below.
-    std::sort(keys.begin(), keys.end());
-    for (uint32_t key : keys) {
+    std::sort(keys_.begin(), keys_.end());
+    for (uint32_t key : keys_) {
       const size_t slot = slot_of_key_[key];
       if (slot != kNoSlot) out->push_back(slot);
     }
@@ -210,31 +213,19 @@ double IncrementalMerger::RemoveQuery(QueryId id) {
     cost_ += gs.cost - old_cost;
     UpdateGroup(slot, std::move(gs));
   }
-  // Ids are never reused (QuerySet is append-only), so every memoized
-  // group mentioning the dead id is garbage; evicting bounds the memo's
-  // footprint under sustained churn.
-  if (batching_) {
-    departed_.push_back(id);
-  } else {
-    ctx_->EvictGroupsContaining({id});
-  }
   return cost_;
-}
-
-void IncrementalMerger::BeginBatch() { batching_ = true; }
-
-void IncrementalMerger::EndBatch() {
-  batching_ = false;
-  if (departed_.empty()) return;
-  ctx_->EvictGroupsContaining(departed_);
-  departed_.clear();
 }
 
 double IncrementalMerger::Repair(int max_moves) {
   obs::Count("merge.incremental.repairs");
   const uint64_t pruned_before = bounds_pruned_;
   int moves = 0;
+  std::vector<size_t> cands;
   while (max_moves == 0 || moves < max_moves) {
+    // Every move reshapes the groups; a grid sized for the partition of
+    // an earlier step (a random scatter's domain-wide boxes, say) would
+    // stay one coarse cell as the boxes shrink.
+    if (bounder_.distance_aware()) RebuildGrid();
     double best_delta = 0.0;
     enum class Kind { kNone, kMerge, kExtract };
     Kind best_kind = Kind::kNone;
@@ -243,7 +234,6 @@ double IncrementalMerger::Repair(int max_moves) {
     plan::GroupSummary best_merged;
     plan::GroupSummary best_rest;
 
-    std::vector<size_t> cands;
     const size_t m = partition_.size();
     size_t merges_evaluated = 0;
     for (size_t i = 0; i < m; ++i) {
@@ -302,6 +292,9 @@ double IncrementalMerger::Repair(int max_moves) {
     }
 
     if (best_kind == Kind::kNone) break;
+    // The next step (or the next arrival's probe) rebuilds the grid, so
+    // the move need not maintain it.
+    grid_.reset();
     if (best_kind == Kind::kMerge) {
       QueryGroup merged = UnionGroups(partition_[best_i], partition_[best_j]);
       for (QueryId q : partition_[best_j]) {
@@ -358,7 +351,7 @@ void IncrementalMerger::Reset(Partition partition) {
       universe_ = universe_.BoundingUnion(ctx_->queries().rect(q));
     }
   }
-  bounder_ = plan::BenefitBounder(*ctx_, model_, universe_);
+  bounder_ = plan::BenefitBounder(*ctx_, model_, universe_, pruning_);
   summaries_.clear();
   summaries_.reserve(m);
   grid_.reset();

@@ -21,12 +21,12 @@ namespace qsp {
 ///  * AddQuery: greedily place the new query into the existing group whose
 ///    cost increases least (or as a singleton).
 ///  * RemoveQuery: drop the query from its group; an emptied group is
-///    erased and the MergeContext memo entries mentioning the dead id are
-///    evicted (ids are never reused, so they could only waste memory) —
-///    at once, or for a whole batch of departures in one pass over the
-///    memo (BeginBatch / EndBatch).
-///  * Repair: one steepest-descent pass (merge / extract moves, as the
-///    directed search) to undo accumulated drift; call periodically.
+///    erased. The MergeContext memo is left alone: its owner evicts the
+///    entries of departed ids (the live service does, once per batch).
+///  * Repair: steepest descent over merge and extract moves to undo
+///    accumulated drift; call periodically. It is the one descent of the
+///    code base: the Directed Search Algorithm (Section 6.2.2) runs each
+///    of its restarts as Reset(start) followed by Repair().
 ///
 /// Every scan is bounded the same way the one-shot planners are
 /// (DESIGN.md §8): cached GroupSummary per live group, admissible
@@ -38,42 +38,42 @@ namespace qsp {
 /// ascending slot order and skipped only when the bound proves they
 /// cannot *strictly* improve, so every decision (and tie-break) is the
 /// one a scan evaluating every candidate would make; only evaluations()
-/// depends on the bounds. Under a cost
-/// model the bounder cannot bound, nothing is skipped. Because the query
-/// population grows after construction, the merger maintains the
-/// bounding union of every id it has seen and re-derives its bounder as
-/// that universe grows, dropping the distance term the moment a query
+/// and bounds_pruned() depend on the bounds. With pruning off, or under
+/// a cost model the bounder cannot bound, nothing is skipped. Because
+/// the query population grows after construction, the merger maintains
+/// the bounding union of every id it has seen and re-derives its bounder
+/// as that universe grows, dropping the distance term the moment a query
 /// escapes the estimator's density-floor support.
 ///
 /// The underlying MergeContext must wrap the same QuerySet that grows as
 /// ids are added; ids passed to AddQuery must already exist in the set.
-/// Not thread-safe; the live service serializes calls under its own lock.
+/// Not thread-safe; the live service serializes calls under its own lock,
+/// and the directed search gives each restart its own merger over the
+/// shared (thread-safe) context.
 class IncrementalMerger {
  public:
-  IncrementalMerger(const MergeContext* ctx, const CostModel& model);
+  /// `pruning = false` runs every scan with bounds that prune nothing
+  /// (plan::BenefitBounder): the same decisions, every candidate
+  /// evaluated exactly.
+  IncrementalMerger(const MergeContext* ctx, const CostModel& model,
+                    bool pruning = true);
 
   /// Places a new query; returns the resulting total cost.
   double AddQuery(QueryId id);
 
   /// Removes a subscribed query; returns the resulting total cost.
-  /// No-op if the id is not currently placed. The memo entries that
-  /// mention the id are evicted at once, or by EndBatch inside a batch.
+  /// No-op if the id is not currently placed. Memo entries that mention
+  /// the id stay: a removed id is in no group, so none of them is read
+  /// again, and MergeContext::EvictGroupsContaining drops them in one
+  /// pass whenever the owner chooses.
   double RemoveQuery(QueryId id);
 
-  /// Opens a batch of arrivals and departures: until EndBatch,
-  /// RemoveQuery leaves the memo alone. Each eviction scans the whole
-  /// memo, so a service retiring many subscriptions per tick pays one
-  /// scan per tick instead of one per departure.
-  void BeginBatch();
-
-  /// Closes the batch, evicting every memo entry that mentions an id
-  /// removed since BeginBatch in one pass. The memo is then what per-id
-  /// eviction leaves: a removed id is in no group, so no group holding it
-  /// is evaluated after its removal.
-  void EndBatch();
-
-  /// Local-search repair; returns the improved cost. `max_moves` bounds
-  /// the number of applied moves (0 = until local minimum).
+  /// Steepest descent; returns the improved cost. Each step applies the
+  /// best strict improvement among every merge of two groups and every
+  /// extract of one query into a singleton, and rebuilds the partner
+  /// grid first, so its cells fit the groups the step scans.
+  /// `max_moves` bounds the number of applied moves (0 = until a local
+  /// minimum).
   double Repair(int max_moves = 0);
 
   /// Replaces the maintained partition wholesale (the live service
@@ -130,6 +130,7 @@ class IncrementalMerger {
 
   const MergeContext* ctx_;
   CostModel model_;
+  bool pruning_;
   /// Bounding union of every id ever added; only grows.
   Rect universe_ = Rect::Empty();
   /// Re-derived from universe_ whenever it grows.
@@ -154,13 +155,9 @@ class IncrementalMerger {
   /// Built only while the bounder is distance-aware.
   std::optional<SpatialGrid> grid_;
   size_t grid_built_groups_ = 0;
-  /// Deduplication scratch of the grid's partner queries.
+  /// Deduplication and output scratch of the grid's partner queries.
   SpatialGrid::Seen seen_;
-
-  /// True between BeginBatch and EndBatch; `departed_` holds the ids
-  /// removed since BeginBatch, whose memo entries EndBatch evicts.
-  bool batching_ = false;
-  std::vector<QueryId> departed_;
+  std::vector<uint32_t> keys_;
 };
 
 }  // namespace qsp

@@ -38,7 +38,9 @@ class Merger {
   /// Solves (exactly or heuristically) the query merging problem for all
   /// queries in `ctx` under `model`. Returns an error only when the
   /// instance exceeds the algorithm's feasibility limits (the exhaustive
-  /// searches refuse inputs whose enumeration would not terminate).
+  /// searches refuse inputs whose enumeration would not terminate) or the
+  /// merger's configuration is invalid (a directed search with no
+  /// restarts).
   ///
   /// Non-virtual entry point: when telemetry is on (qsp::obs) it wraps
   /// the run in a `merge/<name>` span and records the standard per-merger

@@ -136,11 +136,11 @@ TEST_F(IncrementalTest, RepairRespectsMoveBudget) {
   EXPECT_LE(unlimited, limited + 1e-9);
 }
 
-TEST_F(IncrementalTest, RemoveQueryEvictsStaleCacheEntries) {
-  // Regression: RemoveQuery must invalidate the MergeContext cache
-  // entries that mention the removed id — a later group with the same
-  // shape must not resurrect stale statistics, and the memo must not
-  // grow monotonically under churn.
+// RemoveQuery leaves the memo to its owner: the entries that mention a
+// removed id stay until the owner evicts them (the live service does,
+// once per batch), and one EvictGroupsContaining pass then drops
+// exactly those.
+TEST_F(IncrementalTest, RemoveQueryLeavesTheMemoAlone) {
   const QueryId a = queries_.Add(Rect(0, 0, 2, 2));
   const QueryId b = queries_.Add(Rect(0, 0, 2, 2));
   IncrementalMerger inc(&ctx_, model_);
@@ -154,57 +154,14 @@ TEST_F(IncrementalTest, RemoveQueryEvictsStaleCacheEntries) {
   const size_t cached_before = ctx_.cached_groups();
   ASSERT_GE(cached_before, 3u);
   inc.RemoveQuery(a);
-  // Every memoized group containing `a` ({a} and {a,b}) is gone; the
-  // survivor {b} (re-memoized by the removal's regrouping) remains.
-  EXPECT_LE(ctx_.cached_groups(), cached_before - 2);
+  // The survivor {b} was already memoized, so the removal's regrouping
+  // adds nothing, and nothing holding `a` left.
+  EXPECT_EQ(ctx_.cached_groups(), cached_before);
+  EXPECT_EQ(inc.partition(), (Partition{{b}}));
   EXPECT_NEAR(inc.cost(), model_.PartitionCost(ctx_, inc.partition()), 1e-9);
-}
-
-// Batched eviction leaves the memo per-id eviction leaves: two mergers
-// on twin contexts apply the same arrivals, departures and repairs, one
-// evicting at each RemoveQuery, one once per batch; after every batch
-// the memo's size and the evaluation count agree, and so do the plans.
-TEST_F(IncrementalTest, BatchedEvictionMatchesPerIdEviction) {
-  Rng rng(23);
-  QueryGenConfig config;
-  config.num_queries = 120;
-  config.cf = 0.7;
-  for (const Rect& r : GenerateQueries(config, &rng)) queries_.Add(r);
-  MergeContext batched_ctx(&queries_, &estimator_, &procedure_);
-  IncrementalMerger per_id(&ctx_, model_);
-  IncrementalMerger batched(&batched_ctx, model_);
-  std::vector<QueryId> live;
-  QueryId next = 0;
-  size_t departures = 0;
-  for (int batch = 0; batch < 12; ++batch) {
-    batched.BeginBatch();
-    for (int op = 0; op < 10 && next < queries_.size(); ++op) {
-      // Departures interleave with arrivals, as a service's queue does.
-      if (live.size() > 4 && rng.UniformDouble(0, 1) < 0.4) {
-        const size_t k = static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
-        per_id.RemoveQuery(live[k]);
-        batched.RemoveQuery(live[k]);
-        live.erase(live.begin() + static_cast<ptrdiff_t>(k));
-        ++departures;
-      } else {
-        per_id.AddQuery(next);
-        batched.AddQuery(next);
-        live.push_back(next++);
-      }
-    }
-    batched.EndBatch();
-    per_id.Repair(2);
-    batched.Repair(2);
-    ASSERT_EQ(batched.partition(), per_id.partition()) << "batch " << batch;
-    EXPECT_EQ(batched_ctx.cached_groups(), ctx_.cached_groups())
-        << "batch " << batch;
-    EXPECT_EQ(batched_ctx.groups_evaluated(), ctx_.groups_evaluated())
-        << "batch " << batch;
-  }
-  EXPECT_GT(departures, 10u);
-  // Eviction really ran: the memo holds fewer groups than were evaluated.
-  EXPECT_LT(batched_ctx.cached_groups(), batched_ctx.groups_evaluated());
+  // {a} and {a, b} are what the owner's eviction finds.
+  EXPECT_EQ(ctx_.EvictGroupsContaining({a}), 2u);
+  EXPECT_EQ(ctx_.cached_groups(), cached_before - 2);
 }
 
 TEST_F(IncrementalTest, AddRemoveRepairInterleaveKeepsPartitionExact) {

@@ -12,6 +12,7 @@
 
 #include "core/live_plan.h"
 #include "core/subscription_service.h"
+#include "merge/incremental_merger.h"
 #include "merge/pair_merger.h"
 #include "merge/sharded_planner.h"
 #include "obs/clock.h"
@@ -480,6 +481,82 @@ TEST_F(LiveServiceTest, ProcessBatchOnEmptyQueueIsSafe) {
   EXPECT_EQ(report.removed, 0u);
   EXPECT_EQ(live.cost(), 0.0);
   EXPECT_EQ(live.Unsubscribe(123).code(), StatusCode::kNotFound);
+}
+
+// ProcessBatch evicts the memo entries of the ids it retired, once per
+// batch, and the incremental merger itself evicts nothing: after every
+// batch no entry holds a retired id, and the memo's size, its
+// evaluation count and the plan equal those of a twin IncrementalMerger
+// that applies the same arrivals and departures in the same order, and
+// whose memo this test evicts once per batch.
+TEST_F(LiveServiceTest, ProcessBatchEvictsRetiredIdsOncePerBatch) {
+  Rng rng(23);
+  QueryGenConfig shape;
+  shape.num_queries = 120;
+  shape.cf = 0.7;
+  const std::vector<Rect> rects = GenerateQueries(shape, &rng);
+  LiveServiceConfig opts = Opts();
+  opts.default_ttl_ms = 0;
+  LivePlanManager live(&queries_, &ctx_, model_, opts);
+  QuerySet twin_queries;
+  MergeContext twin_ctx(&twin_queries, &estimator_, &procedure_);
+  IncrementalMerger twin(&twin_ctx, model_);
+  std::vector<QueryId> planned;
+  size_t next = 0;
+  size_t departures = 0;
+  for (int batch = 0; batch < 12; ++batch) {
+    const std::string label = "batch " + std::to_string(batch);
+    // Departures interleave with arrivals, as a service's queue does;
+    // only ids planned by an earlier batch depart.
+    struct Op {
+      bool remove;
+      QueryId id;
+    };
+    std::vector<Op> ops;
+    std::vector<QueryId> arrived;
+    for (int op = 0; op < 10 && next < rects.size(); ++op) {
+      if (planned.size() > 4 && rng.UniformDouble(0, 1) < 0.4) {
+        const size_t k = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(planned.size()) - 1));
+        ASSERT_TRUE(live.Unsubscribe(planned[k]).ok()) << label;
+        ops.push_back({true, planned[k]});
+        planned.erase(planned.begin() + static_cast<ptrdiff_t>(k));
+        ++departures;
+      } else {
+        const Result<QueryId> id = live.Subscribe(rects[next], 0);
+        ASSERT_TRUE(id.ok()) << label;
+        ASSERT_EQ(twin_queries.Add(rects[next]), *id) << label;
+        ++next;
+        ops.push_back({false, *id});
+        arrived.push_back(*id);
+      }
+    }
+    const BatchReport report = live.ProcessBatch();
+    ASSERT_EQ(report.admitted + report.removed, ops.size()) << label;
+    EXPECT_EQ(ctx_.EvictGroupsContaining(report.retired), 0u) << label;
+
+    std::vector<QueryId> retired;
+    for (const Op& op : ops) {
+      if (op.remove) {
+        twin.RemoveQuery(op.id);
+        retired.push_back(op.id);
+      } else {
+        twin.AddQuery(op.id);
+      }
+    }
+    ASSERT_EQ(report.retired, retired) << label;
+    twin_ctx.EvictGroupsContaining(retired);
+    twin.Repair();
+    planned.insert(planned.end(), arrived.begin(), arrived.end());
+
+    ASSERT_EQ(live.PlanSnapshot(), twin.partition()) << label;
+    EXPECT_EQ(live.cost(), twin.cost()) << label;
+    EXPECT_EQ(ctx_.cached_groups(), twin_ctx.cached_groups()) << label;
+    EXPECT_EQ(ctx_.groups_evaluated(), twin_ctx.groups_evaluated()) << label;
+  }
+  EXPECT_GT(departures, 10u);
+  // Eviction really ran: the memo holds fewer groups than were evaluated.
+  EXPECT_LT(ctx_.cached_groups(), ctx_.groups_evaluated());
 }
 
 // ---------------------------------------------------------------------

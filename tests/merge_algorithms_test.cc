@@ -433,6 +433,20 @@ TEST(DirectedSearchTest, DeterministicInSeed) {
   EXPECT_EQ(r1->partition, r2->partition);
 }
 
+// A directed search with no restart has no descent to return: restarts
+// < 1 is a configuration error, not an empty plan at cost 0 (or, for a
+// negative count, a request for SIZE_MAX start partitions).
+TEST(DirectedSearchTest, RejectsRestartsBelowOne) {
+  Instance inst(10, 42);
+  for (const int restarts : {0, -3}) {
+    auto outcome =
+        DirectedSearchMerger(restarts, 5).Merge(*inst.ctx, inst.model);
+    ASSERT_FALSE(outcome.ok()) << "restarts " << restarts;
+    EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument)
+        << "restarts " << restarts;
+  }
+}
+
 TEST(DirectedSearchTest, NeverWorseThanPairMerging) {
   for (uint64_t seed = 0; seed < 8; ++seed) {
     Instance inst(10, 1100 + seed);

@@ -4,11 +4,14 @@
 // documents, so a production loop whose bounds ever skip a candidate that
 // could have won disagrees with its reference:
 //
-//  * ExhaustiveDescent — the Directed Search steepest descent of
-//    DirectedSearchMerger (Section 6.2.2): every merge and every extract
-//    move, best strict improvement first;
+//  * ExhaustiveDescent — the steepest descent of IncrementalMerger::Repair
+//    from a given partition: every merge and every extract move, best
+//    strict improvement first. DirectedSearchMerger (Section 6.2.2) runs
+//    that descent from each restart's start (Reset, then Repair);
 //  * ExhaustiveIncrementalMerger — IncrementalMerger's AddQuery,
-//    RemoveQuery and Repair (Section 11) over the same slot layout.
+//    RemoveQuery and Repair (Section 11) over the same slot layout. Its
+//    Repair is the same descent with a move budget, scaled by the
+//    maintained cost rather than a fresh PartitionCost.
 //
 // Pair merging's reference is in the library: PairMerger(/*use_heap=*/
 // false) runs the paper's Profit Table; ProfitTableEvaluations counts
@@ -41,7 +44,7 @@ inline uint64_t ProfitTableEvaluations(uint64_t n, uint64_t groups) {
 /// Steepest descent from `*partition` to a local minimum, evaluating
 /// every merge pair (i < j, ascending) and every extract move; returns
 /// the local cost. Same move order, argmax and improvement filter as
-/// DirectedSearchMerger's descent.
+/// IncrementalMerger::Repair, which every directed-search restart runs.
 inline double ExhaustiveDescent(const MergeContext& ctx, const CostModel& model,
                                 Partition* partition) {
   double cost = model.PartitionCost(ctx, *partition);

@@ -926,6 +926,58 @@ TEST(PlannerPruningTest, DenseInstancesMatchExhaustivePlans) {
   }
 }
 
+// Every directed-search restart after the first descends from a random
+// scatter through IncrementalMerger::Reset and Repair. From the same
+// scatter, that descent with pruning on and with pruning off makes the
+// exhaustive descent's decisions, partition and cost bit for bit, under
+// every procedure, estimator and seed; off prunes nothing, and on
+// evaluates no more than off. A scatter's groups span the domain, so
+// this also covers the partner grid rebuilt as they shrink.
+TEST(PlannerPruningTest, DescentFromRandomScatterMatchesExhaustiveDescent) {
+  const CostModel model = bench::Fig16CostModel();
+  constexpr size_t kN = 30;
+  size_t moved = 0;
+  for (const std::string& procedure :
+       {std::string("bounding-rect"), std::string("bounding-polygon"),
+        std::string("exact-cover")}) {
+    for (const std::string& estimator :
+         {std::string("uniform"), std::string("histogram")}) {
+      for (const uint64_t seed : kSeeds) {
+        Instance reference_inst(kN, seed, procedure, estimator);
+        Instance inst(kN, seed, procedure, estimator);
+        Rng rng(seed + 100);
+        for (int draw = 0; draw < 3; ++draw) {
+          const std::string label = procedure + "/" + estimator + "/seed" +
+                                    std::to_string(seed) + "/draw" +
+                                    std::to_string(draw);
+          Partition scatter = RandomGroups(kN, kN, &rng);
+          CanonicalizePartition(&scatter);
+          Partition expected = scatter;
+          const double expected_cost = reference::ExhaustiveDescent(
+              *reference_inst.ctx, model, &expected);
+          if (expected != scatter) ++moved;
+          uint64_t evaluations[2] = {0, 0};
+          for (const bool pruning : {false, true}) {
+            IncrementalMerger descent(inst.ctx.get(), model, pruning);
+            descent.Reset(scatter);
+            const uint64_t before = descent.evaluations();
+            const double cost = descent.Repair();
+            EXPECT_EQ(descent.partition(), expected) << label;
+            EXPECT_EQ(cost, expected_cost) << label;
+            evaluations[pruning ? 1 : 0] = descent.evaluations() - before;
+            if (!pruning) {
+              EXPECT_EQ(descent.bounds_pruned(), 0u) << label;
+            }
+          }
+          EXPECT_LE(evaluations[1], evaluations[0]) << label;
+        }
+      }
+    }
+  }
+  // The scatters are far from local minima: the descents really move.
+  EXPECT_GT(moved, 0u);
+}
+
 // Pair merging on the dispersed instances, where the partner walks are
 // most of the planning work: the plan equals the Profit Table's, and
 // the ids the walks return (`plan.partner.returned`) are pinned next to
