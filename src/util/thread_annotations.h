@@ -11,9 +11,12 @@
 ///
 /// The project annotates every mutex-protected structure (the qsp::exec
 /// thread pool, the obs metric types, the MergeContext memo shards, the
-/// channel-cost memo); new mutexes must arrive with annotations — the
-/// tidy CI job builds with Clang and -Werror, so an unannotated guarded
-/// member that is ever touched without its lock fails the build there.
+/// channel-cost memo); new mutexes must arrive with annotations. Only a
+/// local Clang build checks them: CMakeLists.txt adds -Wthread-safety
+/// under Clang alone, and every CI job builds with GCC. The lock check CI
+/// runs is ThreadSanitizer over the whole test suite (the
+/// thread-sanitize job), which reports data races and lock-order
+/// inversions on every path a test drives.
 ///
 /// Escape hatch: QSP_NO_THREAD_SAFETY_ANALYSIS on a function disables the
 /// analysis for its body. Reserve it for patterns the analysis cannot

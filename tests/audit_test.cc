@@ -1,21 +1,21 @@
 // Tests for tools/lint's whole-program analyzer (DESIGN.md §14): the
-// layer spec parser, the include-graph rules, the lock-order rules, the
-// suppression plumbing in RunAudit, and the SARIF writer (round-tripped
-// through src/util/json_parser). Every fixture expectation pins exact
-// (line, rule) pairs against tests/lint_fixtures/{good,bad}/.
+// layer spec parser, the include-graph rules, the suppression plumbing
+// and ordering in RunAudit, and the SARIF writer (round-tripped through
+// src/util/json_parser). Every fixture expectation pins exact (line,
+// rule) pairs against tests/lint_fixtures/{good,bad}/.
 #include "lint/audit.h"
 
 #include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "lint/include_graph.h"
-#include "lint/lock_graph.h"
 #include "lint/sarif.h"
 #include "util/json_parser.h"
 
@@ -193,48 +193,6 @@ TEST(AuditFixtures, GoodIncludeCorpusIsClean) {
       << (findings.empty() ? "" : findings[0].rule);
 }
 
-// ------------------------------------------------------------ lock rules
-
-TEST(AuditFixtures, LockOrderCycle) {
-  const std::vector<SourceFile> corpus = {
-      FixtureAt("bad/lock_order_cycle.cc", "src/util/lock_order_cycle.cc"),
-  };
-  std::vector<LockEdge> edges;
-  const auto got = LinesAndRules(AuditLocks(corpus, &edges));
-  const Expected want = {{13, "lock-order-cycle"}, {19, "lock-order-cycle"}};
-  EXPECT_EQ(want, got);
-  // Both direction edges are present and correctly attributed.
-  const auto has_edge = [&edges](const std::string& held,
-                                 const std::string& acquired, int line) {
-    return std::any_of(edges.begin(), edges.end(), [&](const LockEdge& e) {
-      return e.held == held && e.acquired == acquired && e.line == line;
-    });
-  };
-  EXPECT_TRUE(has_edge("Ledger::a_", "Ledger::b_", 13));
-  EXPECT_TRUE(has_edge("Ledger::b_", "Ledger::a_", 19));
-}
-
-TEST(AuditFixtures, CallbackUnderLock) {
-  const std::vector<SourceFile> corpus = {
-      FixtureAt("bad/callback_under_lock.cc", "src/util/callback.cc"),
-  };
-  const auto got = LinesAndRules(AuditLocks(corpus, nullptr));
-  const Expected want = {{20, "callback-under-lock"}};
-  EXPECT_EQ(want, got);
-}
-
-TEST(AuditFixtures, GoodLockCorpusIsClean) {
-  // Consistent a_-before-b_ order and copy-out-then-invoke callbacks
-  // (the post-PR 8 ProcessBatch pattern) produce zero findings.
-  const std::vector<SourceFile> corpus = {
-      FixtureAt("good/locks_ok.cc", "src/util/locks_ok.cc"),
-  };
-  const auto findings = AuditLocks(corpus, nullptr);
-  EXPECT_TRUE(findings.empty())
-      << findings.size() << " unexpected finding(s), first: "
-      << (findings.empty() ? "" : findings[0].rule);
-}
-
 // -------------------------------------------------- RunAudit + suppression
 
 TEST(RunAudit, AppliesSameLineAllowMarkers) {
@@ -270,21 +228,33 @@ TEST(RunAudit, MarkerForOtherRuleDoesNotSuppress) {
   EXPECT_EQ(0u, result.suppressed);
 }
 
-TEST(RunAudit, MergesIncludeAndLockFindingsSorted) {
+TEST(RunAudit, SortsFindingsByFileThenLine) {
+  // AuditIncludes reports rule by rule (every layer finding, then
+  // cycles, then unused includes); RunAudit orders them by file, then
+  // line, across files and within one.
   const std::vector<SourceFile> corpus = {
-      FixtureAt("bad/lock_order_cycle.cc", "src/util/lock_order_cycle.cc"),
       FixtureAt("bad/unused_include.cc", "src/util/unused.cc"),
+      InlineFile("src/geom/mixed.cc",
+                 "#include \"util/helper.h\"\n"
+                 "#include \"merge/planner_stub.h\"\n"
+                 "namespace qsp {\n"
+                 "double M() { return PlannerStubCost(); }\n"
+                 "}\n"),
+      FixtureAt("bad/layer_back_edge.cc", "src/geom/uses_merge.cc"),
+      InlineFile("src/merge/planner_stub.h",
+                 "namespace qsp {\ndouble PlannerStubCost();\n}\n"),
       HelperStub(),
   };
-  const AuditResult result = RunAudit(corpus, TestSpec());
-  ASSERT_EQ(3u, result.findings.size());
-  // Sorted by (file, line): both lock findings precede the include one.
-  EXPECT_EQ("src/util/lock_order_cycle.cc", result.findings[0].file);
-  EXPECT_EQ(13, result.findings[0].line);
-  EXPECT_EQ("src/util/lock_order_cycle.cc", result.findings[1].file);
-  EXPECT_EQ(19, result.findings[1].line);
-  EXPECT_EQ("src/util/unused.cc", result.findings[2].file);
-  EXPECT_EQ("unused-include", result.findings[2].rule);
+  std::vector<std::tuple<std::string, int, std::string>> got;
+  for (const Finding& f : RunAudit(corpus, TestSpec()).findings)
+    got.emplace_back(f.file, f.line, f.rule);
+  const decltype(got) want = {
+      {"src/geom/mixed.cc", 1, "unused-include"},
+      {"src/geom/mixed.cc", 2, "layer-back-edge"},
+      {"src/geom/uses_merge.cc", 5, "layer-back-edge"},
+      {"src/util/unused.cc", 6, "unused-include"},
+  };
+  EXPECT_EQ(want, got);
 }
 
 // ----------------------------------------------------------------- SARIF
@@ -296,10 +266,12 @@ TEST(Sarif, RoundTripsThroughJsonParser) {
   a.rule = "layer-back-edge";
   a.message = "geom (rank 10) includes merge (rank 40)";
   Finding b;
-  b.file = "src/util/lock_order_cycle.cc";
-  b.line = 13;
-  b.rule = "lock-order-cycle";
-  b.message = "cycle: Ledger::a_ -> Ledger::b_ -> Ledger::a_";
+  b.file = "src/util/cycle_a.h";
+  b.line = 7;
+  b.rule = "include-cycle";
+  b.message =
+      "include cycle: src/util/cycle_a.h -> src/util/cycle_b.h -> "
+      "src/util/cycle_a.h";
 
   const std::string sarif = FindingsToSarif({a, b}, "1.0");
   const Result<JsonValue> parsed = ParseJson(sarif);
@@ -315,15 +287,18 @@ TEST(Sarif, RoundTripsThroughJsonParser) {
   EXPECT_EQ("qsp_audit", driver.Find("name")->AsString());
   EXPECT_EQ("1.0", driver.Find("version")->AsString());
 
-  // The rule catalogue covers every id the analyzer can emit.
+  // The rule catalogue lists every id qsp_lint (six rules) and the
+  // include graph (four) can emit, once each.
   const auto& rules = driver.Find("rules")->AsArray();
-  bool saw_lock_rule = false;
-  for (const JsonValue& rule : rules) {
-    if (rule.Find("id")->AsString() == "lock-order-cycle")
-      saw_lock_rule = true;
+  std::vector<std::string> ids;
+  for (const JsonValue& rule : rules)
+    ids.push_back(rule.Find("id")->AsString());
+  EXPECT_EQ(10u, ids.size());
+  for (const char* id : {"discarded-status", "layer-back-edge",
+                         "layer-undeclared", "include-cycle",
+                         "unused-include"}) {
+    EXPECT_EQ(1, std::count(ids.begin(), ids.end(), id)) << id;
   }
-  EXPECT_TRUE(saw_lock_rule);
-  EXPECT_GE(rules.size(), 12u);
 
   const auto& results = runs[0].Find("results")->AsArray();
   ASSERT_EQ(2u, results.size());

@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/subscription_service.h"
 #include "exec/thread_pool.h"
 #include "merge/sharded_planner.h"
+#include "obs/metrics.h"
+#include "obs/phase_tracer.h"
 #include "relation/generator.h"
+#include "util/json_parser.h"
 #include "util/rng.h"
 
 namespace qsp {
@@ -182,6 +190,71 @@ TEST(SubscriptionServiceTest, SubscribeWhereParsesGeographicPredicate) {
                    .ok());
   EXPECT_FALSE(service.SubscribeWhere(a, "attr0 = 'tank'").ok());
   EXPECT_FALSE(service.SubscribeWhere(a, "not valid ((").ok());
+}
+
+TEST(SubscriptionServiceTest, SamplerThreadRunsWhileTheServicePlansAndRuns) {
+  // Telemetry plus both sampling knobs start an obs::PeriodicSampler
+  // thread for the service's lifetime. It reads the metric registry
+  // while Plan() and RunRound() publish into it, and the destructor
+  // joins it.
+  const std::string path =
+      testing::TempDir() + "/subscription_service_sampler.jsonl";
+  std::remove(path.c_str());
+  struct TelemetryOffOnExit {
+    ~TelemetryOffOnExit() {
+      obs::SetEnabled(false);
+      obs::MetricRegistry::Default().Reset();
+      obs::PhaseTracer::Default().Clear();
+    }
+  } telemetry_off_on_exit;
+  const auto read_sink = [&path] {
+    std::ifstream in(path);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+  };
+
+  ServiceConfig config = BasicConfig();
+  config.telemetry = true;
+  config.sample_interval_ms = 1;
+  config.sample_path = path;
+  {
+    SubscriptionService service(MakeWorldTable(9), Rect(0, 0, 100, 100),
+                                config);
+    Rng rng(9);
+    for (int c = 0; c < 4; ++c) {
+      const ClientId id = service.AddClient();
+      for (int q = 0; q < 3; ++q) {
+        const double x = rng.UniformDouble(0, 70);
+        const double y = rng.UniformDouble(0, 70);
+        service.Subscribe(id, Rect(x, y, x + 20, y + 20));
+      }
+    }
+    ASSERT_TRUE(service.Plan().ok());
+    // The sampler first fires one interval after the service starts, so
+    // keep running rounds until it has appended a row.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (read_sink().find('\n') == std::string::npos &&
+           std::chrono::steady_clock::now() < deadline) {
+      auto stats = service.RunRound();
+      ASSERT_TRUE(stats.ok());
+      ASSERT_TRUE(stats->all_answers_correct);
+    }
+  }
+
+  // The destructor stopped the sampler: every row is complete and parses.
+  std::istringstream rows(read_sink());
+  std::string row;
+  size_t parsed_rows = 0;
+  while (std::getline(rows, row)) {
+    const Result<JsonValue> parsed = ParseJson(row);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << ": " << row;
+    ASSERT_NE(nullptr, parsed.value().Find("gauges"));
+    ++parsed_rows;
+  }
+  EXPECT_GE(parsed_rows, 1u);
+  std::remove(path.c_str());
 }
 
 TEST(SubscriptionServiceTest, FactoriesCoverAllKinds) {

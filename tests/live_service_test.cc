@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -483,6 +485,63 @@ TEST_F(LiveServiceTest, ProcessBatchOnEmptyQueueIsSafe) {
   EXPECT_EQ(live.Unsubscribe(123).code(), StatusCode::kNotFound);
 }
 
+TEST_F(LiveServiceTest, BatchCallbackRunsWithTheLockReleased) {
+  // The callback may call back into the manager, so ProcessBatch invokes
+  // it only after releasing its lock. A probe thread started inside the
+  // callback takes a PlanSnapshot. Were the lock still held, the probe
+  // would block until the callback returned: the bounded wait times out
+  // and the test fails instead of deadlocking.
+  LivePlanManager live(&queries_, &ctx_, model_, Opts());
+  std::future<Partition> probe;
+  bool probe_ready = false;
+  std::vector<QueryId> reported;
+  live.SetBatchCallback([&](const BatchReport& report) {
+    reported = report.placed;
+    probe = std::async(std::launch::async,
+                       [&live] { return live.PlanSnapshot(); });
+    probe_ready = probe.wait_for(std::chrono::seconds(10)) ==
+                  std::future_status::ready;
+  });
+  const Result<QueryId> a = live.Subscribe(At(0, 0), 0);
+  const Result<QueryId> b = live.Subscribe(At(5, 5), 0);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  const BatchReport report = live.ProcessBatch();
+  EXPECT_TRUE(probe_ready) << "PlanSnapshot blocked while the callback ran";
+  EXPECT_EQ(reported, report.placed);
+  EXPECT_EQ(reported, (std::vector<QueryId>{a.value(), b.value()}));
+  ASSERT_TRUE(probe.valid());
+  // The probe saw the plan the batch left; nothing changed it since.
+  EXPECT_EQ(probe.get(), live.PlanSnapshot());
+}
+
+TEST_F(LiveServiceTest, BatchCallbackSeesEveryDrainedBatchUntilCleared) {
+  // DrainAll runs one ProcessBatch per admission_batch_max queued ops and
+  // the callback sees each of those batches; an empty function clears it.
+  LiveServiceConfig opts = Opts();
+  opts.admission_batch_max = 2;
+  LivePlanManager live(&queries_, &ctx_, model_, opts);
+  std::vector<std::vector<QueryId>> batches;
+  live.SetBatchCallback([&batches](const BatchReport& report) {
+    batches.push_back(report.placed);
+  });
+  std::vector<QueryId> ids;
+  for (int i = 0; i < 5; ++i) {
+    const Result<QueryId> id = live.Subscribe(At(10.0 * i, 0), 0);
+    ASSERT_TRUE(id.ok());
+    ids.push_back(id.value());
+  }
+  EXPECT_EQ(live.DrainAll().placed, ids);
+  const std::vector<std::vector<QueryId>> want = {
+      {ids[0], ids[1]}, {ids[2], ids[3]}, {ids[4]}};
+  EXPECT_EQ(batches, want);
+
+  live.SetBatchCallback({});
+  ASSERT_TRUE(live.Unsubscribe(ids[0]).ok());
+  EXPECT_EQ(live.ProcessBatch().retired, std::vector<QueryId>{ids[0]});
+  EXPECT_EQ(batches.size(), 3u);
+}
+
 // ProcessBatch evicts the memo entries of the ids it retired, once per
 // batch, and the incremental merger itself evicts nothing: after every
 // batch no entry holds a retired id, and the memo's size, its
@@ -679,6 +738,70 @@ TEST(LiveFacadeTest, BackgroundTickMirrorsPlacementsIntoClientSet) {
   EXPECT_TRUE(mirrored.empty())
       << "background-tick retirement was not mirrored out of the ClientSet";
   EXPECT_EQ(service.live_stats().active, 0u);
+}
+
+TEST(LiveFacadeTest, ConcurrentLeasesAndBatchesTakeLocksInOneOrder) {
+  // One thread leases and releases subscriptions (live_mu_, then the
+  // maintainer's lock) while this one processes batches and runs rounds
+  // (the maintainer's lock, released before the batch callback takes
+  // live_mu_). One order on every path: neither thread waits on the
+  // other forever, and under TSan its deadlock detector checks the order.
+  ServiceConfig config;
+  config.live.enabled = true;
+  config.live.default_ttl_ms = 0;
+  config.live.admission_batch_max = 4;
+  SubscriptionService service(LiveWorldTable(11), Rect(0, 0, 100, 100),
+                              config);
+  const std::vector<ClientId> clients = {service.AddClient(),
+                                         service.AddClient()};
+
+  std::atomic<bool> leasing_done{false};
+  std::atomic<int> lease_errors{0};
+  std::vector<QueryId> kept;
+  std::thread leaser([&] {
+    Rng rng(11);
+    for (int i = 0; i < 24; ++i) {
+      const double x = rng.UniformDouble(0, 80);
+      const double y = rng.UniformDouble(0, 80);
+      const Result<QueryId> id = service.SubscribeLeased(
+          clients[i % 2], Rect(x, y, x + 20, y + 20));
+      if (!id.ok()) {
+        ++lease_errors;
+      } else if (i % 3 == 2) {
+        // Departs again, possibly before a batch has placed it.
+        if (!service.Unsubscribe(id.value()).ok()) ++lease_errors;
+      } else {
+        kept.push_back(id.value());
+      }
+    }
+    leasing_done = true;
+  });
+  do {
+    service.ProcessAdmissions();
+    // Only this thread processes batches, so the plan its callback
+    // installed is still current.
+    if (service.live_stats().active > 0) {
+      const Result<RoundStats> round = service.RunRound();
+      EXPECT_TRUE(round.ok() && round->all_answers_correct);
+    }
+  } while (!leasing_done);
+  leaser.join();
+  EXPECT_EQ(lease_errors, 0);
+
+  service.DrainAdmissions();
+  std::sort(kept.begin(), kept.end());
+  ASSERT_NE(service.live(), nullptr);
+  EXPECT_EQ(service.live()->LiveIds(), kept);
+  std::vector<QueryId> mirrored;
+  for (ClientId c : clients) {
+    const std::vector<QueryId> of = service.MirroredQueriesOf(c);
+    mirrored.insert(mirrored.end(), of.begin(), of.end());
+  }
+  std::sort(mirrored.begin(), mirrored.end());
+  EXPECT_EQ(mirrored, kept);
+  const Result<RoundStats> last = service.RunRound();
+  ASSERT_TRUE(last.ok());
+  EXPECT_TRUE(last->all_answers_correct);
 }
 
 TEST(LiveFacadeTest, LiveModeRequiresSingleChannel) {

@@ -11,8 +11,6 @@ AuditResult RunAudit(const std::vector<SourceFile>& files,
                      const LayerSpec& spec) {
   AuditResult result;
   std::vector<Finding> raw = AuditIncludes(files, spec);
-  std::vector<Finding> lock = AuditLocks(files, &result.lock_edges);
-  raw.insert(raw.end(), lock.begin(), lock.end());
 
   // Allow markers are parsed from raw content (they live in comments).
   std::map<std::string, std::map<int, std::set<std::string>>> allows;

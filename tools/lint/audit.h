@@ -6,10 +6,9 @@
 #include <vector>
 
 #include "lint/include_graph.h"
-#include "lint/lock_graph.h"
 
-/// qsp_audit orchestration: runs the whole-program analyses (include/layer
-/// graph, lock-order graph) over one corpus, applies the shared
+/// qsp_audit orchestration: runs the whole-program analysis (the
+/// include/layer graph) over one corpus, applies the shared
 /// `// qsp-lint: allow(<rule>) <reason>` suppression syntax, and returns
 /// findings in stable (file, line, rule, message) order. The per-file
 /// rules stay in qsp_lint; this layer owns everything that needs to see
@@ -20,8 +19,6 @@ namespace lint {
 struct AuditResult {
   /// Surviving findings, sorted by (file, line, rule, message).
   std::vector<Finding> findings;
-  /// The deduplicated lock-order graph (for --explain dumps and tests).
-  std::vector<LockEdge> lock_edges;
   /// Findings silenced by allow markers.
   size_t suppressed = 0;
 };

@@ -126,8 +126,8 @@ std::string StripCommentsAndStrings(const std::string& content);
 std::map<int, std::set<std::string>> CollectAllowMarkers(
     const std::string& raw);
 
-/// Shared token utilities for the audit modules (include_graph.cc,
-/// lock_graph.cc). They operate on comment/string-stripped text.
+/// Shared token utilities for the per-file rules and the audit's
+/// include_graph.cc. They operate on comment/string-stripped text.
 namespace text {
 bool IsWordChar(char c);
 bool IsSpace(char c);

@@ -1,11 +1,9 @@
 // qsp_audit: whole-program analyzer (see lint/audit.h and DESIGN.md §14).
 // Where qsp_lint checks one file at a time, qsp_audit sees the tree: the
-// include graph against the declared layer DAG (docs/layers.conf), the
-// inter-procedural lock-order graph, and stored-callback invocations
-// under locks.
+// include graph against the declared layer DAG (docs/layers.conf).
 //
 // Usage:
-//   qsp_audit [--layers <conf>] [--sarif <out.sarif>] [--explain-locks]
+//   qsp_audit [--layers <conf>] [--sarif <out.sarif>]
 //             --root <repo-root> [subdir...]
 //
 // Subdirs (default: src tools bench) are walked recursively for *.h /
@@ -14,8 +12,7 @@
 // directories are skipped (they hold deliberately broken corpora). The
 // layer spec defaults to <repo-root>/docs/layers.conf. --sarif writes a
 // SARIF 2.1.0 report (always, even when clean — CI uploads it either
-// way). --explain-locks dumps the deduplicated lock-order graph to
-// stdout.
+// way).
 //
 // Exit status: 0 clean, 1 findings, 2 usage/I-O/config errors. Findings
 // print as `file:line: [rule] message`, deterministically ordered.
@@ -37,7 +34,6 @@ namespace fs = std::filesystem;
 using qsp::lint::AuditResult;
 using qsp::lint::ClassifyPath;
 using qsp::lint::LayerSpec;
-using qsp::lint::LockEdge;
 using qsp::lint::SourceFile;
 
 constexpr char kVersion[] = "1.0";
@@ -96,7 +92,7 @@ bool CollectTree(const fs::path& root, const std::string& subdir,
 int Usage() {
   std::fprintf(stderr,
                "usage: qsp_audit [--layers <conf>] [--sarif <out>] "
-               "[--explain-locks] --root <repo-root> [subdir...]\n");
+               "--root <repo-root> [subdir...]\n");
   return 2;
 }
 
@@ -104,7 +100,6 @@ int Usage() {
 
 int main(int argc, char** argv) {
   std::string root, layers_path, sarif_path;
-  bool explain_locks = false;
   std::vector<std::string> subdirs;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -114,8 +109,6 @@ int main(int argc, char** argv) {
       layers_path = argv[++i];
     } else if (arg == "--sarif" && i + 1 < argc) {
       sarif_path = argv[++i];
-    } else if (arg == "--explain-locks") {
-      explain_locks = true;
     } else if (arg == "--help" || arg == "-h" || arg.rfind("--", 0) == 0) {
       return Usage();
     } else {
@@ -152,15 +145,6 @@ int main(int argc, char** argv) {
   }
 
   const AuditResult result = qsp::lint::RunAudit(files, spec);
-
-  if (explain_locks) {
-    std::printf("# lock-order graph: %zu edge(s)\n",
-                result.lock_edges.size());
-    for (const LockEdge& e : result.lock_edges) {
-      std::printf("%s -> %s  (%s:%d)\n", e.held.c_str(), e.acquired.c_str(),
-                  e.file.c_str(), e.line);
-    }
-  }
 
   if (!sarif_path.empty()) {
     std::ofstream out(sarif_path, std::ios::binary);

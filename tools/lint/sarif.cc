@@ -36,10 +36,6 @@ const RuleDoc kRules[] = {
     {"unused-include",
      "project include contributing no referenced name (dead or "
      "transitive-only)"},
-    {"lock-order-cycle",
-     "cycle in the inter-procedural lock-order graph (potential deadlock)"},
-    {"callback-under-lock",
-     "stored std::function invoked while a mutex is held"},
 };
 
 }  // namespace
