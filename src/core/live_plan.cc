@@ -436,12 +436,6 @@ uint64_t LivePlanManager::evaluations() const {
   return merger_.evaluations();
 }
 
-bool LivePlanManager::replan_running() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return replan_job_ != nullptr &&
-         !replan_job_->done.load(std::memory_order_acquire);
-}
-
 void LivePlanManager::PublishGauges() {
   obs::SetGauge("service.subs.active", static_cast<double>(active_));
   obs::SetGauge("service.admission.queue_depth",

@@ -235,8 +235,6 @@ class LivePlanManager {
   double cost() const;
   /// Exact group evaluations spent by the maintainer so far.
   uint64_t evaluations() const;
-  /// True while a background replan is in flight.
-  bool replan_running() const;
 
  private:
   enum class LeaseState : uint8_t {

@@ -110,9 +110,17 @@ SubscriptionService::~SubscriptionService() {
   if (live_ != nullptr) live_->StopBackground();
 }
 
-ClientId SubscriptionService::AddClient() { return clients_.AddClient(); }
+ClientId SubscriptionService::AddClient() {
+  // In live mode the background tick's ApplyBatch reads the ClientSet
+  // under live_mu_.
+  std::lock_guard<std::mutex> lock(live_mu_);
+  return clients_.AddClient();
+}
 
 QueryId SubscriptionService::Subscribe(ClientId client, const Rect& rect) {
+  // A live service plans only what its lease manager admits; a one-shot
+  // subscription would be verified by every round but never planned.
+  QSP_CHECK(live_ == nullptr);
   const QueryId id = queries_.Add(rect);
   clients_.Subscribe(client, id);
   has_plan_ = false;
@@ -121,6 +129,10 @@ QueryId SubscriptionService::Subscribe(ClientId client, const Rect& rect) {
 
 Result<QueryId> SubscriptionService::SubscribeWhere(
     ClientId client, const std::string& predicate) {
+  if (live_ != nullptr) {
+    return Status::FailedPrecondition(
+        "live mode admits subscriptions through SubscribeLeased()");
+  }
   auto parsed = ParsePredicate(predicate);
   if (!parsed.ok()) return parsed.status();
   auto rect = ExtractRange(parsed.value(), table_.schema(), domain_);
@@ -144,13 +156,14 @@ Result<QueryId> SubscriptionService::SubscribeLeased(ClientId client,
                                                      const Rect& rect,
                                                      uint64_t ttl_ms) {
   QSP_RETURN_IF_ERROR(LiveGuard());
+  // live_mu_ is held across the client check, the enqueue AND the owner
+  // recording: the background tick can pop the admission as soon as
+  // Subscribe returns, but its ApplyBatch blocks on live_mu_ until the
+  // owner is on record.
+  std::lock_guard<std::mutex> lock(live_mu_);
   if (client >= clients_.num_clients()) {
     return Status::InvalidArgument("unknown client id");
   }
-  // live_mu_ is held across the enqueue AND the owner recording: the
-  // background tick can pop the admission as soon as Subscribe returns,
-  // but its ApplyBatch blocks on live_mu_ until the owner is on record.
-  std::lock_guard<std::mutex> lock(live_mu_);
   Result<QueryId> id = live_->Subscribe(rect, ttl_ms);
   if (!id.ok()) return id.status();
   if (owner_of_query_.size() <= id.value()) {

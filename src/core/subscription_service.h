@@ -168,13 +168,16 @@ class SubscriptionService {
   ClientId AddClient();
 
   /// Subscribes `client` to the geographic range `rect`; returns the
-  /// query id. Re-plan after changing subscriptions.
+  /// query id. Re-plan after changing subscriptions. One-shot services
+  /// only: on a live service it is a checked precondition failure (use
+  /// SubscribeLeased).
   QueryId Subscribe(ClientId client, const Rect& rect);
 
   /// Subscribes via a SQL-ish selection predicate over the position
   /// columns, e.g. "longitude BETWEEN 2 AND 41 AND latitude <= 40".
   /// The predicate must reduce to one rectangle (a conjunction of
   /// comparisons on the position columns); see query/predicate.h.
+  /// FailedPrecondition on a live service.
   Result<QueryId> SubscribeWhere(ClientId client,
                                  const std::string& predicate);
 
@@ -276,11 +279,12 @@ class SubscriptionService {
   DisseminationPlan plan_;
   std::vector<int32_t> plan_group_shard_;
 
-  /// Live mode only. Serializes facade state shared with the background
-  /// tick thread: ClientSet mirroring and plan installation (ApplyBatch,
-  /// which runs on whatever thread processed the batch), owner_of_query_
-  /// growth in SubscribeLeased, and the plan_/clients_ reads of RunRound
-  /// (a round runs under one consistent plan). Lock order: live_mu_
+  /// Serializes facade state shared with the live background tick
+  /// thread: ClientSet growth (AddClient), mirroring and plan
+  /// installation (ApplyBatch, which runs on whatever thread processed
+  /// the batch), owner_of_query_ growth in SubscribeLeased, and the
+  /// plan_/clients_ reads of RunRound (a round runs under one
+  /// consistent plan). Lock order: live_mu_
   /// before the maintainer's internal lock, never the reverse — the
   /// batch callback fires with the maintainer unlocked.
   mutable std::mutex live_mu_;

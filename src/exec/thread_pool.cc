@@ -14,6 +14,18 @@ namespace {
 /// worker thread to the pool that owns it.
 thread_local const ThreadPool* t_owner_pool = nullptr;
 
+/// ParallelFor calls the calling thread is inside (InParallelRegion).
+thread_local int t_region_depth = 0;
+
+/// Marks the calling thread as inside a parallel region for its scope.
+class RegionScope {
+ public:
+  RegionScope() { ++t_region_depth; }
+  ~RegionScope() { --t_region_depth; }
+  RegionScope(const RegionScope&) = delete;
+  RegionScope& operator=(const RegionScope&) = delete;
+};
+
 }  // namespace
 
 /// Shared state of one ParallelFor call. Workers pull contiguous grains
@@ -96,6 +108,7 @@ bool ThreadPool::InWorker() const { return t_owner_pool == this; }
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& body) {
   if (n == 0) return;
+  const RegionScope in_region;
   // From inside one of our own workers (a nested parallel region), run
   // serially: the outer region already owns the pool's capacity, and
   // blocking a worker on its own pool would deadlock.
@@ -155,10 +168,15 @@ ThreadPool* DefaultPool() { return g_default_pool.get(); }
 void ParallelFor(size_t n, const std::function<void(size_t)>& body) {
   ThreadPool* pool = DefaultPool();
   if (pool == nullptr) {
+    const RegionScope in_region;
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
   pool->ParallelFor(n, body);
+}
+
+bool InParallelRegion() {
+  return t_owner_pool != nullptr || t_region_depth > 0;
 }
 
 }  // namespace exec

@@ -97,6 +97,13 @@ ThreadPool* DefaultPool();
 /// Nested calls from inside a pool worker always run serially.
 void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
+/// True while the calling thread runs a parallel region's body: always on
+/// a pool worker, and on any other thread from the start of a ParallelFor
+/// call (on a pool or on the serial path) until it returns. The phase
+/// tracer records no span there (obs/phase_tracer.h), so its tree is the
+/// same at every thread count.
+bool InParallelRegion();
+
 /// Maps [0, n) through fn into a vector whose element i is fn(i) —
 /// deterministic result ordering by construction, regardless of which
 /// thread computed which element. T must be default-constructible.

@@ -145,7 +145,7 @@ void SpatialGrid::Insert(uint32_t id, const Rect& rect, double weight) {
   for (int cy = cy_lo; cy <= cy_hi; ++cy) {
     for (int cx = cx_lo; cx <= cx_hi; ++cx) {
       const size_t c = CellIndex(cx, cy);
-      cells_[c].push_back({id, weight, rect});
+      cells_[c].push_back({id, weight});
       cell_max_[c] = std::max(cell_max_[c], weight);
       double& block = block_max_[BlockIndex(cx, cy)];
       block = std::max(block, weight);
@@ -228,63 +228,6 @@ double SpatialGrid::LoadInRange(const Rect& rect) const {
     }
   }
   return load;
-}
-
-void SpatialGrid::ForEachNearbyPair(
-    const std::function<void(uint32_t, uint32_t)>& fn) const {
-  // Boundless ids have no cells, so the cell loop below never sees them —
-  // yet Query() returns them for every window. The join must agree with
-  // Query about which ids are candidates, so a canonical pass here pairs
-  // every boundless id with every other id (boundless and placed) exactly
-  // once, in a deterministic order, before the cell pass runs.
-  if (!boundless_.empty()) {
-    std::vector<uint32_t> unplaced(boundless_);
-    std::sort(unplaced.begin(), unplaced.end());
-    for (size_t i = 0; i < unplaced.size(); ++i) {
-      for (size_t j = i + 1; j < unplaced.size(); ++j) {
-        fn(unplaced[i], unplaced[j]);
-      }
-    }
-    std::vector<uint32_t> placed;
-    for (const auto& cell : cells_) {
-      for (const Entry& e : cell) placed.push_back(e.id);
-    }
-    std::sort(placed.begin(), placed.end());
-    placed.erase(std::unique(placed.begin(), placed.end()), placed.end());
-    for (uint32_t b : unplaced) {
-      for (uint32_t p : placed) {
-        if (b < p) {
-          fn(b, p);
-        } else {
-          fn(p, b);
-        }
-      }
-    }
-  }
-  for (int cy = 0; cy < cells_y_; ++cy) {
-    for (int cx = 0; cx < cells_x_; ++cx) {
-      const auto& cell = cells_[CellIndex(cx, cy)];
-      for (size_t i = 0; i < cell.size(); ++i) {
-        for (size_t j = i + 1; j < cell.size(); ++j) {
-          const Entry& ea = cell[i];
-          const Entry& eb = cell[j];
-          if (ea.id == eb.id) continue;
-          if (!ea.rect.Intersects(eb.rect)) continue;
-          // Emit only from the canonical cell: the one holding the
-          // upper-left corner of the (nonempty) intersection.
-          int px, py;
-          CellOf(std::max(ea.rect.x_lo(), eb.rect.x_lo()),
-                 std::max(ea.rect.y_lo(), eb.rect.y_lo()), &px, &py);
-          if (px != cx || py != cy) continue;
-          if (ea.id < eb.id) {
-            fn(ea.id, eb.id);
-          } else {
-            fn(eb.id, ea.id);
-          }
-        }
-      }
-    }
-  }
 }
 
 }  // namespace qsp

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "geom/rect.h"
@@ -33,13 +32,12 @@ namespace qsp {
 ///
 /// Deterministic by construction: a query returns each id once, in an
 /// order fixed by the grid's contents (the cells' visit order, then the
-/// boundless ids), and the pair join emits each pair exactly once in a
-/// well-defined order, so planners seeded from this index make the same
+/// boundless ids), so planners seeded from this index make the same
 /// decisions on every run and thread count. Query results are unordered:
 /// a caller that visits candidates against a running best sorts them
-/// itself (IncrementalMerger::CandidateSlots, the directed search's
-/// descent); PairMerger's partner rows and FreshPlanCostLowerBound do
-/// not depend on the order.
+/// itself (IncrementalMerger::CandidateSlots, which every directed-search
+/// restart runs); PairMerger's partner rows, clustering's intersecting
+/// pairs and FreshPlanCostLowerBound do not depend on the order.
 class SpatialGrid {
  public:
   /// Caller-owned deduplication scratch for the queries: one flag per
@@ -63,7 +61,7 @@ class SpatialGrid {
   /// heuristic: each rect overlaps O(1) cells, each cell holds O(1)
   /// rects on non-adversarial data), cell count clamped to keep memory
   /// linear in `rects.size()`. Join sizing suits queries whose reach is
-  /// about one rectangle: Query(rect), the pair join, LoadInRange.
+  /// about one rectangle: Query(rect), LoadInRange.
   ///
   /// A positive `min_cell_edge` coarsens that grid so its cell edge is
   /// ~max(join edge, min_cell_edge) on each axis (+infinity gives one
@@ -109,23 +107,11 @@ class SpatialGrid {
   /// the cells `rect` covers, plus the boundless bucket — an O(cells
   /// covered) upper-bound proxy for how many candidate pairs a planner
   /// would enumerate around `rect`. Entries spanning several covered
-  /// cells count once per cell (the join visits them that often), which
-  /// is exactly the property a planning-cost weight wants. An empty rect
-  /// has no position, so its load is every inserted id: size().
+  /// cells count once per cell (a walk over the cells visits them that
+  /// often), which is exactly the property a planning-cost weight wants.
+  /// An empty rect has no position, so its load is every inserted id:
+  /// size().
   double LoadInRange(const Rect& rect) const;
-
-  /// Calls fn(a, b) with a < b for every pair of inserted ids that Query
-  /// could ever return together: the exact spatial join over placed
-  /// rectangles, plus every pair involving a boundless id (an id the
-  /// index cannot localize is a candidate against everything, exactly as
-  /// in Query). Each pair is emitted exactly once — boundless pairs from
-  /// one canonical up-front pass, placed pairs from the cell holding the
-  /// upper-left corner of their intersection (the standard constant-
-  /// memory grid-join deduplication). Callers wanting only geometric
-  /// intersections filter on Rect::Intersects, which is false whenever
-  /// either rectangle is empty.
-  void ForEachNearbyPair(
-      const std::function<void(uint32_t, uint32_t)>& fn) const;
 
   int cells_x() const { return cells_x_; }
   int cells_y() const { return cells_y_; }
@@ -135,7 +121,6 @@ class SpatialGrid {
   struct Entry {
     uint32_t id;
     double weight;
-    Rect rect;
   };
 
   /// Cell coordinates covered by `rect`, clamped into the grid.
@@ -183,6 +168,14 @@ template <typename Pass>
 void SpatialGrid::Walk(int cx_lo, int cy_lo, int cx_hi, int cy_hi,
                        const Pass& pass, Seen* seen,
                        std::vector<uint32_t>* out) const {
+  if (cells_.size() == 1) {
+    // One cell holds each placed id once: nothing to deduplicate.
+    if (pass(Region(0, 0, 0, 0), cell_max_[0])) {
+      for (const Entry& e : cells_[0]) out->push_back(e.id);
+    }
+    out->insert(out->end(), boundless_.begin(), boundless_.end());
+    return;
+  }
   const size_t base = out->size();
   if (seen->size() < id_limit_) seen->resize(id_limit_, 0);
   uint8_t* flags = seen->data();

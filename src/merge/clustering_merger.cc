@@ -58,10 +58,10 @@ Result<MergeOutcome> ClusteringMerger::DoMerge(const MergeContext& ctx,
   //    covers both), and
   //  * kSlack * (s1 + s2) for disjoint queries (their coverage cannot
   //    overlap, so sizes add).
-  // So intersecting pairs come from a spatial-grid join with a cheap
-  // max-size test, and disjoint pairs are enumerated by ascending size
-  // sum only while the sum stays under s_cap, past which the bound at
-  // the disjoint floor is negative with a margin far above fp noise.
+  // So intersecting pairs come from walks over a spatial grid with a
+  // cheap max-size test, and disjoint pairs are enumerated by ascending
+  // size sum only while the sum stays under s_cap, past which the bound
+  // at the disjoint floor is negative with a margin far above fp noise.
   // Every skipped pair is non-mergeable under the exact test; every
   // surviving pair is evaluated with the identical expression — the
   // components are unchanged.
@@ -86,30 +86,33 @@ Result<MergeOutcome> ClusteringMerger::DoMerge(const MergeContext& ctx,
       sizes[id] = ctx.Size(id);
       rects[id] = ctx.queries().rect(id);
     }
-    // Disjoint-floor cutoff for the enumeration below and for boundless
-    // pairs from the grid join. The 1e-6 headroom keeps the cutoff sound
-    // against the rounding differences between this closed form and the
-    // exact evaluation.
+    // Disjoint-floor cutoff for the size-sum enumeration below. The
+    // 1e-6 headroom keeps the cutoff sound against the rounding
+    // differences between this closed form and the exact evaluation.
     const double s_cap = model.k_m / -coef * (1.0 + 1e-6);
-    // Intersecting pairs: exact spatial join, then the cheap max-size
-    // test (prune iff the bound is non-positive even at the smallest
-    // possible merged size). The join also surfaces every pair with an
-    // empty (boundless) rectangle; those never geometrically intersect,
-    // so they take the disjoint-pair cutoff instead of the intersecting
-    // floor — identical to how the enumeration below always treated them.
+    // Intersecting pairs: one grid walk per placed rectangle, each pair
+    // kept from its smaller id, then the cheap max-size test (prune iff
+    // the bound is non-positive even at the smallest possible merged
+    // size).
     SpatialGrid grid = SpatialGrid::ForRects(rects);
     for (QueryId id = 0; id < n; ++id) grid.Insert(id, rects[id]);
-    grid.ForEachNearbyPair([&](uint32_t a, uint32_t b) {
-      if (rects[a].IsEmpty() || rects[b].IsEmpty()) {
-        if (sizes[a] + sizes[b] < s_cap) pairs.emplace_back(a, b);
-        return;
+    std::vector<uint32_t> nearby;
+    SpatialGrid::Seen seen;
+    for (QueryId a = 0; a < n; ++a) {
+      if (rects[a].IsEmpty()) continue;
+      nearby.clear();
+      grid.Query(rects[a], &seen, &nearby);
+      for (uint32_t b : nearby) {
+        if (b <= a || !rects[a].Intersects(rects[b])) continue;
+        const double floor = slack * std::max(sizes[a], sizes[b]);
+        if (model.CoMergeBenefitBound(sizes[a], sizes[b], floor) > 0.0) {
+          pairs.emplace_back(a, b);
+        }
       }
-      const double floor = slack * std::max(sizes[a], sizes[b]);
-      if (model.CoMergeBenefitBound(sizes[a], sizes[b], floor) > 0.0) {
-        pairs.emplace_back(a, b);
-      }
-    });
-    // Disjoint pairs: ascending size-sum enumeration with an early cut.
+    }
+    // Every other pair, those with an empty (boundless) rectangle
+    // included, is disjoint: ascending size-sum enumeration with an
+    // early cut.
     std::vector<QueryId> by_size(n);
     std::iota(by_size.begin(), by_size.end(), 0);
     std::sort(by_size.begin(), by_size.end(), [&](QueryId a, QueryId b) {
@@ -122,8 +125,6 @@ Result<MergeOutcome> ClusteringMerger::DoMerge(const MergeContext& ctx,
         const QueryId b = by_size[j];
         if (sizes[a] + sizes[b] >= s_cap) break;  // sums only grow with j
         if (rects[a].Intersects(rects[b])) continue;  // grid pass owns it
-        // Boundless pairs are also owned by the grid pass now.
-        if (rects[a].IsEmpty() || rects[b].IsEmpty()) continue;
         pairs.emplace_back(std::min(a, b), std::max(a, b));
       }
     }

@@ -19,8 +19,9 @@ namespace qsp {
 /// actual merged size under the procedure is used.
 ///
 /// `pruning` accelerates the O(n^2) mergeable-graph construction
-/// (DESIGN.md §8): intersecting pairs come from a spatial-grid join, and
-/// disjoint pairs are enumerated by ascending size sum only while the
+/// (DESIGN.md §8): intersecting pairs come from one spatial-grid walk per
+/// placed rectangle, and disjoint pairs (those with an empty rectangle
+/// among them) are enumerated by ascending size sum only while the
 /// (monotone decreasing) co-merge bound at the disjoint size floor stays
 /// positive — pairs skipped either way are provably non-mergeable, and
 /// the surviving pairs are evaluated with the identical expression, so

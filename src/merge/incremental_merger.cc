@@ -58,135 +58,128 @@ void IncrementalMerger::ExtendUniverse(QueryId id) {
   const Rect grown = universe_.BoundingUnion(ctx_->queries().rect(id));
   if (universe_.Contains(grown)) return;
   universe_ = grown;
-  bounder_ = plan::BenefitBounder(*ctx_, model_, universe_, pruning_);
   // Distance-awareness is monotone non-increasing as the universe grows;
-  // once a query escapes the density-floor support the grid is dead
-  // weight (candidates fall back to the full scan order). PartnerWeight
-  // does not depend on the universe, so the grid's weights stay valid.
-  if (!bounder_.distance_aware()) grid_.reset();
+  // a bounder without the distance term accepts every cell, so the grid
+  // stays valid, and PartnerWeight does not depend on the universe, so
+  // neither do its weights.
+  bounder_ = plan::BenefitBounder(*ctx_, model_, universe_, pruning_);
+}
+
+Partition IncrementalMerger::partition() const {
+  Partition live;
+  live.reserve(live_groups_);
+  for (const QueryGroup& group : groups_) {
+    if (!group.empty()) live.push_back(group);
+  }
+  return live;
 }
 
 void IncrementalMerger::RebuildGrid() {
-  const size_t m = partition_.size();
-  // Compact keys to 0..m-1 in slot order: preserves the key-order ==
-  // slot-order invariant and garbage-collects dead keys.
-  key_of_slot_.resize(m);
-  slot_of_key_.assign(m, kNoSlot);
-  for (size_t i = 0; i < m; ++i) {
-    key_of_slot_[i] = static_cast<uint32_t>(i);
-    slot_of_key_[i] = i;
-  }
-  next_key_ = static_cast<uint32_t>(m);
-  for (size_t i = 0; i < m; ++i) {
-    for (QueryId q : partition_[i]) {
-      key_of_query_[q] = static_cast<uint32_t>(i);
+  uint32_t live = 0;
+  for (size_t slot = 0; slot < groups_.size(); ++slot) {
+    if (groups_[slot].empty()) continue;
+    if (slot != live) {
+      groups_[live] = std::move(groups_[slot]);
+      summaries_[live] = std::move(summaries_[slot]);
     }
+    for (QueryId q : groups_[live]) slot_of_query_[q] = live;
+    ++live;
   }
+  groups_.resize(live);
+  summaries_.resize(live);
   grid_ = bounder_.PartnerGrid(summaries_);
-  grid_built_groups_ = m;
+  grid_built_slots_ = live;
   obs::Count("merge.incremental.grid_rebuilds");
 }
 
 void IncrementalMerger::AppendGroup(QueryGroup group,
                                     plan::GroupSummary summary) {
-  const size_t slot = partition_.size();
-  const uint32_t key = next_key_++;
-  QSP_CHECK(slot_of_key_.size() == key);
-  slot_of_key_.push_back(slot);
-  key_of_slot_.push_back(key);
-  for (QueryId q : group) key_of_query_[q] = key;
-  partition_.push_back(std::move(group));
-  if (grid_) grid_->Insert(key, summary.bbox, bounder_.PartnerWeight(summary));
+  const uint32_t slot = static_cast<uint32_t>(groups_.size());
+  for (QueryId q : group) slot_of_query_[q] = slot;
+  groups_.push_back(std::move(group));
+  ++live_groups_;
+  if (grid_) grid_->Insert(slot, summary.bbox, bounder_.PartnerWeight(summary));
   summaries_.push_back(std::move(summary));
 }
 
-void IncrementalMerger::UpdateGroup(size_t slot, plan::GroupSummary summary) {
+void IncrementalMerger::UpdateGroup(uint32_t slot,
+                                    plan::GroupSummary summary) {
   if (grid_) {
-    const uint32_t key = key_of_slot_[slot];
-    grid_->Remove(key, summaries_[slot].bbox);
-    grid_->Insert(key, summary.bbox, bounder_.PartnerWeight(summary));
+    grid_->Remove(slot, summaries_[slot].bbox);
+    grid_->Insert(slot, summary.bbox, bounder_.PartnerWeight(summary));
   }
   summaries_[slot] = std::move(summary);
 }
 
-void IncrementalMerger::EraseGroup(size_t slot) {
-  const uint32_t key = key_of_slot_[slot];
-  if (grid_) grid_->Remove(key, summaries_[slot].bbox);
-  summaries_.erase(summaries_.begin() + static_cast<ptrdiff_t>(slot));
-  slot_of_key_[key] = kNoSlot;
-  partition_.erase(partition_.begin() + static_cast<ptrdiff_t>(slot));
-  key_of_slot_.erase(key_of_slot_.begin() + static_cast<ptrdiff_t>(slot));
-  for (size_t j = slot; j < key_of_slot_.size(); ++j) {
-    slot_of_key_[key_of_slot_[j]] = j;
-  }
+void IncrementalMerger::VacateSlot(uint32_t slot) {
+  if (grid_) grid_->Remove(slot, summaries_[slot].bbox);
+  QueryGroup().swap(groups_[slot]);
+  --live_groups_;
 }
 
 void IncrementalMerger::CandidateSlots(const plan::GroupSummary& summary,
-                                       std::vector<size_t>* out) {
+                                       std::vector<uint32_t>* out) {
   out->clear();
-  if (bounder_.distance_aware()) {
-    if (!grid_ || partition_.size() > 2 * grid_built_groups_ + 8) {
-      RebuildGrid();
+  grid_->QueryPassing(bounder_.PartnerTestFor(summary), &seen_, out);
+  // The walk returns slots unordered; ascending slots are creation
+  // order, the order a scan of every group visits them in.
+  if (out->size() != live_groups_) {
+    std::sort(out->begin(), out->end());
+  } else if (!std::is_sorted(out->begin(), out->end())) {
+    // Every live group: list the occupied slots. A one-cell grid (every
+    // grid without the distance term) returns them in insertion order,
+    // ascending until an update moves an entry.
+    out->clear();
+    for (uint32_t slot = 0; slot < groups_.size(); ++slot) {
+      if (!groups_[slot].empty()) out->push_back(slot);
     }
-    keys_.clear();
-    grid_->QueryPassing(bounder_.PartnerTestFor(summary), &seen_, &keys_);
-    // The grid returns keys unordered. Keys ascend in creation order,
-    // which equals slot order, so sorted keys visit groups in ascending
-    // slot order: the order of the full scan below.
-    std::sort(keys_.begin(), keys_.end());
-    for (uint32_t key : keys_) {
-      const size_t slot = slot_of_key_[key];
-      if (slot != kNoSlot) out->push_back(slot);
-    }
-  } else {
-    for (size_t i = 0; i < partition_.size(); ++i) out->push_back(i);
   }
 }
 
 double IncrementalMerger::AddQuery(QueryId id) {
   obs::Count("merge.incremental.adds");
-  if (key_of_query_.size() <= id) key_of_query_.resize(id + 1, kNoKey);
+  if (slot_of_query_.size() <= id) slot_of_query_.resize(id + 1, kNoSlot);
   ExtendUniverse(id);
   plan::GroupSummary single = SingletonSummary(id);
   // Candidate 0: a new singleton group.
   double best_delta = single.cost;
-  size_t best_group = partition_.size();  // Sentinel: singleton.
+  uint32_t best_slot = kNoSlot;
   plan::GroupSummary best_summary;
-  std::vector<size_t> cands;
-  CandidateSlots(single, &cands);
+  if (!grid_ || groups_.size() > 2 * grid_built_slots_ + 8) RebuildGrid();
+  CandidateSlots(single, &cands_);
   size_t evaluated = 0;
-  for (size_t slot : cands) {
+  for (uint32_t slot : cands_) {
     // Skip when the admissible benefit bound proves delta >= best_delta
     // (delta = singleton_cost - benefit >= singleton_cost - ub): the
     // strict `<` below could never pick this group.
     const double ub = bounder_.UpperBound(summaries_[slot], single);
     if (ub <= single.cost - best_delta) continue;
     ++evaluated;
-    QueryGroup grown = partition_[slot];
+    QueryGroup grown = groups_[slot];
     grown.push_back(id);
     CanonicalizeGroup(&grown);
     plan::GroupSummary gs = Summarize(grown);
     const double delta = gs.cost - summaries_[slot].cost;
     if (delta < best_delta) {
       best_delta = delta;
-      best_group = slot;
+      best_slot = slot;
       best_summary = std::move(gs);
     }
   }
   // Every group not evaluated exactly is pruned, whether the partner
   // walk or the bound dismissed it, so the count does not depend on the
   // grid.
-  const size_t pruned = partition_.size() - evaluated;
+  const size_t pruned = live_groups_ - evaluated;
   bounds_pruned_ += pruned;
   obs::Count("merge.incremental.bounds_pruned", pruned);
 
-  if (best_group == partition_.size()) {
+  if (best_slot == kNoSlot) {
     AppendGroup({id}, std::move(single));
   } else {
-    partition_[best_group].push_back(id);
-    CanonicalizeGroup(&partition_[best_group]);
-    key_of_query_[id] = key_of_slot_[best_group];
-    UpdateGroup(best_group, std::move(best_summary));
+    groups_[best_slot].push_back(id);
+    CanonicalizeGroup(&groups_[best_slot]);
+    slot_of_query_[id] = best_slot;
+    UpdateGroup(best_slot, std::move(best_summary));
   }
   cost_ += best_delta;
   return cost_;
@@ -194,20 +187,17 @@ double IncrementalMerger::AddQuery(QueryId id) {
 
 double IncrementalMerger::RemoveQuery(QueryId id) {
   obs::Count("merge.incremental.removes");
-  const uint32_t key =
-      id < key_of_query_.size() ? key_of_query_[id] : kNoKey;
-  if (key == kNoKey) return cost_;
-  const size_t slot = slot_of_key_[key];
-  QSP_CHECK(slot != kNoSlot);
-  QueryGroup& group = partition_[slot];
+  if (!Contains(id)) return cost_;
+  const uint32_t slot = slot_of_query_[id];
+  QueryGroup& group = groups_[slot];
   auto it = std::find(group.begin(), group.end(), id);
   QSP_CHECK(it != group.end());
   const double old_cost = summaries_[slot].cost;
   group.erase(it);
-  key_of_query_[id] = kNoKey;
+  slot_of_query_[id] = kNoSlot;
   if (group.empty()) {
     cost_ -= old_cost;
-    EraseGroup(slot);
+    VacateSlot(slot);
   } else {
     plan::GroupSummary gs = Summarize(group);
     cost_ += gs.cost - old_cost;
@@ -220,25 +210,25 @@ double IncrementalMerger::Repair(int max_moves) {
   obs::Count("merge.incremental.repairs");
   const uint64_t pruned_before = bounds_pruned_;
   int moves = 0;
-  std::vector<size_t> cands;
   while (max_moves == 0 || moves < max_moves) {
     // Every move reshapes the groups; a grid sized for the partition of
     // an earlier step (a random scatter's domain-wide boxes, say) would
-    // stay one coarse cell as the boxes shrink.
-    if (bounder_.distance_aware()) RebuildGrid();
+    // stay one coarse cell as the boxes shrink. The rebuild also
+    // compacts the slots, so slots 0..m-1 hold the m live groups.
+    RebuildGrid();
     double best_delta = 0.0;
     enum class Kind { kNone, kMerge, kExtract };
     Kind best_kind = Kind::kNone;
-    size_t best_i = 0, best_j = 0;
+    uint32_t best_i = 0, best_j = 0;
     QueryId best_q = 0;
     plan::GroupSummary best_merged;
     plan::GroupSummary best_rest;
 
-    const size_t m = partition_.size();
+    const size_t m = groups_.size();
     size_t merges_evaluated = 0;
-    for (size_t i = 0; i < m; ++i) {
-      CandidateSlots(summaries_[i], &cands);
-      for (size_t j : cands) {
+    for (uint32_t i = 0; i < m; ++i) {
+      CandidateSlots(summaries_[i], &cands_);
+      for (uint32_t j : cands_) {
         if (j <= i) continue;
         // best_delta >= 0 throughout, so pairs the partner query drops
         // (bound <= 0) and pairs whose bound cannot *strictly* beat the
@@ -248,7 +238,7 @@ double IncrementalMerger::Repair(int max_moves) {
         if (ub <= best_delta) continue;
         ++merges_evaluated;
         plan::GroupSummary ms =
-            Summarize(UnionGroups(partition_[i], partition_[j]));
+            Summarize(UnionGroups(groups_[i], groups_[j]));
         const double delta = summaries_[i].cost + summaries_[j].cost - ms.cost;
         // IsImprovement filters rounding-level "gains" that would make a
         // merge and its inverse extract move both look beneficial.
@@ -263,8 +253,8 @@ double IncrementalMerger::Repair(int max_moves) {
     }
     // As in AddQuery: every pair not evaluated exactly is pruned.
     bounds_pruned_ += m * (m - 1) / 2 - merges_evaluated;
-    for (size_t i = 0; i < partition_.size(); ++i) {
-      const QueryGroup& group = partition_[i];
+    for (uint32_t i = 0; i < m; ++i) {
+      const QueryGroup& group = groups_[i];
       if (group.size() < 2) continue;
       const double group_cost = summaries_[i].cost;
       const plan::BenefitBounder::ExtractBound extract_ub =
@@ -296,15 +286,14 @@ double IncrementalMerger::Repair(int max_moves) {
     // the move need not maintain it.
     grid_.reset();
     if (best_kind == Kind::kMerge) {
-      QueryGroup merged = UnionGroups(partition_[best_i], partition_[best_j]);
-      for (QueryId q : partition_[best_j]) {
-        key_of_query_[q] = key_of_slot_[best_i];
-      }
+      // best_i < best_j: the merged group keeps the older slot.
+      QueryGroup merged = UnionGroups(groups_[best_i], groups_[best_j]);
+      for (QueryId q : groups_[best_j]) slot_of_query_[q] = best_i;
+      VacateSlot(best_j);
+      groups_[best_i] = std::move(merged);
       UpdateGroup(best_i, std::move(best_merged));
-      EraseGroup(best_j);  // best_i < best_j, so best_i's slot is stable.
-      partition_[best_i] = std::move(merged);
     } else {
-      QueryGroup& group = partition_[best_i];
+      QueryGroup& group = groups_[best_i];
       QueryGroup rest;
       for (QueryId other : group) {
         if (other != best_q) rest.push_back(other);
@@ -329,35 +318,23 @@ void IncrementalMerger::Reset(Partition partition) {
                      [](const QueryGroup& g) { return g.empty(); }),
       partition.end());
   CanonicalizePartition(&partition);
-  partition_ = std::move(partition);
-  const size_t m = partition_.size();
-  key_of_slot_.resize(m);
-  slot_of_key_.assign(m, kNoSlot);
-  for (size_t i = 0; i < m; ++i) {
-    key_of_slot_[i] = static_cast<uint32_t>(i);
-    slot_of_key_[i] = i;
-  }
-  next_key_ = static_cast<uint32_t>(m);
-  key_of_query_.assign(ctx_->num_queries(), kNoKey);
-  for (size_t i = 0; i < m; ++i) {
-    for (QueryId q : partition_[i]) {
-      key_of_query_[q] = static_cast<uint32_t>(i);
-    }
-  }
-  cost_ = 0.0;
+  groups_ = std::move(partition);
+  live_groups_ = groups_.size();
+  slot_of_query_.assign(ctx_->num_queries(), kNoSlot);
   universe_ = Rect::Empty();
-  for (const QueryGroup& g : partition_) {
-    for (QueryId q : g) {
+  for (uint32_t slot = 0; slot < groups_.size(); ++slot) {
+    for (QueryId q : groups_[slot]) {
+      slot_of_query_[q] = slot;
       universe_ = universe_.BoundingUnion(ctx_->queries().rect(q));
     }
   }
   bounder_ = plan::BenefitBounder(*ctx_, model_, universe_, pruning_);
+  grid_.reset();  // Rebuilt before the first scan.
+  cost_ = 0.0;
   summaries_.clear();
-  summaries_.reserve(m);
-  grid_.reset();
-  grid_built_groups_ = 0;  // Grid is rebuilt lazily on first probe.
-  for (size_t i = 0; i < m; ++i) {
-    summaries_.push_back(Summarize(partition_[i]));
+  summaries_.reserve(groups_.size());
+  for (const QueryGroup& group : groups_) {
+    summaries_.push_back(Summarize(group));
     cost_ += summaries_.back().cost;
   }
 }

@@ -20,9 +20,10 @@ namespace qsp {
 ///
 ///  * AddQuery: greedily place the new query into the existing group whose
 ///    cost increases least (or as a singleton).
-///  * RemoveQuery: drop the query from its group; an emptied group is
-///    erased. The MergeContext memo is left alone: its owner evicts the
-///    entries of departed ids (the live service does, once per batch).
+///  * RemoveQuery: drop the query from its group; an emptied group
+///    leaves its slot empty. The MergeContext memo is left alone: its
+///    owner evicts the entries of departed ids (the live service does,
+///    once per batch).
 ///  * Repair: steepest descent over merge and extract moves to undo
 ///    accumulated drift; call periodically. It is the one descent of the
 ///    code base: the Directed Search Algorithm (Section 6.2.2) runs each
@@ -31,19 +32,22 @@ namespace qsp {
 /// Every scan is bounded the same way the one-shot planners are
 /// (DESIGN.md §8): cached GroupSummary per live group, admissible
 /// plan::BenefitBounder bounds skip candidates that provably cannot beat
-/// the current best, and — when the bounder is distance-aware — a
-/// SpatialGrid over group bounding boxes, weighted by
-/// BenefitBounder::PartnerWeight, restricts candidates to the cells
-/// BenefitBounder::PartnerTest lets through. Candidates are visited in
-/// ascending slot order and skipped only when the bound proves they
-/// cannot *strictly* improve, so every decision (and tie-break) is the
-/// one a scan evaluating every candidate would make; only evaluations()
-/// and bounds_pruned() depend on the bounds. With pruning off, or under
-/// a cost model the bounder cannot bound, nothing is skipped. Because
-/// the query population grows after construction, the merger maintains
-/// the bounding union of every id it has seen and re-derives its bounder
-/// as that universe grows, dropping the distance term the moment a query
-/// escapes the estimator's density-floor support.
+/// the current best, and a SpatialGrid over group bounding boxes, weighted
+/// by BenefitBounder::PartnerWeight, restricts candidates to the cells
+/// BenefitBounder::PartnerTest lets through (one accept-all cell when the
+/// bounder has no distance term). Groups are stored as PairMerger stores
+/// them: a group keeps its slot until the next grid rebuild, a removed or
+/// merged-away group leaves its slot empty, new groups append, and the
+/// grid's ids are the slots, so ascending slots are creation order.
+/// Candidates are visited in that order and skipped only when the bound
+/// proves they cannot *strictly* improve, so every decision (and
+/// tie-break) is the one a scan evaluating every candidate would make;
+/// only evaluations() and bounds_pruned() depend on the bounds. With
+/// pruning off, or under a cost model the bounder cannot bound, nothing
+/// is skipped. Because the query population grows after construction,
+/// the merger maintains the bounding union of every id it has seen and
+/// re-derives its bounder as that universe grows, dropping the distance
+/// term the moment a query escapes the estimator's density-floor support.
 ///
 /// The underlying MergeContext must wrap the same QuerySet that grows as
 /// ids are added; ids passed to AddQuery must already exist in the set.
@@ -82,12 +86,13 @@ class IncrementalMerger {
   /// the underlying QuerySet.
   void Reset(Partition partition);
 
-  const Partition& partition() const { return partition_; }
+  /// The live groups in slot (creation) order.
+  Partition partition() const;
   double cost() const { return cost_; }
 
   /// True when `id` is currently placed in the maintained partition.
   bool Contains(QueryId id) const {
-    return id < key_of_query_.size() && key_of_query_[id] != kNoKey;
+    return id < slot_of_query_.size() && slot_of_query_[id] != kNoSlot;
   }
 
   const MergeContext* context() const { return ctx_; }
@@ -100,8 +105,7 @@ class IncrementalMerger {
   uint64_t bounds_pruned() const { return bounds_pruned_; }
 
  private:
-  static constexpr uint32_t kNoKey = 0xffffffffu;
-  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
+  static constexpr uint32_t kNoSlot = 0xffffffffu;
 
   /// Summarize + evaluation accounting: every exact group cost the
   /// merger computes goes through here.
@@ -114,19 +118,19 @@ class IncrementalMerger {
 
   /// Folds rect(id) into the seen-universe and re-derives the bounder.
   void ExtendUniverse(QueryId id);
-  /// (Re)builds the grid over live group bboxes, compacting stale keys.
+  /// Compacts the empty slots (live groups keep their order) and builds
+  /// the grid over the live groups.
   void RebuildGrid();
-  /// Appends a new group (fresh key) with its summary.
+  /// Appends a new group in a fresh slot with its summary.
   void AppendGroup(QueryGroup group, plan::GroupSummary summary);
   /// Installs a changed group's summary at `slot`, moving its grid entry.
-  void UpdateGroup(size_t slot, plan::GroupSummary summary);
-  /// Erases the group at `slot` (must already be removed from the grid);
-  /// fixes the key->slot map for the shifted tail.
-  void EraseGroup(size_t slot);
+  void UpdateGroup(uint32_t slot, plan::GroupSummary summary);
+  /// Empties `slot`, dropping its grid entry.
+  void VacateSlot(uint32_t slot);
   /// Ascending slots of the groups a probe with `summary` must consider;
   /// every slot omitted provably has UpperBound(group, probe) <= 0.
   void CandidateSlots(const plan::GroupSummary& summary,
-                      std::vector<size_t>* out);
+                      std::vector<uint32_t>* out);
 
   const MergeContext* ctx_;
   CostModel model_;
@@ -135,29 +139,26 @@ class IncrementalMerger {
   Rect universe_ = Rect::Empty();
   /// Re-derived from universe_ whenever it grows.
   plan::BenefitBounder bounder_;
-  Partition partition_;
   double cost_ = 0.0;
   uint64_t evaluations_ = 0;
   uint64_t bounds_pruned_ = 0;
 
-  /// Stable group identity: partition slots shift on erase, so the grid
-  /// and the id->group map speak stable keys. Keys are assigned in
-  /// creation order and groups are only appended, so key order == slot
-  /// order — candidate keys sorted ascending are slots sorted ascending,
-  /// which is what keeps grid-driven scans in ascending slot order.
-  std::vector<uint32_t> key_of_slot_;
-  std::vector<size_t> slot_of_key_;
-  std::vector<uint32_t> key_of_query_;
-  uint32_t next_key_ = 0;
-
-  /// Summary of each live group, parallel to partition_.
+  /// The groups by slot; an empty group is a vacated slot. Parallel to
+  /// summaries_.
+  std::vector<QueryGroup> groups_;
   std::vector<plan::GroupSummary> summaries_;
-  /// Built only while the bounder is distance-aware.
+  size_t live_groups_ = 0;
+  /// Slot of each placed query id, kNoSlot when the id is not placed.
+  std::vector<uint32_t> slot_of_query_;
+  /// Partner grid over the occupied slots; dropped by a Repair move and
+  /// by Reset, and rebuilt (compacting the slots) before the next scan.
   std::optional<SpatialGrid> grid_;
-  size_t grid_built_groups_ = 0;
+  /// Slots at the last rebuild; an arrival rebuilds once the slots,
+  /// vacated ones included, pass twice this plus 8.
+  size_t grid_built_slots_ = 0;
   /// Deduplication and output scratch of the grid's partner queries.
   SpatialGrid::Seen seen_;
-  std::vector<uint32_t> keys_;
+  std::vector<uint32_t> cands_;
 };
 
 }  // namespace qsp

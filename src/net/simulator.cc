@@ -268,9 +268,10 @@ RoundStats MulticastSimulator::RunRound(const DisseminationPlan& plan,
   for (SimClient& client : sim_clients_) client.StartRound();
 
   // Server side.
-  obs::PhaseTracer::Default().Begin("execute");
-  std::vector<Message> messages = server_.ExecuteRound(plan, procedure, mode);
-  obs::PhaseTracer::Default().End();
+  std::vector<Message> messages = [&] {
+    obs::ScopedSpan execute_span("execute");
+    return server_.ExecuteRound(plan, procedure, mode);
+  }();
   const uint32_t round_id = round_counter_++;
   for (Message& msg : messages) msg.round_id = round_id;
   const std::vector<ChannelRange> channels =
@@ -316,11 +317,11 @@ RoundStats MulticastSimulator::RunRound(const DisseminationPlan& plan,
   // Broadcast: every client on a channel sees every message on it, in seq
   // order. Channels partition the clients, so each channel is one
   // independent task, run across the exec pool when there is one and
-  // serially otherwise; the phase tracer is single-threaded, so the tasks
-  // record no spans of their own. With a fault policy, delivery instead
-  // runs the lossy channel + NACK recovery path (kept serial: the
-  // injector's seeded draw order is part of the reproducibility
-  // contract).
+  // serially otherwise; the phase tracer records nothing inside a
+  // parallel region, so one span encloses the pass. With a fault policy,
+  // delivery instead runs the lossy channel + NACK recovery path (kept
+  // serial: the injector's seeded draw order is part of the
+  // reproducibility contract).
   if (fault_.has_value()) {
     RunLossyRound(messages, channels, &stats);
   } else {
@@ -336,21 +337,22 @@ RoundStats MulticastSimulator::RunRound(const DisseminationPlan& plan,
   }
 
   // Client-side accounting + end-to-end verification.
-  obs::PhaseTracer::Default().Begin("extract-verify");
-  stats.all_answers_correct = true;
-  for (const SimClient& client : sim_clients_) {
-    stats.irrelevant_rows += client.stats().rows_irrelevant;
-    stats.rows_examined += client.stats().rows_examined;
-    stats.headers_checked += client.stats().headers_checked;
-    stats.cache_hits += client.stats().cache_hits;
-    stats.duplicate_deliveries += client.stats().duplicates_ignored;
-    for (QueryId q : client.subscriptions()) {
-      if (!server_.MatchesDirectAnswer(q, client.AnswerFor(q))) {
-        stats.all_answers_correct = false;
+  {
+    obs::ScopedSpan verify_span("extract-verify");
+    stats.all_answers_correct = true;
+    for (const SimClient& client : sim_clients_) {
+      stats.irrelevant_rows += client.stats().rows_irrelevant;
+      stats.rows_examined += client.stats().rows_examined;
+      stats.headers_checked += client.stats().headers_checked;
+      stats.cache_hits += client.stats().cache_hits;
+      stats.duplicate_deliveries += client.stats().duplicates_ignored;
+      for (QueryId q : client.subscriptions()) {
+        if (!server_.MatchesDirectAnswer(q, client.AnswerFor(q))) {
+          stats.all_answers_correct = false;
+        }
       }
     }
   }
-  obs::PhaseTracer::Default().End();
 
   if (obs::Enabled()) RecordRoundMetrics(stats);
   return stats;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "exec/thread_pool.h"
 #include "util/json_writer.h"
 
 namespace qsp {
@@ -62,17 +63,27 @@ void SpanToJson(const PhaseTracer::Span& span, JsonWriter* json) {
 
 }  // namespace
 
-void PhaseTracer::Begin(std::string_view name) {
-  if (!Enabled()) return;
+bool PhaseTracer::CallerOwnsTree() const {
+  if (exec::InParallelRegion()) return false;
+  return open_.empty() || owner_ == std::this_thread::get_id();
+}
+
+bool PhaseTracer::Begin(std::string_view name) {
+  if (!Enabled()) return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!CallerOwnsTree()) return false;
+  if (open_.empty()) owner_ = std::this_thread::get_id();
   OpenSpan open;
   open.span.name = std::string(name);
   open.counters_at_start = MetricRegistry::Default().CounterValues();
   open.start_us = CurrentClock()->NowMicros();
   open_.push_back(std::move(open));
+  return true;
 }
 
 void PhaseTracer::End() {
-  if (open_.empty()) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (open_.empty() || !CallerOwnsTree()) return;
   OpenSpan open = std::move(open_.back());
   open_.pop_back();
   open.span.wall_us = CurrentClock()->NowMicros() - open.start_us;
@@ -85,18 +96,31 @@ void PhaseTracer::End() {
   }
 }
 
+size_t PhaseTracer::depth() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return open_.size();
+}
+
+std::vector<PhaseTracer::Span> PhaseTracer::spans() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return roots_;
+}
+
 void PhaseTracer::Clear() {
+  std::lock_guard<std::mutex> lock(mu_);
   open_.clear();
   roots_.clear();
 }
 
 std::string PhaseTracer::ToText() const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   for (const Span& span : roots_) SpanToText(span, 0, &out);
   return out;
 }
 
 std::string PhaseTracer::ToJson() const {
+  std::lock_guard<std::mutex> lock(mu_);
   JsonWriter json;
   json.BeginArray();
   for (const Span& span : roots_) SpanToJson(span, &json);

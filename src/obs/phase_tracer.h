@@ -2,12 +2,15 @@
 #define QSP_OBS_PHASE_TRACER_H_
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "util/thread_annotations.h"
 
 namespace qsp {
 namespace obs {
@@ -20,10 +23,17 @@ namespace obs {
 /// work (estimator calls, candidates, cache misses) it burned.
 ///
 /// Begin/End must nest; ScopedSpan is the intended way to use it.
-/// Completed top-level spans accumulate until Clear(). Not thread-safe:
-/// only the orchestrating thread may open spans, so code running inside a
-/// qsp::exec parallel region must not create spans (the parallel
-/// broadcast pass records one enclosing span instead of one per channel).
+/// Completed top-level spans accumulate until Clear().
+///
+/// Threading rule: the tree belongs to one thread at a time. Begin opens
+/// a root on any thread when no span is open, and then only the thread
+/// that opened the current root may open or close spans until that root
+/// closes; any other thread's Begin records nothing. Code inside a
+/// qsp::exec parallel region records nothing either, on the workers and
+/// on the calling thread alike, so the tree does not depend on the thread
+/// count (a parallel pass such as the broadcast records one enclosing
+/// span instead of one per task). The state is guarded by a mutex, so
+/// any thread may call any member.
 class PhaseTracer {
  public:
   struct Span {
@@ -36,19 +46,21 @@ class PhaseTracer {
     std::vector<Span> children;
   };
 
-  /// Opens a span as a child of the innermost open span (or a new root).
-  /// No-op when telemetry is disabled.
-  void Begin(std::string_view name);
+  /// Opens a span as a child of the innermost open span (or a new root)
+  /// and returns true; records nothing and returns false when telemetry
+  /// is disabled or the threading rule above refuses the caller.
+  bool Begin(std::string_view name);
 
-  /// Closes the innermost open span; no-op when none is open.
+  /// Closes the innermost open span; no-op when none is open or the
+  /// threading rule refuses the caller.
   void End();
 
   /// Number of currently open spans.
-  size_t depth() const { return open_.size(); }
+  size_t depth() const;
 
   /// Completed top-level spans, oldest first. Spans still open do not
   /// appear until their End().
-  const std::vector<Span>& spans() const { return roots_; }
+  std::vector<Span> spans() const;
 
   /// Drops all completed and open spans.
   void Clear();
@@ -70,17 +82,23 @@ class PhaseTracer {
     std::vector<std::pair<std::string, uint64_t>> counters_at_start;
   };
 
-  std::vector<OpenSpan> open_;
-  std::vector<Span> roots_;
+  /// True when the calling thread may open or close spans now.
+  bool CallerOwnsTree() const QSP_REQUIRES(mu_);
+
+  mutable std::mutex mu_;
+  std::vector<OpenSpan> open_ QSP_GUARDED_BY(mu_);
+  std::vector<Span> roots_ QSP_GUARDED_BY(mu_);
+  /// The thread that opened the current root; meaningful while open_ is
+  /// non-empty.
+  std::thread::id owner_ QSP_GUARDED_BY(mu_);
 };
 
-/// RAII span on the default tracer. Captures the enabled state at
-/// construction so an End() is only issued for spans actually opened.
+/// RAII span on the default tracer. Remembers whether its Begin opened a
+/// span, so an End() is only issued for spans actually opened.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(std::string_view name) : active_(Enabled()) {
-    if (active_) PhaseTracer::Default().Begin(name);
-  }
+  explicit ScopedSpan(std::string_view name)
+      : active_(Enabled() && PhaseTracer::Default().Begin(name)) {}
 
   ~ScopedSpan() {
     if (active_) PhaseTracer::Default().End();

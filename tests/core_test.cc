@@ -157,6 +157,55 @@ TEST(SubscriptionServiceTest, ShardedPlanServesCorrectRounds) {
                    knobless_report->estimated_cost);
 }
 
+/// Span names of a tree, one per line, indented by depth.
+void AppendSpanNames(const std::vector<obs::PhaseTracer::Span>& spans,
+                     int depth, std::string* out) {
+  for (const obs::PhaseTracer::Span& span : spans) {
+    out->append(static_cast<size_t>(2 * depth), ' ');
+    *out += span.name + "\n";
+    AppendSpanNames(span.children, depth + 1, out);
+  }
+}
+
+TEST(SubscriptionServiceTest, ShardedPlanTraceIsTheSameAtEveryThreadCount) {
+  // Telemetry on, 4 shards: every shard's Merger::Merge opens its
+  // merge/<name> span inside exec::ParallelMap, on the pool's workers and
+  // on the calling thread at once. The tracer records nothing inside a
+  // parallel region, so 4 threads trace the tree 1 thread does, and no
+  // worker touches the tracer's state (a data race under TSan).
+  struct TelemetryOffOnExit {
+    ~TelemetryOffOnExit() {
+      exec::SetDefaultThreads(1);
+      obs::SetEnabled(false);
+      obs::MetricRegistry::Default().Reset();
+      obs::PhaseTracer::Default().Clear();
+    }
+  } telemetry_off_on_exit;
+  std::string trees[2];
+  const int threads[2] = {1, 4};
+  for (int t = 0; t < 2; ++t) {
+    obs::PhaseTracer::Default().Clear();
+    ServiceConfig config = BasicConfig();
+    config.telemetry = true;
+    config.threads = threads[t];
+    config.shards = 4;
+    SubscriptionService service(MakeWorldTable(6), Rect(0, 0, 100, 100),
+                                config);
+    Rng rng(99);
+    const ClientId a = service.AddClient();
+    const ClientId b = service.AddClient();
+    for (int i = 0; i < 40; ++i) {
+      const double x = rng.UniformDouble(0.0, 85.0);
+      const double y = rng.UniformDouble(0.0, 85.0);
+      service.Subscribe(i % 2 == 0 ? a : b, Rect(x, y, x + 12, y + 12));
+    }
+    ASSERT_TRUE(service.Plan().ok());
+    AppendSpanNames(obs::PhaseTracer::Default().spans(), 0, &trees[t]);
+  }
+  EXPECT_EQ(trees[0], "plan\n  plan/sharded\n    plan/seam\n");
+  EXPECT_EQ(trees[1], trees[0]);
+}
+
 TEST(SubscriptionServiceTest, MultiChannelPlanUsesAtMostConfiguredChannels) {
   ServiceConfig config = BasicConfig();
   config.num_channels = 3;

@@ -824,6 +824,70 @@ TEST(LiveFacadeTest, LiveCallsRejectedWhenDisabled) {
   EXPECT_EQ(service.SweepExpired(), 0u);
 }
 
+TEST(LiveFacadeTest, AddClientWhileTheBackgroundTickMirrors) {
+  // Regression: AddClient grew the ClientSet without live_mu_ while the
+  // background tick's batch callback read it (ApplyBatch installs
+  // AllClients() as the round allocation on every tick), a data race
+  // under TSan. Clients now join under the same lock.
+  ServiceConfig config;
+  config.live.enabled = true;
+  config.live.default_ttl_ms = 0;
+  config.live.sweep_interval_ms = 1;
+  SubscriptionService service(LiveWorldTable(13), Rect(0, 0, 100, 100),
+                              config);
+  const ClientId first = service.AddClient();
+  Result<QueryId> id = service.SubscribeLeased(first, Rect(5, 5, 25, 25));
+  ASSERT_TRUE(id.ok());
+  for (ClientId expected = first + 1; expected <= first + 100; ++expected) {
+    ASSERT_EQ(service.AddClient(), expected);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  std::vector<QueryId> mirrored;
+  for (int i = 0; i < 5000 && mirrored.empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    mirrored = service.MirroredQueriesOf(first);
+  }
+  ASSERT_EQ(mirrored, std::vector<QueryId>{id.value()});
+  const Result<RoundStats> round = service.RunRound();
+  ASSERT_TRUE(round.ok());
+  EXPECT_TRUE(round->all_answers_correct);
+}
+
+TEST(LiveFacadeTest, SubscribeWhereIsRejectedInLiveMode) {
+  // Regression: a one-shot SubscribeWhere on a live service added a query
+  // the lease manager never planned, so the next round failed and every
+  // later round verified an answer nobody served.
+  ServiceConfig config;
+  config.live.enabled = true;
+  config.live.default_ttl_ms = 0;
+  SubscriptionService service(LiveWorldTable(14), Rect(0, 0, 100, 100),
+                              config);
+  const ClientId client = service.AddClient();
+  ASSERT_TRUE(service.SubscribeLeased(client, Rect(10, 10, 30, 30)).ok());
+  service.DrainAdmissions();
+  const Result<QueryId> rejected = service.SubscribeWhere(
+      client, "longitude BETWEEN 50 AND 70 AND latitude BETWEEN 50 AND 70");
+  EXPECT_EQ(rejected.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(service.queries().size(), 1u);
+  service.DrainAdmissions();
+  const Result<RoundStats> round = service.RunRound();
+  ASSERT_TRUE(round.ok());
+  EXPECT_TRUE(round->all_answers_correct);
+}
+
+TEST(LiveFacadeDeathTest, OneShotSubscribeAbortsInLiveMode) {
+  // Subscribe returns a bare id, so on a live service (where the query
+  // would never be planned) it is a checked precondition.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ServiceConfig config;
+  config.live.enabled = true;
+  SubscriptionService service(LiveWorldTable(15), Rect(0, 0, 100, 100),
+                              config);
+  const ClientId client = service.AddClient();
+  EXPECT_DEATH(service.Subscribe(client, Rect(0, 0, 10, 10)),
+               "QSP_CHECK failed");
+}
+
 // ---------------------------------------------------------------------
 // Churn soak determinism and invariants.
 

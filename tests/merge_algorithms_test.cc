@@ -7,7 +7,6 @@
 #include "cost/cost_model.h"
 #include "merge/clustering_merger.h"
 #include "merge/directed_search_merger.h"
-#include "merge/exhaustive_merger.h"
 #include "merge/pair_merger.h"
 #include "merge/partition_merger.h"
 #include "merge/rgs.h"
@@ -88,13 +87,13 @@ TEST(RgsTest, BlocksRoundTrip) {
 
 TEST(ExhaustiveMergerTest, RefusesLargeInputs) {
   Instance inst(6, 1);
-  ExhaustiveMerger merger(4);
+  reference::ExhaustiveMerger merger(4);
   EXPECT_FALSE(merger.Merge(*inst.ctx, inst.model).ok());
 }
 
 TEST(ExhaustiveMergerTest, SingleQueryTrivial) {
   Instance inst(1, 2);
-  ExhaustiveMerger merger;
+  reference::ExhaustiveMerger merger;
   auto result = merger.Merge(*inst.ctx, inst.model);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->partition, (Partition{{0}}));
@@ -107,7 +106,7 @@ class SingleAllocationProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SingleAllocationProperty, CoverOptimumEqualsPartitionOptimum) {
   Instance inst(4, GetParam());
-  ExhaustiveMerger cover_search;
+  reference::ExhaustiveMerger cover_search;
   PartitionMerger partition_search;
   auto cover = cover_search.Merge(*inst.ctx, inst.model);
   auto partition = partition_search.Merge(*inst.ctx, inst.model);

@@ -9,9 +9,14 @@
 //    strict improvement first. DirectedSearchMerger (Section 6.2.2) runs
 //    that descent from each restart's start (Reset, then Repair);
 //  * ExhaustiveIncrementalMerger — IncrementalMerger's AddQuery,
-//    RemoveQuery and Repair (Section 11) over the same slot layout. Its
-//    Repair is the same descent with a move budget, scaled by the
-//    maintained cost rather than a fresh PartitionCost.
+//    RemoveQuery and Repair (Section 11), visiting the live groups in the
+//    same creation order. Its Repair is the same descent with a move
+//    budget, scaled by the maintained cost rather than a fresh
+//    PartitionCost.
+//
+// ExhaustiveMerger, the doubly exponential S(S(Q)) cover search of
+// Section 6.1, is the oracle of a different claim: the single-allocation
+// property, that the cheapest cover of Q is always a partition.
 //
 // Pair merging's reference is in the library: PairMerger(/*use_heap=*/
 // false) runs the paper's Profit Table; ProfitTableEvaluations counts
@@ -22,9 +27,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "cost/cost_model.h"
+#include "merge/merger.h"
 #include "query/merge_context.h"
 #include "query/query.h"
 #include "util/float_compare.h"
@@ -233,6 +242,78 @@ class ExhaustiveIncrementalMerger {
   Partition partition_;
   double cost_ = 0.0;
   uint64_t evaluations_ = 0;
+};
+
+/// The doubly exponential exhaustive algorithm of Section 6.1: enumerate
+/// every element of S(S(Q)) — every collection of query subsets — keep the
+/// ones that cover Q (members may overlap: a query may be allocated to
+/// several merged sets), and pick the cheapest. O(2^(2^|Q|)); refuses
+/// |Q| > max_queries (default 4, already 2^15 candidate collections).
+/// Its optimum is always a partition under this cost model, which makes
+/// it the ground truth for PartitionMerger on tiny inputs.
+class ExhaustiveMerger : public Merger {
+ public:
+  explicit ExhaustiveMerger(int max_queries = 4) : max_queries_(max_queries) {}
+
+  std::string name() const override { return "exhaustive"; }
+
+ protected:
+  Result<MergeOutcome> DoMerge(const MergeContext& ctx,
+                               const CostModel& model) const override {
+    const int n = static_cast<int>(ctx.num_queries());
+    if (n == 0) return MergeOutcome{};
+    if (n > max_queries_) {
+      return Status::ResourceExhausted(
+          "exhaustive S(S(Q)) search is limited to " +
+          std::to_string(max_queries_) + " queries, got " + std::to_string(n));
+    }
+    // Subset s (1-based) is the query-id mask s.
+    const uint32_t num_subsets = (1u << n) - 1;
+    const uint32_t full_cover = (1u << n) - 1;
+    std::vector<double> subset_cost(num_subsets + 1, 0.0);
+    for (uint32_t s = 1; s <= num_subsets; ++s) {
+      subset_cost[s] = model.GroupCost(ctx, MaskToGroup(s));
+    }
+    MergeOutcome best;
+    best.cost = std::numeric_limits<double>::infinity();
+    // Enumerate S(S(Q)): every collection of non-empty subsets.
+    const uint64_t num_collections = 1ull << num_subsets;
+    for (uint64_t collection = 1; collection < num_collections;
+         ++collection) {
+      uint32_t covered = 0;
+      double cost = 0.0;
+      for (uint32_t s = 1; s <= num_subsets; ++s) {
+        if (collection & (1ull << (s - 1))) {
+          covered |= s;
+          cost += subset_cost[s];
+        }
+      }
+      ++best.candidates;
+      if (covered != full_cover) continue;  // Not a total cover of Q.
+      if (cost < best.cost) {
+        best.cost = cost;
+        best.partition.clear();
+        for (uint32_t s = 1; s <= num_subsets; ++s) {
+          if (collection & (1ull << (s - 1))) {
+            best.partition.push_back(MaskToGroup(s));
+          }
+        }
+      }
+    }
+    CanonicalizePartition(&best.partition);
+    return best;
+  }
+
+ private:
+  static QueryGroup MaskToGroup(uint32_t mask) {
+    QueryGroup group;
+    for (uint32_t i = 0; mask != 0; ++i, mask >>= 1) {
+      if (mask & 1u) group.push_back(i);
+    }
+    return group;
+  }
+
+  int max_queries_;
 };
 
 }  // namespace reference

@@ -9,11 +9,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bench/bench_common.h"
+#include "exec/thread_pool.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/phase_tracer.h"
@@ -145,8 +147,9 @@ TEST_F(ObsTest, TracerNestsSpansAndCapturesCounterDeltas) {
   Count("work.inner", 5);
   tracer.End();
   tracer.End();
-  ASSERT_EQ(tracer.spans().size(), 1u);
-  const PhaseTracer::Span& outer = tracer.spans()[0];
+  const std::vector<PhaseTracer::Span> spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 1u);
+  const PhaseTracer::Span& outer = spans[0];
   EXPECT_EQ(outer.name, "outer");
   ASSERT_EQ(outer.children.size(), 1u);
   EXPECT_EQ(outer.children[0].name, "inner");
@@ -175,6 +178,41 @@ TEST_F(ObsTest, TracerDisabledRecordsNothing) {
   { ScopedSpan span("also-ignored"); }
   tracer.End();
   EXPECT_TRUE(tracer.spans().empty());
+}
+
+TEST_F(ObsTest, TracerRecordsOnlyOnTheRootThreadOutsideParallelRegions) {
+  SetEnabled(true);
+  PhaseTracer& tracer = PhaseTracer::Default();
+  ASSERT_TRUE(tracer.Begin("root"));
+  // Another thread may not open a span while this thread owns the root.
+  bool other_opened = true;
+  std::thread other([&] {
+    other_opened = tracer.Begin("other");
+    tracer.End();  // Refused too: it must not close "root".
+  });
+  other.join();
+  EXPECT_FALSE(other_opened);
+  EXPECT_EQ(tracer.depth(), 1u);
+  // A parallel region records nothing, on the serial path as well, so the
+  // tree does not depend on the thread count.
+  exec::ParallelFor(3, [&](size_t) {
+    EXPECT_TRUE(exec::InParallelRegion());
+    ScopedSpan task("task");
+  });
+  EXPECT_FALSE(exec::InParallelRegion());
+  { ScopedSpan child("child"); }
+  tracer.End();
+  const std::vector<PhaseTracer::Span> spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 1u);
+  ASSERT_EQ(spans[0].children.size(), 1u);
+  EXPECT_EQ(spans[0].children[0].name, "child");
+  // With no span open, any thread may open the next root.
+  std::thread next([&] {
+    EXPECT_TRUE(tracer.Begin("next"));
+    tracer.End();
+  });
+  next.join();
+  EXPECT_EQ(tracer.spans().size(), 2u);
 }
 
 TEST_F(ObsTest, JsonWriterBuildsValidNestedDocument) {

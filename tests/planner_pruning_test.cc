@@ -31,6 +31,7 @@
 #include "merge/directed_search_merger.h"
 #include "merge/incremental_merger.h"
 #include "merge/pair_merger.h"
+#include "merge/partition_merger.h"
 #include "merge/plan_bounds.h"
 #include "obs/metrics.h"
 #include "query/merge_context.h"
@@ -933,6 +934,48 @@ TEST(PlannerPruningTest, DenseInstancesMatchExhaustivePlans) {
 // every procedure, estimator and seed; off prunes nothing, and on
 // evaluates no more than off. A scatter's groups span the domain, so
 // this also covers the partner grid rebuilt as they shrink.
+// Clustering takes its intersecting pairs from grid walks over the
+// placed boxes and every pair with an empty box from its size-sum
+// enumeration. On populations with duplicate, hairline and empty boxes
+// the pruned components, and so the plans, must be the unpruned ones,
+// and an empty box must really join a group somewhere, or a dropped
+// boundless pair would go unseen.
+TEST(PlannerPruningTest, ClusteringPairsCoverHairlineAndEmptyBoxes) {
+  const CostModel model = bench::Fig16CostModel();
+  size_t empty_boxes_merged = 0;
+  for (const uint64_t seed : kSeeds) {
+    for (const bool dense : {true, false}) {
+      const double density = dense ? 0.5 : bench::kFig16Density;
+      UniformInstance pruned_inst(
+          dense ? DenseRects(seed) : DispersedRects(seed), density);
+      UniformInstance plain_inst(
+          dense ? DenseRects(seed) : DispersedRects(seed), density);
+      const auto pruned =
+          ClusteringMerger(/*exact_component_limit=*/10, /*tight_bound=*/true,
+                           /*pruning=*/true)
+              .Merge(pruned_inst.ctx, model);
+      const auto plain =
+          ClusteringMerger(/*exact_component_limit=*/10, /*tight_bound=*/true,
+                           /*pruning=*/false)
+              .Merge(plain_inst.ctx, model);
+      ASSERT_TRUE(pruned.ok());
+      ASSERT_TRUE(plain.ok());
+      const std::string label =
+          std::string(dense ? "dense" : "dispersed") + " seed " +
+          std::to_string(seed);
+      EXPECT_EQ(pruned->partition, plain->partition) << label;
+      EXPECT_EQ(pruned->cost, plain->cost) << label;
+      for (const QueryGroup& group : plain->partition) {
+        if (group.size() < 2) continue;
+        for (QueryId q : group) {
+          if (plain_inst.queries.rect(q).IsEmpty()) ++empty_boxes_merged;
+        }
+      }
+    }
+  }
+  EXPECT_GT(empty_boxes_merged, 0u);
+}
+
 TEST(PlannerPruningTest, DescentFromRandomScatterMatchesExhaustiveDescent) {
   const CostModel model = bench::Fig16CostModel();
   constexpr size_t kN = 30;
@@ -1021,6 +1064,114 @@ TEST(PlannerPruningTest, DispersedPartnerWalksReturnPinnedIds) {
   }
   registry.Reset();
   obs::SetEnabled(false);
+}
+
+// The live service's drift yardstick (DESIGN.md §11): the fresh-plan
+// lower bound must never exceed the cost of any partition of the live
+// set, so neither the exact optimum nor a random partition, on every
+// merge procedure and estimator, for the whole query set and for a
+// random live subset of it. The rectangles crowd a small domain and
+// repeat, so the optimum merges overlapping ones and the bound's
+// disjointness condition matters.
+TEST(PlannerPruningTest, FreshPlanLowerBoundIsAdmissible) {
+  const Rect domain(0, 0, 100, 100);
+  TableGeneratorConfig tconfig;
+  tconfig.domain = domain;
+  tconfig.num_objects = 3000;
+  tconfig.clustered_fraction = 0.6;
+  Rng trng(7);
+  const Table table = GenerateTable(tconfig, &trng);
+  const UniformDensityEstimator uniform(0.3);
+  const HistogramEstimator histogram(table, domain, 8, 8);
+  const BoundingRectProcedure rect_procedure;
+  const BoundingPolygonProcedure polygon_procedure;
+  const ExactCoverProcedure cover_procedure;
+  const std::pair<const char*, const SizeEstimator*> kEstimators[] = {
+      {"uniform", &uniform}, {"histogram", &histogram}};
+  const std::pair<const char*, const MergeProcedure*> kProcedures[] = {
+      {"bounding-rect", &rect_procedure},
+      {"bounding-polygon", &polygon_procedure},
+      {"exact-cover", &cover_procedure}};
+  const auto random_partition = [](const std::vector<QueryId>& ids,
+                                   Rng* rng) {
+    Partition groups(ids.size());
+    for (QueryId id : ids) {
+      groups[static_cast<size_t>(rng->UniformInt(
+                 0, static_cast<int64_t>(ids.size()) - 1))]
+          .push_back(id);
+    }
+    CanonicalizePartition(&groups);
+    return groups;
+  };
+  for (const auto& [procedure_name, procedure] : kProcedures) {
+    for (const auto& [estimator_name, estimator] : kEstimators) {
+      for (uint64_t seed = 1; seed <= 8; ++seed) {
+        Rng rng(seed * 7919);
+        const size_t n = static_cast<size_t>(rng.UniformInt(1, 8));
+        std::vector<Rect> rects;
+        for (size_t i = 0; i < n; ++i) {
+          if (i > 0 && rng.UniformInt(0, 3) == 0) {
+            rects.push_back(rects[static_cast<size_t>(
+                rng.UniformInt(0, static_cast<int64_t>(i) - 1))]);
+            continue;
+          }
+          const double x = rng.UniformDouble(0, 60);
+          const double y = rng.UniformDouble(0, 60);
+          rects.push_back(Rect(x, y, x + rng.UniformDouble(5, 40),
+                               y + rng.UniformDouble(5, 40)));
+        }
+        const QuerySet queries(rects);
+        const MergeContext ctx(&queries, estimator, procedure);
+        CostModel model;
+        model.k_m = rng.UniformDouble(0.5, 200.0);
+        model.k_t = rng.UniformDouble(0.0, 2.0);
+        model.k_u = rng.UniformDouble(0.0, 2.0);
+        const std::string label = std::string(procedure_name) + "/" +
+                                  estimator_name + " seed " +
+                                  std::to_string(seed);
+        std::vector<QueryId> all(n);
+        for (QueryId id = 0; id < n; ++id) all[id] = id;
+        const double bound = plan::FreshPlanCostLowerBound(ctx, model, all);
+        EXPECT_GE(bound, model.k_m) << label;
+        const Result<MergeOutcome> optimum =
+            PartitionMerger().Merge(ctx, model);
+        ASSERT_TRUE(optimum.ok()) << label;
+        EXPECT_LE(bound, optimum->cost) << label;
+
+        std::vector<QueryId> live;
+        for (QueryId id = 0; id < n; ++id) {
+          if (rng.UniformInt(0, 1) == 1) live.push_back(id);
+        }
+        const double live_bound =
+            plan::FreshPlanCostLowerBound(ctx, model, live);
+        for (int draw = 0; draw < 10; ++draw) {
+          EXPECT_LE(bound,
+                    model.PartitionCost(ctx, random_partition(all, &rng)))
+              << label;
+          if (live.empty()) continue;
+          EXPECT_LE(live_bound,
+                    model.PartitionCost(ctx, random_partition(live, &rng)))
+              << label << ", live subset of " << live.size();
+        }
+      }
+    }
+  }
+}
+
+TEST(PlannerPruningTest, FreshPlanLowerBoundIsZeroWithoutABound) {
+  Instance inst(6, 3, "bounding-rect", "uniform");
+  const CostModel model{2.0, 1.0, 1.0, 0.0};
+  EXPECT_EQ(plan::FreshPlanCostLowerBound(*inst.ctx, model, {}), 0.0);
+  // A negative coefficient (CostModel::SupportsBenefitBounds fails)
+  // bounds nothing.
+  const std::vector<QueryId> all = {0, 1, 2, 3, 4, 5};
+  EXPECT_GT(plan::FreshPlanCostLowerBound(*inst.ctx, model, all), 0.0);
+  for (const CostModel& unbounded :
+       {CostModel{-1.0, 1.0, 1.0, 0.0}, CostModel{2.0, -1.0, 1.0, 0.0},
+        CostModel{2.0, 1.0, -1.0, 0.0}}) {
+    ASSERT_FALSE(unbounded.SupportsBenefitBounds());
+    EXPECT_EQ(plan::FreshPlanCostLowerBound(*inst.ctx, unbounded, all), 0.0);
+  }
 }
 
 // ---------------------------------------------------------- context fixes

@@ -1,10 +1,9 @@
 // SpatialGrid (geom/spatial_grid.h): the candidate index behind the
 // planner's pruning. Candidate generation must be conservative — Query
-// returns a superset of the true window overlaps, ForEachNearbyPair is
-// the exact spatial join over placed rects plus every boundless pair
-// (an id the index cannot localize is a candidate against everything,
-// mirroring Query), and QueryPassing sees exact per-cell and per-block
-// weight maxima — and deterministic (deduplicated, each pair once).
+// returns a superset of the true window overlaps plus every boundless id
+// (an id the index cannot localize is a candidate against everything),
+// and QueryPassing sees exact per-cell and per-block weight maxima — and
+// deterministic (deduplicated, each id once).
 
 #include <gtest/gtest.h>
 
@@ -72,78 +71,7 @@ TEST(SpatialGridTest, QueryReturnsSupersetOfTrueOverlaps) {
   }
 }
 
-TEST(SpatialGridTest, ForEachNearbyPairIsTheExactJoin) {
-  for (const uint64_t seed : {1u, 2u, 3u}) {
-    const std::vector<Rect> rects = RandomRects(200, seed, 0.1);
-    SpatialGrid grid = SpatialGrid::ForRects(rects);
-    for (size_t i = 0; i < rects.size(); ++i) {
-      grid.Insert(static_cast<uint32_t>(i), rects[i]);
-    }
-    std::set<std::pair<uint32_t, uint32_t>> joined;
-    grid.ForEachNearbyPair([&](uint32_t a, uint32_t b) {
-      EXPECT_LT(a, b);
-      // Exactly once.
-      EXPECT_TRUE(joined.insert({a, b}).second)
-          << "duplicate pair (" << a << ", " << b << ")";
-    });
-    std::set<std::pair<uint32_t, uint32_t>> brute;
-    for (uint32_t i = 0; i < rects.size(); ++i) {
-      for (uint32_t j = i + 1; j < rects.size(); ++j) {
-        // Geometric intersections, plus every pair with a boundless
-        // member: the join must agree with Query about candidacy.
-        if (rects[i].IsEmpty() || rects[j].IsEmpty() ||
-            rects[i].Intersects(rects[j])) {
-          brute.insert({i, j});
-        }
-      }
-    }
-    EXPECT_EQ(joined, brute) << "seed " << seed;
-  }
-}
-
-// Regression (ISSUE 8): the join used to iterate cells only, so
-// boundless ids — which Query returns for every window — silently never
-// paired with anything. Pin the exact pair set for a tiny population
-// with an empty rect.
-TEST(SpatialGridTest, ForEachNearbyPairEmitsBoundlessPairs) {
-  SpatialGrid grid(Rect(0, 0, 100, 100), 8, 8);
-  grid.Insert(0, Rect(10, 10, 30, 30));
-  grid.Insert(1, Rect(20, 20, 40, 40));
-  grid.Insert(2, Rect::Empty());
-  grid.Insert(3, Rect(70, 70, 90, 90));
-  grid.Insert(4, Rect::Empty());
-
-  std::set<std::pair<uint32_t, uint32_t>> joined;
-  grid.ForEachNearbyPair([&](uint32_t a, uint32_t b) {
-    EXPECT_LT(a, b);
-    EXPECT_TRUE(joined.insert({a, b}).second)
-        << "duplicate pair (" << a << ", " << b << ")";
-  });
-  // 0-1 intersect; 2 and 4 are boundless so they pair with everything
-  // (each other included); 3 is placed but disjoint from 0 and 1.
-  const std::set<std::pair<uint32_t, uint32_t>> want = {
-      {0, 1}, {0, 2}, {1, 2}, {2, 3}, {2, 4}, {0, 4}, {1, 4}, {3, 4}};
-  EXPECT_EQ(joined, want);
-
-  // Whatever Query can return together, the join must have paired —
-  // disjoint placed pairs are legitimately absent, but every pair
-  // involving a boundless id must be present.
-  std::vector<uint32_t> out;
-  SpatialGrid::Seen seen;
-  grid.Query(Rect(0, 0, 100, 100), &seen, &out);
-  for (size_t i = 0; i < out.size(); ++i) {
-    for (size_t j = i + 1; j < out.size(); ++j) {
-      const uint32_t a = std::min(out[i], out[j]);
-      const uint32_t b = std::max(out[i], out[j]);
-      if (a == 2 || b == 2 || a == 4 || b == 4) {
-        EXPECT_TRUE(joined.count({a, b}) > 0)
-            << "boundless pair (" << a << ", " << b << ") missing";
-      }
-    }
-  }
-}
-
-TEST(SpatialGridTest, RemoveDropsIdFromQueriesAndJoin) {
+TEST(SpatialGridTest, RemoveDropsIdFromQueriesAndWalks) {
   SpatialGrid grid(Rect(0, 0, 100, 100), 8, 8);
   grid.Insert(0, Rect(10, 10, 30, 30));
   grid.Insert(1, Rect(20, 20, 40, 40));
@@ -158,9 +86,9 @@ TEST(SpatialGridTest, RemoveDropsIdFromQueriesAndJoin) {
   SpatialGrid::Seen seen;
   grid.Query(Rect(0, 0, 100, 100), &seen, &out);
   EXPECT_EQ(out, std::vector<uint32_t>({0}));
-  size_t pairs = 0;
-  grid.ForEachNearbyPair([&](uint32_t, uint32_t) { ++pairs; });
-  EXPECT_EQ(pairs, 0u);
+  out.clear();
+  grid.QueryPassing([](const Rect&, double) { return true; }, &seen, &out);
+  EXPECT_EQ(out, std::vector<uint32_t>({0}));
 
   // Reinsert under a different rect; the id is live again.
   grid.Insert(1, Rect(25, 25, 35, 35));

@@ -17,12 +17,17 @@
 //   --subs FILE         read subscriptions from a CSV of
 //                       client,x_lo,y_lo,x_hi,y_hi rows (header allowed)
 //                       instead of generating a workload (plan only)
-//   --csv               (machine-readable output where applicable)
+//   --csv               (machine-readable output; workload only)
+//
+// Each command accepts only the options it reads; any other flag exits 2
+// with "unknown flag '--name'".
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <map>
 #include <memory>
@@ -40,10 +45,12 @@
 namespace qsp {
 namespace {
 
-/// Minimal --key value argument map.
+/// Minimal --key value argument map, limited to the flags the command
+/// reads: any other flag exits 2 naming it.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  Args(int argc, char** argv, int first,
+       const std::vector<std::string>& accepted) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) {
@@ -51,6 +58,11 @@ class Args {
         std::exit(2);
       }
       key = key.substr(2);
+      if (std::find(accepted.begin(), accepted.end(), key) ==
+          accepted.end()) {
+        std::fprintf(stderr, "unknown flag '--%s'\n", key.c_str());
+        std::exit(2);
+      }
       if (i + 1 < argc && argv[i + 1][0] != '-') {
         values_[key] = argv[++i];
       } else {
@@ -76,6 +88,23 @@ class Args {
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// The flags each reader below consumes.
+const std::vector<std::string> kWorkloadFlags = {
+    "queries", "cf", "sf", "df", "min-extent", "max-extent", "seed"};
+const std::vector<std::string> kServiceFlags = {
+    "km", "kt", "ku", "kd", "kcheck", "channels", "seed", "merger",
+    "procedure"};
+
+/// The union of flag lists.
+std::vector<std::string> Flags(
+    std::initializer_list<std::vector<std::string>> lists) {
+  std::vector<std::string> flags;
+  for (const std::vector<std::string>& list : lists) {
+    flags.insert(flags.end(), list.begin(), list.end());
+  }
+  return flags;
+}
 
 QueryGenConfig WorkloadConfig(const Args& args) {
   QueryGenConfig config;
@@ -285,12 +314,28 @@ int Usage() {
 }  // namespace qsp
 
 int main(int argc, char** argv) {
+  using qsp::Flags;
   if (argc < 2) return qsp::Usage();
   const std::string command = argv[1];
-  const qsp::Args args(argc, argv, 2);
-  if (command == "workload") return qsp::CmdWorkload(args);
-  if (command == "plan") return qsp::CmdPlan(args);
-  if (command == "simulate") return qsp::CmdSimulate(args);
-  if (command == "space") return qsp::CmdSpace(args);
+  if (command == "workload") {
+    return qsp::CmdWorkload(
+        qsp::Args(argc, argv, 2, Flags({qsp::kWorkloadFlags, {"csv"}})));
+  }
+  if (command == "plan") {
+    return qsp::CmdPlan(qsp::Args(
+        argc, argv, 2,
+        Flags({qsp::kWorkloadFlags, qsp::kServiceFlags,
+               {"objects", "clients", "subs"}})));
+  }
+  if (command == "simulate") {
+    return qsp::CmdSimulate(qsp::Args(
+        argc, argv, 2,
+        Flags({qsp::kWorkloadFlags, qsp::kServiceFlags,
+               {"objects", "clients", "cache", "rounds"}})));
+  }
+  if (command == "space") {
+    return qsp::CmdSpace(
+        qsp::Args(argc, argv, 2, {"n", "clients", "channels"}));
+  }
   return qsp::Usage();
 }
