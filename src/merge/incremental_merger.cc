@@ -31,27 +31,23 @@ plan::GroupSummary IncrementalMerger::Summarize(const QueryGroup& group) {
   return bounder_.Summarize(group);
 }
 
-double IncrementalMerger::SingletonCost(QueryId id) const {
+GroupStats IncrementalMerger::SingletonStats(QueryId id) const {
   // A singleton's stats are {messages 1, size(q), irrelevant 0} by
-  // construction (MergeContext::Compute short-circuits), so this is the
-  // exact memoized value, arithmetic identical to GroupCost(stats).
+  // construction (MergeContext::Compute short-circuits), so costs built
+  // from them are the exact memoized values, arithmetic identical.
   GroupStats stats;
   stats.messages = 1.0;
   stats.size = ctx_->Size(id);
   stats.irrelevant = 0.0;
-  return model_.GroupCost(stats);
+  return stats;
+}
+
+double IncrementalMerger::SingletonCost(QueryId id) const {
+  return model_.GroupCost(SingletonStats(id));
 }
 
 plan::GroupSummary IncrementalMerger::SingletonSummary(QueryId id) const {
-  plan::GroupSummary s;
-  const double size = ctx_->Size(id);
-  s.cost = SingletonCost(id);
-  s.size = size;
-  s.size_lb = size;
-  s.members = 1.0;
-  s.member_size_sum = size;
-  s.bbox = Rect::Empty().BoundingUnion(ctx_->queries().rect(id));
-  return s;
+  return bounder_.Summarize({id}, SingletonStats(id));
 }
 
 void IncrementalMerger::ExtendUniverse(QueryId id) {

@@ -110,9 +110,10 @@ class IncrementalMerger {
   /// Summarize + evaluation accounting: every exact group cost the
   /// merger computes goes through here.
   plan::GroupSummary Summarize(const QueryGroup& group);
-  /// Exact singleton cost without touching the group memo: a singleton's
-  /// stats are by construction {messages 1, size(q), irrelevant 0}, and
-  /// the arithmetic matches CostModel::GroupCost(stats) bit-for-bit.
+  /// A singleton's exact stats without touching the group memo: by
+  /// construction {messages 1, size(q), irrelevant 0}, so the cost and
+  /// summary built from them match the memoized ones bit-for-bit.
+  GroupStats SingletonStats(QueryId id) const;
   double SingletonCost(QueryId id) const;
   plan::GroupSummary SingletonSummary(QueryId id) const;
 

@@ -37,6 +37,7 @@ BenefitBounder::BenefitBounder(const MergeContext& ctx, const CostModel& model,
   // under-count a rect hanging outside it, making the "bound" wrong).
   if (!floor.support.Contains(universe)) return;
   distance_aware_ = true;
+  box_excess_ = traits_.region_is_bounding_box;
   density_ = floor.density;
 }
 
@@ -57,6 +58,9 @@ GroupSummary BenefitBounder::Summarize(const QueryGroup& group,
     s.member_size_sum += size;
     s.bbox = s.bbox.BoundingUnion(ctx_->queries().rect(id));
   }
+  if (box_excess_ && !s.bbox.IsEmpty()) {
+    s.excess = std::max(0.0, s.size - density_ * s.bbox.Area());
+  }
   return s;
 }
 
@@ -72,20 +76,25 @@ double BenefitBounder::UpperBound(const GroupSummary& a,
   //    cannot overlap, so sizes add (exactly the operand sizes when the
   //    procedure is superadditive; else the per-operand max members);
   //  * density floor: the merged region covers the bounding union of the
-  //    two boxes, which holds at least density * area.
+  //    two boxes, which holds at least density * area, plus what a box
+  //    group's own box holds beyond the floor (its excess): the larger
+  //    excess when the boxes meet, both when they are disjoint.
   double size_lb = std::max(a.size_lb, b.size_lb);
   if (traits_.merged_size_monotone) {
     size_lb = std::max(size_lb, std::max(a.size, b.size));
   }
   const bool boxes = !a.bbox.IsEmpty() && !b.bbox.IsEmpty();
-  if (boxes && !a.bbox.Intersects(b.bbox)) {
+  const bool disjoint = boxes && !a.bbox.Intersects(b.bbox);
+  if (disjoint) {
     size_lb = std::max(size_lb, traits_.superadditive_when_disjoint
                                     ? a.size + b.size
                                     : a.size_lb + b.size_lb);
   }
   if (distance_aware_ && boxes) {
-    size_lb =
-        std::max(size_lb, density_ * a.bbox.BoundingUnion(b.bbox).Area());
+    const double excess =
+        disjoint ? a.excess + b.excess : std::max(a.excess, b.excess);
+    size_lb = std::max(
+        size_lb, density_ * a.bbox.BoundingUnion(b.bbox).Area() + excess);
   }
   const double slacked_lb = kSlack * size_lb;
   double ub = model_->BenefitUpperBound(a.cost, b.cost, slacked_lb);
@@ -121,11 +130,12 @@ BenefitBounder::PartnerTest BenefitBounder::PartnerTestFor(
   // whenever that is positive, with sl its slacked merged-size lower
   // bound, so it never exceeds the same expression taken linearly. The
   // S terms join the weights; every partner in a cell has a box, hence
-  // m_p >= 1, and the rest joins the per-area scale.
+  // m_p >= 1, and the rest joins the per-area scale. sl's density term
+  // adds at least g's excess, which the per-area rate charges too.
   double per_area = model_->k_t;
   if (charges_irrelevant_) per_area += model_->k_u * (g.members + 1.0);
   test.scale_ = per_area * kSlack * density_;
-  test.k_m_ = model_->k_m;
+  test.base_ = model_->k_m + per_area * kSlack * g.excess;
   test.weight_ = PartnerWeight(g);
   return test;
 }

@@ -38,6 +38,12 @@ struct GroupSummary {
   double member_size_sum = 0.0;
   /// Bounding box of the member rectangles (empty if all members are).
   Rect bbox;
+  /// What the group's box holds beyond the density floor:
+  /// max(0, size - density * Area(bbox)). Nonzero only under a
+  /// distance_aware() bounder for a procedure whose region is the
+  /// members' bounding box (so size is the box's own estimate), and
+  /// meaningful only under the density floor of the bounder that built it.
+  double excess = 0.0;
 };
 
 /// The planner's admissible benefit bounds (DESIGN.md §8): cheap upper
@@ -121,12 +127,13 @@ class BenefitBounder {
   /// SpatialGrid::QueryPassing with this test, over a grid whose entries
   /// carry PartnerWeight, returns every partner with a positive bound:
   /// the one candidate query of every pruned planner. With m_g g's
-  /// member count, S_g their size sum, w x h g's box and g_x, g_y the
-  /// gaps from g's box to `region`, it rejects when
-  ///   K_M + (K_T + K_U * (m_g + 1)) * kSlack * density * (w + g_x) * (h + g_y)
+  /// member count, S_g their size sum, ex_g its excess, w x h g's box
+  /// and g_x, g_y the gaps from g's box to `region`, it rejects when
+  ///   K_M + (K_T + K_U * (m_g + 1)) * kSlack *
+  ///       (density * (w + g_x) * (h + g_y) + ex_g)
   ///     >= cost_g + K_U * S_g / kSlack + max_weight
   /// if charges_irrelevant(), and when
-  ///   K_M + K_T * kSlack * density * (w + g_x) * (h + g_y)
+  ///   K_M + K_T * kSlack * (density * (w + g_x) * (h + g_y) + ex_g)
   ///     >= cost_g + max_weight
   /// otherwise. The left side is scaled down by kMargin, so the test's
   /// own rounding can never make it bolder than UpperBound. Accepts
@@ -140,8 +147,8 @@ class BenefitBounder {
       // A partner p whose box meets `region` lies at least gap_x / gap_y
       // away from g's box, so Area(BoundingUnion(g, p)) >= (w + gap_x) *
       // (h + gap_y), and UpperBound's density-floor term (with its K_U
-      // term, m_p >= 1) gives
-      //   UpperBound(g, p) <= weight_g + weight_p - K_M - scale * Area(BU).
+      // term, m_p >= 1, and at least g's excess) gives
+      //   UpperBound(g, p) <= weight_g + weight_p - base - scale * Area(BU).
       // Every quantity here is non-negative, so relative rounding errors
       // compose, and kMargin covers them many times over.
       const double gap_x = std::max(
@@ -149,7 +156,7 @@ class BenefitBounder {
       const double gap_y = std::max(
           {0.0, region.y_lo() - box_.y_hi(), box_.y_lo() - region.y_hi()});
       const double merged_lb =
-          k_m_ + scale_ * ((width_ + gap_x) * (height_ + gap_y));
+          base_ + scale_ * ((width_ + gap_x) * (height_ + gap_y));
       return merged_lb * (1.0 - kMargin) < weight_ + max_weight;
     }
 
@@ -162,7 +169,8 @@ class BenefitBounder {
     /// (K_T + K_U * (m_g + 1)) * kSlack * density, the K_U part only
     /// when charges_irrelevant().
     double scale_ = 0.0;
-    double k_m_ = 0.0;
+    /// K_M + scale / density * ex_g.
+    double base_ = 0.0;
     /// PartnerWeight(g).
     double weight_ = 0.0;
   };
@@ -244,6 +252,9 @@ class BenefitBounder {
   bool enabled_ = false;
   bool charges_irrelevant_ = false;
   bool distance_aware_ = false;
+  /// distance_aware_ and the procedure's region is the members' bounding
+  /// box: Summarize records each group's excess.
+  bool box_excess_ = false;
   double density_ = 0.0;
 };
 

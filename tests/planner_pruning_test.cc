@@ -696,6 +696,179 @@ TEST(PlannerPruningTest, PartnerQueryReturnsEveryPositiveBoundOnRandomGroups) {
   }
 }
 
+// Query boxes over a clustered table, all inside `domain` (the histogram
+// floor's support): boxes around random rows, most of which lie in
+// clusters, each followed by a nested, an overlapping, a touching and a
+// hairline neighbour, plus one empty rectangle.
+std::vector<Rect> ClusteredBoxes(const Table& table, const Rect& domain,
+                                 Rng* rng) {
+  auto inside = [&domain](double x_lo, double y_lo, double x_hi,
+                          double y_hi) {
+    return Rect(std::clamp(x_lo, domain.x_lo(), domain.x_hi()),
+                std::clamp(y_lo, domain.y_lo(), domain.y_hi()),
+                std::clamp(x_hi, domain.x_lo(), domain.x_hi()),
+                std::clamp(y_hi, domain.y_lo(), domain.y_hi()));
+  };
+  std::vector<Rect> rects;
+  for (int k = 0; k < 14; ++k) {
+    const Point p = table.PositionOf(static_cast<RowId>(rng->UniformInt(
+        0, static_cast<int64_t>(table.num_rows()) - 1)));
+    const double w = rng->UniformDouble(2, 80);
+    const double h = rng->UniformDouble(2, 80);
+    const Rect box =
+        inside(p.x - w / 2, p.y - h / 2, p.x + w / 2, p.y + h / 2);
+    rects.push_back(box);
+    rects.push_back(inside(box.x_lo() + box.Width() / 4,
+                           box.y_lo() + box.Height() / 4,
+                           box.x_hi() - box.Width() / 4,
+                           box.y_hi() - box.Height() / 4));  // nested
+    rects.push_back(inside(box.x_lo() + box.Width() / 2, box.y_lo() - 5,
+                           box.x_hi() + box.Width() / 2,
+                           box.y_hi() - 5));  // overlapping
+    rects.push_back(inside(box.x_hi(), box.y_lo(), box.x_hi() + w,
+                           box.y_hi()));  // touching
+    rects.push_back(inside(box.x_lo(), box.y_lo(), box.x_lo(),
+                           box.y_hi()));  // hairline
+  }
+  rects.push_back(Rect::Empty());
+  return rects;
+}
+
+// The box excess (DESIGN.md §8): a bounding-box group's size is its own
+// box's estimate, and the rest of a bounding union holds at least the
+// floor density, so the bound credits the excess of a box over the floor,
+// the larger excess when two boxes meet and both when they are disjoint.
+// The floor is the sparsest bucket's, so over clusters the credit is
+// large. Over clustered histogram tables (3k and 30k rows, cluster spread
+// 1% and 4% of the side, 8, 16 and 32 buckets a side, half and 95% of the
+// rows clustered), with nested, overlapping, touching, hairline and empty
+// boxes in groups of one to n members, under Fig 16's constants,
+// live-churn's, K_U = 0 and a large K_M: every UpperBound is at least the
+// exact benefit, and the probe's partner test accepts the own box of every
+// partner with a positive bound. Crediting both excesses to boxes that
+// meet breaks the first.
+TEST(PlannerPruningTest, BoxExcessBoundIsAdmissibleOnClusteredHistograms) {
+  const Rect domain(0, 0, 1000, 1000);
+  const CostModel fig16 = bench::Fig16CostModel();
+  CostModel no_ku = fig16;
+  no_ku.k_u = 0.0;
+  CostModel heavy = fig16;
+  heavy.k_m = 5000.0;
+  const std::pair<const char*, CostModel> models[] = {
+      {"fig16", fig16},
+      {"churn", CostModel{10.0, 1.0, 0.5, 0.0}},
+      {"k_u=0", no_ku},
+      {"k_m=5000", heavy}};
+  const BoundingRectProcedure procedure;
+  size_t floored_tables = 0, credited = 0, positive = 0;
+  uint64_t seed = 0;
+  for (const size_t rows : {3000, 30000}) {
+    for (const double spread : {0.01, 0.04}) {
+      for (const int buckets : {8, 16, 32}) {
+        for (const double clustered : {0.5, 0.95}) {
+          ++seed;
+          TableGeneratorConfig tconfig;
+          tconfig.domain = domain;
+          tconfig.num_objects = rows;
+          tconfig.clustered_fraction = clustered;
+          tconfig.cluster_spread = spread;
+          tconfig.payload_fields = 0;
+          Rng rng(seed * 101 + 7);
+          const Table table = GenerateTable(tconfig, &rng);
+          const HistogramEstimator histogram(table, domain, buckets, buckets);
+          const QuerySet queries(ClusteredBoxes(table, domain, &rng));
+          const MergeContext ctx(&queries, &histogram, &procedure);
+          const std::vector<QueryGroup> partitions[] = {
+              CompactGroups(queries, &rng),
+              RandomGroups(queries.size(), 12, &rng)};
+          const std::string table_label =
+              std::to_string(rows) + " rows, spread " +
+              std::to_string(spread) + ", " + std::to_string(buckets) +
+              " buckets, clustered " + std::to_string(clustered);
+          for (const auto& [model_name, model] : models) {
+            const plan::BenefitBounder bounder(ctx, model);
+            ASSERT_TRUE(bounder.enabled());
+            if (bounder.distance_aware() && model_name == models[0].first) {
+              ++floored_tables;
+            }
+            for (const std::vector<QueryGroup>& groups : partitions) {
+              std::vector<plan::GroupSummary> sums;
+              for (const QueryGroup& g : groups) {
+                sums.push_back(bounder.Summarize(g));
+                if (sums.back().excess > 0.0) ++credited;
+              }
+              for (size_t i = 0; i < groups.size(); ++i) {
+                const auto test = bounder.PartnerTestFor(sums[i]);
+                for (size_t j = 0; j < groups.size(); ++j) {
+                  if (j == i) continue;
+                  const double bound = bounder.UpperBound(sums[i], sums[j]);
+                  const std::string label =
+                      table_label + " " + model_name + " pair " +
+                      GroupToString(groups[i]) + " + " +
+                      GroupToString(groups[j]);
+                  if (j > i) {
+                    EXPECT_GE(bound,
+                              model.MergeBenefit(ctx, groups[i], groups[j]))
+                        << label;
+                  }
+                  if (!(bound > 0.0) || sums[j].bbox.IsEmpty()) continue;
+                  ++positive;
+                  EXPECT_TRUE(
+                      test(sums[j].bbox, bounder.PartnerWeight(sums[j])))
+                      << label;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // The property must not hold vacuously: tables with a density floor,
+  // groups the bound credits, and pairs with a positive bound.
+  EXPECT_GE(floored_tables, 8u);
+  EXPECT_GT(credited, 0u);
+  EXPECT_GT(positive, 0u);
+}
+
+// Pair merging of Fig 16's clustered workload over a clustered histogram,
+// the regime where the box excess prunes: the plan is the Profit Table's,
+// and the refinements are pinned, 143 against the 849 of the bound
+// without the excess.
+TEST(PlannerPruningTest, ClusteredHistogramPairMergeMatchesProfitTable) {
+  const Rect domain(0, 0, 1000, 1000);
+  TableGeneratorConfig tconfig;
+  tconfig.domain = domain;
+  tconfig.num_objects = 30000;
+  tconfig.clustered_fraction = 0.5;
+  tconfig.payload_fields = 0;
+  Rng trng(2027);
+  const Table table = GenerateTable(tconfig, &trng);
+  // The record size puts the mean density at Fig 16's.
+  const HistogramEstimator histogram(
+      table, domain, 16, 16,
+      bench::kFig16Density * domain.Area() /
+          static_cast<double>(tconfig.num_objects));
+  Rng qrng(5);
+  const QuerySet queries(
+      GenerateQueries(bench::Fig16WorkloadConfig(120), &qrng));
+  const BoundingRectProcedure procedure;
+  const MergeContext table_ctx(&queries, &histogram, &procedure);
+  const MergeContext heap_ctx(&queries, &histogram, &procedure);
+  const CostModel model = bench::Fig16CostModel();
+  ASSERT_TRUE(plan::BenefitBounder(heap_ctx, model).distance_aware());
+  const auto profit_table =
+      PairMerger(/*use_heap=*/false).Merge(table_ctx, model);
+  const auto pruned =
+      PairMerger(/*use_heap=*/true, /*pruning=*/true).Merge(heap_ctx, model);
+  ASSERT_TRUE(profit_table.ok());
+  ASSERT_TRUE(pruned.ok());
+  EXPECT_EQ(pruned->partition, profit_table->partition);
+  EXPECT_EQ(pruned->cost, profit_table->cost);
+  EXPECT_LT(pruned->partition.size(), queries.size()) << "nothing merged";
+  EXPECT_EQ(pruned->bounds_refined, 143u);
+}
+
 // The planners' grid sizing: coarsening to the bound's reach never adds
 // cells on either axis over join sizing, and a bounder without the
 // distance term gets one cell, since its walk accepts every cell.

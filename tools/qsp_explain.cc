@@ -70,8 +70,13 @@ constexpr const char* kFlags[] = {
     "exact", "objects", "format", "cf", "sf", "df", "min-extent",
     "max-extent", "density", "km", "kt", "ku", "help"};
 
+/// The flags of kFlags that take no value.
+constexpr const char* kSwitches[] = {"no-pruning", "exact", "help"};
+
 /// Minimal --key value argument map (same shape as qspctl's), limited
-/// to kFlags.
+/// to kFlags. A switch takes no value; every other flag takes the next
+/// argument, which may start with a single '-' (a negative number), and
+/// exits 2 without one.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -87,10 +92,14 @@ class Args {
         std::fprintf(stderr, "unknown flag '--%s'\n", key.c_str());
         std::exit(2);
       }
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
+      if (std::find(std::begin(kSwitches), std::end(kSwitches), key) !=
+          std::end(kSwitches)) {
+        values_[key] = "true";
+      } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
         values_[key] = argv[++i];
       } else {
-        values_[key] = "true";  // Boolean flag.
+        std::fprintf(stderr, "flag '--%s' needs a value\n", key.c_str());
+        std::exit(2);
       }
     }
   }

@@ -10,7 +10,7 @@
 //   --queries N [20]  --clients N [6]   --channels N [1]  --seed N [42]
 //   --cf F [0.6]      --sf F [0.5]      --df F [0.03]
 //   --min-extent F [0.02]  --max-extent F [0.1]
-//   --km F [10] --kt F [9] --ku F [4] --kd F [0] --kcheck F [0]
+//   --km F [200] --kt F [1] --ku F [0.5] --kd F [0] --kcheck F [0]
 //   --merger pair|directed|clustering|exact [pair]
 //   --procedure rect|polygon|cover [rect]
 //   --objects N [5000]  --rounds N [1]  --cache  (simulate only)
@@ -20,7 +20,8 @@
 //   --csv               (machine-readable output; workload only)
 //
 // Each command accepts only the options it reads; any other flag exits 2
-// with "unknown flag '--name'".
+// with "unknown flag '--name'". A value may start with '-' (--kd -1); the
+// switches --cache and --csv take none.
 
 #include <algorithm>
 #include <cstdio>
@@ -45,8 +46,13 @@
 namespace qsp {
 namespace {
 
+/// The flags that take no value.
+const std::vector<std::string> kSwitches = {"cache", "csv"};
+
 /// Minimal --key value argument map, limited to the flags the command
-/// reads: any other flag exits 2 naming it.
+/// reads: any other flag exits 2 naming it. A switch takes no value;
+/// every other flag takes the next argument, which may start with a
+/// single '-' (a negative number), and exits 2 without one.
 class Args {
  public:
   Args(int argc, char** argv, int first,
@@ -63,10 +69,14 @@ class Args {
         std::fprintf(stderr, "unknown flag '--%s'\n", key.c_str());
         std::exit(2);
       }
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
+      if (std::find(kSwitches.begin(), kSwitches.end(), key) !=
+          kSwitches.end()) {
+        values_[key] = "true";
+      } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
         values_[key] = argv[++i];
       } else {
-        values_[key] = "true";  // Boolean flag.
+        std::fprintf(stderr, "flag '--%s' needs a value\n", key.c_str());
+        std::exit(2);
       }
     }
   }
