@@ -9,7 +9,6 @@
 #include <string>
 
 #include "cost/cost_model.h"
-#include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "query/merge_context.h"
@@ -74,29 +73,9 @@ inline std::string ReportPath() {
   return path == nullptr ? std::string() : std::string(path);
 }
 
-/// Opt-in deterministic timing for golden-report runs: when
-/// QSP_BENCH_FAKE_CLOCK is set (to a tick size in microseconds, or any
-/// non-numeric value for the 1us default), installs a process-lifetime
-/// obs::FakeClock so every wall_us / latency_us field in the run report is
-/// byte-identical run-to-run. NOT set by scripts/run_benches.sh — real
-/// wall times are the point of the perf trajectory; this hook exists for
-/// diffing two reports structurally.
-inline void MaybeInstallFakeClock() {
-  const char* spec = std::getenv("QSP_BENCH_FAKE_CLOCK");
-  if (spec == nullptr || *spec == '\0') return;
-  char* end = nullptr;
-  double tick_us = std::strtod(spec, &end);
-  if (end == spec || tick_us <= 0.0) tick_us = 1.0;
-  static obs::FakeClock clock(tick_us);
-  obs::SetClock(&clock);
-}
-
 /// Turns on qsp::obs when a report was requested; returns whether it is
 /// on. Call once at the top of a harness that wants metrics in its report.
-/// Also honors the QSP_BENCH_FAKE_CLOCK hook, so a report-producing run
-/// can be made time-deterministic from the environment alone.
 inline bool EnableTelemetryIfReportRequested() {
-  MaybeInstallFakeClock();
   if (!ReportPath().empty()) obs::SetEnabled(true);
   return obs::Enabled();
 }

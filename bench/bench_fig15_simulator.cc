@@ -26,9 +26,6 @@ namespace {
 
 int Run() {
   obs::SetEnabled(true);  // This harness is the telemetry demonstration.
-  // Under QSP_BENCH_FAKE_CLOCK the trace timings become deterministic,
-  // making this report byte-diffable run-to-run.
-  bench::MaybeInstallFakeClock();
 
   bench::PrintHeader(
       "Figure 15 — estimated vs measured traffic in the simulated "

@@ -66,8 +66,7 @@ std::unique_ptr<Merger> Make(const std::string& merger, bool pruning) {
     return std::make_unique<PairMerger>(/*use_heap=*/true, pruning);
   }
   if (merger == "clustering") {
-    return std::make_unique<ClusteringMerger>(/*exact_component_limit=*/10,
-                                              /*tight_bound=*/true, pruning);
+    return std::make_unique<ClusteringMerger>(pruning);
   }
   return std::make_unique<DirectedSearchMerger>(2, kSeed, pruning);
 }
@@ -248,8 +247,7 @@ bool RunShardCell(const QueryGenConfig& workload, int shards, int threads,
   exec::SetDefaultThreads(threads);
   bench::Instance inst(workload, kSeed, bench::kFig16Density);
   const CostModel model = bench::Fig16CostModel();
-  const ClusteringMerger inner(/*exact_component_limit=*/10,
-                               /*tight_bound=*/true, /*pruning=*/true);
+  const ClusteringMerger inner(/*pruning=*/true);
   const ShardedPlanner planner(
       &inner, ShardedPlanner::Options{.shards = shards, .pruning = true});
   const auto start = std::chrono::steady_clock::now();

@@ -39,8 +39,7 @@ std::unique_ptr<Merger> MakeMerger(MergerKind kind, uint64_t seed,
     case MergerKind::kDirectedSearch:
       return std::make_unique<DirectedSearchMerger>(8, seed, pruning);
     case MergerKind::kClustering:
-      return std::make_unique<ClusteringMerger>(/*exact_component_limit=*/10,
-                                                /*tight_bound=*/true, pruning);
+      return std::make_unique<ClusteringMerger>(pruning);
     case MergerKind::kPartitionExact:
       return std::make_unique<PartitionMerger>();
   }

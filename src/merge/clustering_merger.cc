@@ -71,11 +71,7 @@ Result<MergeOutcome> ClusteringMerger::DoMerge(const MergeContext& ctx,
   // no disjoint pair can ever be ruled out by size alone).
   const double coef =
       model.k_t * (1.0 - slack) + model.k_u * (1.0 - 2.0 * slack);
-  const ProcedureTraits traits = ctx.procedure().traits();
-  const bool pruned =
-      pruning_ && model.SupportsBenefitBounds() && coef < 0.0 &&
-      (tight_bound_ ||
-       (traits.merged_size_monotone && traits.superadditive_when_disjoint));
+  const bool pruned = pruning_ && model.SupportsBenefitBounds() && coef < 0.0;
 
   DisjointSets components(n);
   std::vector<std::pair<QueryId, QueryId>> pairs;
@@ -142,9 +138,8 @@ Result<MergeOutcome> ClusteringMerger::DoMerge(const MergeContext& ctx,
         const auto& [a, b] = pairs[k];
         const double s1 = ctx.Size(a);
         const double s2 = ctx.Size(b);
-        const double r = tight_bound_ ? ctx.UnionSize(a, b)
-                                      : ctx.Stats({a, b}).size;
-        return static_cast<char>(model.CoMergeBenefitBound(s1, s2, r) > 0.0);
+        return static_cast<char>(
+            model.CoMergeBenefitBound(s1, s2, ctx.UnionSize(a, b)) > 0.0);
       });
   outcome.candidates += pairs.size();
   for (size_t k = 0; k < pairs.size(); ++k) {
@@ -172,7 +167,7 @@ Result<MergeOutcome> ClusteringMerger::DoMerge(const MergeContext& ctx,
       outcome.partition.push_back(cluster);
       continue;
     }
-    if (static_cast<int>(cluster.size()) <= exact_component_limit_) {
+    if (cluster.size() <= kExactComponentLimit) {
       ++subsolves_exact;
       MergeOutcome sub = ExactPartitionSearch(ctx, model, cluster);
       outcome.candidates += sub.candidates;

@@ -12,11 +12,9 @@ namespace qsp {
 /// CoMergeBenefitBound) is non-positive are "far apart" and never need to
 /// share a merged group; connected components of the remaining
 /// "mergeable" graph are solved independently — exactly (PartitionMerger)
-/// when a component is small, greedily (PairMerger) otherwise.
-///
-/// `tight_bound` uses size(q1 ∪ q2) as the lower bound on the merged size
-/// (the paper's refinement via query intersection); otherwise the pair's
-/// actual merged size under the procedure is used.
+/// when a component has at most kExactComponentLimit queries, greedily
+/// (PairMerger) otherwise. The merged-size floor in the bound is
+/// size(q1 ∪ q2), the paper's refinement via query intersection.
 ///
 /// `pruning` accelerates the O(n^2) mergeable-graph construction
 /// (DESIGN.md §8): intersecting pairs come from one spatial-grid walk per
@@ -26,16 +24,16 @@ namespace qsp {
 /// positive — pairs skipped either way are provably non-mergeable, and
 /// the surviving pairs are evaluated with the identical expression, so
 /// the components (and the final partition) are unchanged. Falls back to
-/// evaluating every pair when the model/procedure cannot justify the
+/// evaluating every pair when the cost model cannot justify the
 /// shortcuts. Greedy subsolves run PairMerger's bounded heap with the
 /// same `pruning` setting; off, its bounds prune nothing.
 class ClusteringMerger : public Merger {
  public:
-  explicit ClusteringMerger(int exact_component_limit = 10,
-                            bool tight_bound = true, bool pruning = true)
-      : exact_component_limit_(exact_component_limit),
-        tight_bound_(tight_bound),
-        pruning_(pruning) {}
+  /// The largest component solved exactly (Bell(10) = 115,975
+  /// partitions); larger ones go to the pair merger.
+  static constexpr size_t kExactComponentLimit = 10;
+
+  explicit ClusteringMerger(bool pruning = true) : pruning_(pruning) {}
 
   std::string name() const override { return "clustering"; }
 
@@ -44,8 +42,6 @@ class ClusteringMerger : public Merger {
                                const CostModel& model) const override;
 
  private:
-  int exact_component_limit_;
-  bool tight_bound_;
   bool pruning_;
 };
 

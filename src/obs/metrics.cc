@@ -10,7 +10,6 @@
 namespace qsp {
 namespace obs {
 
-#ifndef QSP_OBS_DISABLED
 namespace {
 // Atomic so pool workers may read the switch while a test harness flips
 // it; relaxed is enough — the flag carries no data dependencies.
@@ -21,7 +20,6 @@ bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 void SetEnabled(bool enabled) {
   g_enabled.store(enabled, std::memory_order_relaxed);
 }
-#endif
 
 namespace {
 

@@ -22,20 +22,13 @@ namespace obs {
 /// The telemetry layer is off by default and every instrumentation entry
 /// point (Count/SetGauge/Observe, ScopedTimer, ScopedSpan) first checks
 /// Enabled(), so an instrumented hot path costs one predictable branch
-/// when telemetry is off. Defining QSP_OBS_DISABLED at compile time turns
-/// Enabled() into `constexpr false`, letting the compiler delete the call
-/// sites entirely.
+/// when telemetry is off.
 
-#ifdef QSP_OBS_DISABLED
-constexpr bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-#else
 /// Whether telemetry is currently recording (process-global).
 bool Enabled();
 /// Turns recording on/off. ServiceConfig::telemetry and the bench report
 /// helpers flip this; tests flip it around the code under measurement.
 void SetEnabled(bool enabled);
-#endif
 
 /// ----------------------------------------------------------------- metrics
 

@@ -1,9 +1,10 @@
-// Tests for tools/lint's whole-program analyzer (DESIGN.md §14): the
-// layer spec parser, the include-graph rules, the suppression plumbing
-// and ordering in RunAudit, and the SARIF writer (round-tripped through
-// src/util/json_parser). Every fixture expectation pins exact (line,
-// rule) pairs against tests/lint_fixtures/{good,bad}/.
-#include "lint/audit.h"
+// Tests for tools/lint's include and layer rules (DESIGN.md §14): the
+// layer spec parser, the include-graph rules, the suppression and
+// ordering of the checker's one entry point, Lint(), and the SARIF
+// writer (round-tripped through src/util/json_parser). Every fixture
+// expectation pins exact (line, rule) pairs against
+// tests/lint_fixtures/{good,bad}/.
+#include "lint/lint.h"
 
 #include <algorithm>
 #include <fstream>
@@ -116,6 +117,8 @@ TEST(LayerOfPath, ExtractsSrcSubsystem) {
   EXPECT_EQ("util", LayerOf("src/util/status.h"));
   EXPECT_EQ("", LayerOf("tools/qspctl.cc"));
   EXPECT_EQ("", LayerOf("bench/bench_merge.cc"));
+  // Only a leading src/ names a layer.
+  EXPECT_EQ("", LayerOf("tests/src/geom/rect.h"));
 }
 
 // --------------------------------------------------------- include rules
@@ -128,7 +131,7 @@ TEST(AuditFixtures, LayerBackEdge) {
                  "double PlannerStubCost();\n"
                  "}\n"),
   };
-  const auto got = LinesAndRules(AuditIncludes(corpus, TestSpec()));
+  const auto got = LinesAndRules(CheckIncludes(corpus, TestSpec()));
   const Expected want = {{5, "layer-back-edge"}};
   EXPECT_EQ(want, got);
 }
@@ -137,7 +140,7 @@ TEST(AuditFixtures, LayerUndeclaredForcesADecision) {
   const std::vector<SourceFile> corpus = {
       InlineFile("src/newthing/widget.cc", "namespace qsp {\nint W();\n}\n"),
   };
-  const auto got = LinesAndRules(AuditIncludes(corpus, TestSpec()));
+  const auto got = LinesAndRules(CheckIncludes(corpus, TestSpec()));
   ASSERT_EQ(1u, got.size());
   EXPECT_EQ("layer-undeclared", got[0].second);
 }
@@ -156,7 +159,7 @@ TEST(AuditFixtures, CrosscutLayerIsExemptBothDirections) {
       InlineFile("src/merge/planner_stub.h",
                  "namespace qsp {\ndouble PlannerStubCost();\n}\n"),
   };
-  EXPECT_TRUE(AuditIncludes(corpus, TestSpec()).empty());
+  EXPECT_TRUE(CheckIncludes(corpus, TestSpec()).empty());
 }
 
 TEST(AuditFixtures, IncludeCycle) {
@@ -164,7 +167,7 @@ TEST(AuditFixtures, IncludeCycle) {
       FixtureAt("bad/cycle_a.h", "src/util/cycle_a.h"),
       FixtureAt("bad/cycle_b.h", "src/util/cycle_b.h"),
   };
-  const auto findings = AuditIncludes(corpus, TestSpec());
+  const auto findings = CheckIncludes(corpus, TestSpec());
   const auto got = LinesAndRules(findings);
   const Expected want = {{7, "include-cycle"}};
   EXPECT_EQ(want, got);
@@ -177,9 +180,29 @@ TEST(AuditFixtures, UnusedInclude) {
       FixtureAt("bad/unused_include.cc", "src/util/unused.cc"),
       HelperStub(),
   };
-  const auto got = LinesAndRules(AuditIncludes(corpus, TestSpec()));
+  const auto got = LinesAndRules(CheckIncludes(corpus, TestSpec()));
   const Expected want = {{6, "unused-include"}};
   EXPECT_EQ(want, got);
+
+  // A header used only for what it includes is named transitive-only;
+  // the wrapper's own include of the helper is plain dead weight.
+  const std::vector<SourceFile> chain = {
+      InlineFile("src/geom/wrapper.h",
+                 "#include \"util/helper.h\"\n"
+                 "namespace qsp {\nint WrapperValue();\n}\n"),
+      InlineFile("src/geom/uses_wrapper.cc",
+                 "#include \"geom/wrapper.h\"\n"
+                 "namespace qsp {\nint U() { return HelperValue(); }\n}\n"),
+      HelperStub(),
+  };
+  const std::vector<Finding> findings = CheckIncludes(chain, TestSpec());
+  ASSERT_EQ(2u, findings.size());
+  for (const Finding& f : findings) {
+    EXPECT_EQ("unused-include", f.rule);
+    EXPECT_EQ(f.file == "src/geom/uses_wrapper.cc",
+              f.message.find("only transitively used") != std::string::npos)
+        << f.file << ": " << f.message;
+  }
 }
 
 TEST(AuditFixtures, GoodIncludeCorpusIsClean) {
@@ -187,15 +210,15 @@ TEST(AuditFixtures, GoodIncludeCorpusIsClean) {
       FixtureAt("good/includes_ok.cc", "src/geom/uses_util.cc"),
       HelperStub(),
   };
-  const auto findings = AuditIncludes(corpus, TestSpec());
+  const auto findings = CheckIncludes(corpus, TestSpec());
   EXPECT_TRUE(findings.empty())
       << findings.size() << " unexpected finding(s), first: "
       << (findings.empty() ? "" : findings[0].rule);
 }
 
-// -------------------------------------------------- RunAudit + suppression
+// ---------------------------------------------- Lint() + suppression
 
-TEST(RunAudit, AppliesSameLineAllowMarkers) {
+TEST(LintEntryPoint, AppliesSameLineAllowMarkers) {
   const std::vector<SourceFile> corpus = {
       InlineFile("src/geom/suppressed.cc",
                  "#include \"merge/planner_stub.h\"  "
@@ -206,12 +229,12 @@ TEST(RunAudit, AppliesSameLineAllowMarkers) {
       InlineFile("src/merge/planner_stub.h",
                  "namespace qsp {\ndouble PlannerStubCost();\n}\n"),
   };
-  const AuditResult result = RunAudit(corpus, TestSpec());
+  const LintResult result = Lint(corpus, TestSpec());
   EXPECT_TRUE(result.findings.empty());
   EXPECT_EQ(1u, result.suppressed);
 }
 
-TEST(RunAudit, MarkerForOtherRuleDoesNotSuppress) {
+TEST(LintEntryPoint, MarkerForOtherRuleDoesNotSuppress) {
   const std::vector<SourceFile> corpus = {
       InlineFile("src/geom/wrong_marker.cc",
                  "#include \"merge/planner_stub.h\"  "
@@ -222,15 +245,15 @@ TEST(RunAudit, MarkerForOtherRuleDoesNotSuppress) {
       InlineFile("src/merge/planner_stub.h",
                  "namespace qsp {\ndouble PlannerStubCost();\n}\n"),
   };
-  const AuditResult result = RunAudit(corpus, TestSpec());
+  const LintResult result = Lint(corpus, TestSpec());
   const Expected want = {{1, "layer-back-edge"}};
   EXPECT_EQ(want, LinesAndRules(result.findings));
   EXPECT_EQ(0u, result.suppressed);
 }
 
-TEST(RunAudit, SortsFindingsByFileThenLine) {
-  // AuditIncludes reports rule by rule (every layer finding, then
-  // cycles, then unused includes); RunAudit orders them by file, then
+TEST(LintEntryPoint, SortsFindingsByFileThenLine) {
+  // CheckIncludes reports rule by rule (every layer finding, then
+  // cycles, then unused includes); Lint() orders them by file, then
   // line, across files and within one.
   const std::vector<SourceFile> corpus = {
       FixtureAt("bad/unused_include.cc", "src/util/unused.cc"),
@@ -246,7 +269,7 @@ TEST(RunAudit, SortsFindingsByFileThenLine) {
       HelperStub(),
   };
   std::vector<std::tuple<std::string, int, std::string>> got;
-  for (const Finding& f : RunAudit(corpus, TestSpec()).findings)
+  for (const Finding& f : Lint(corpus, TestSpec()).findings)
     got.emplace_back(f.file, f.line, f.rule);
   const decltype(got) want = {
       {"src/geom/mixed.cc", 1, "unused-include"},
@@ -284,7 +307,7 @@ TEST(Sarif, RoundTripsThroughJsonParser) {
   const auto& runs = root.Find("runs")->AsArray();
   ASSERT_EQ(1u, runs.size());
   const JsonValue& driver = *runs[0].Find("tool")->Find("driver");
-  EXPECT_EQ("qsp_audit", driver.Find("name")->AsString());
+  EXPECT_EQ("qsp_lint", driver.Find("name")->AsString());
   EXPECT_EQ("1.0", driver.Find("version")->AsString());
 
   // The rule catalogue lists every id qsp_lint (six rules) and the
@@ -311,6 +334,37 @@ TEST(Sarif, RoundTripsThroughJsonParser) {
             loc.Find("artifactLocation")->Find("uri")->AsString());
   EXPECT_EQ(5, static_cast<int>(
                    loc.Find("region")->Find("startLine")->AsNumber()));
+}
+
+TEST(Sarif, OneEntryPointLogsPerFileAndIncludeFindings) {
+  // One Lint() run over one corpus: the per-file library-io findings and
+  // the include-cycle finding land in the same SARIF log.
+  const std::vector<SourceFile> corpus = {
+      FixtureAt("bad/cycle_a.h", "src/util/cycle_a.h"),
+      FixtureAt("bad/cycle_b.h", "src/util/cycle_b.h"),
+      FixtureAt("bad/library_io.cc", "src/util/progress.cc"),
+  };
+  const LintResult result = Lint(corpus, TestSpec());
+  const Result<JsonValue> parsed =
+      ParseJson(FindingsToSarif(result.findings, "1.0"));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  std::vector<std::tuple<std::string, int, std::string>> got;
+  for (const JsonValue& r :
+       parsed.value().Find("runs")->AsArray()[0].Find("results")->AsArray()) {
+    const JsonValue& loc =
+        *r.Find("locations")->AsArray()[0].Find("physicalLocation");
+    got.emplace_back(
+        loc.Find("artifactLocation")->Find("uri")->AsString(),
+        static_cast<int>(loc.Find("region")->Find("startLine")->AsNumber()),
+        r.Find("ruleId")->AsString());
+  }
+  const decltype(got) want = {
+      {"src/util/cycle_a.h", 7, "include-cycle"},
+      {"src/util/progress.cc", 9, "library-io"},
+      {"src/util/progress.cc", 10, "library-io"},
+      {"src/util/progress.cc", 11, "library-io"},
+  };
+  EXPECT_EQ(want, got);
 }
 
 TEST(Sarif, EmptyFindingsStillProducesAValidRun) {

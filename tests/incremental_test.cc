@@ -6,8 +6,8 @@
 
 #include "cost/cost_model.h"
 #include "merge/incremental_merger.h"
+#include "merge/merger.h"
 #include "merge/pair_merger.h"
-#include "merge/partition_merger.h"
 #include "query/merge_context.h"
 #include "query/merge_procedure.h"
 #include "stats/size_estimator.h"

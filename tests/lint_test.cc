@@ -1,6 +1,7 @@
-// Tests for tools/lint: each rule must fire exactly where the known-bad
-// fixtures say it does, stay silent on the known-good corpus, and respect
-// the FileKind scoping and `qsp-lint: allow(...)` suppressions.
+// Tests for tools/lint's per-file rules: each rule must fire exactly
+// where the known-bad fixtures say it does, stay silent on the known-good
+// corpus, and respect the FileKind scoping and `qsp-lint: allow(...)`
+// suppressions. Every case runs the checker's one entry point, Lint().
 #include "lint/lint.h"
 
 #include <algorithm>
@@ -32,13 +33,14 @@ std::string ReadFixture(const std::string& rel) {
 
 // Loads a fixture and lints it standalone under the given kind. Fixtures
 // are self-contained (they declare their own Status/Result/ServiceConfig),
-// so single-file returner collection matches the real two-pass run.
+// so single-file returner collection matches the real two-pass run; their
+// project includes resolve to nothing, so no include rule fires.
 std::vector<Finding> LintFixture(const std::string& rel, FileKind kind) {
   SourceFile file;
   file.path = rel;
   file.content = ReadFixture(rel);
   file.kind = kind;
-  return LintFiles({file});
+  return Lint({file}, LayerSpec()).findings;
 }
 
 // (line, rule) pairs, sorted — the shape every fixture expectation uses.
@@ -78,11 +80,18 @@ TEST(ClassifyPath, MapsDirectoriesToKinds) {
   EXPECT_EQ(FileKind::kLibrary, ClassifyPath("src/merge/pair_merger.cc"));
   EXPECT_EQ(FileKind::kLibraryObs, ClassifyPath("src/obs/metrics.cc"));
   EXPECT_EQ(FileKind::kOther, ClassifyPath("tests/planner_test.cc"));
-  EXPECT_EQ(FileKind::kBench, ClassifyPath("bench/bench_merge.cc"));
-  EXPECT_EQ(FileKind::kBench, ClassifyPath("/root/repo/bench/bench_fig15.cc"));
-  EXPECT_EQ(FileKind::kScript, ClassifyPath("scripts/gen_tables.cc"));
-  EXPECT_EQ(FileKind::kScript, ClassifyPath("/ws/scripts/harness.h"));
+  EXPECT_EQ(FileKind::kOther, ClassifyPath("bench/bench_merge.cc"));
+  EXPECT_EQ(FileKind::kOther, ClassifyPath("scripts/gen_tables.cc"));
   EXPECT_EQ(FileKind::kOther, ClassifyPath("tools/qsp_demo/main.cc"));
+}
+
+TEST(ClassifyPath, InnerSrcDirectoryIsNotLibraryCode) {
+  // Paths are root-relative and only the leading directory counts, so a
+  // `src/` deeper in the path (or above the checkout) changes nothing.
+  EXPECT_EQ(FileKind::kOther, ClassifyPath("tests/src/fake_merger.cc"));
+  EXPECT_EQ(FileKind::kOther, ClassifyPath("tools/lint/src/obs/clock.h"));
+  EXPECT_EQ(FileKind::kOther,
+            ClassifyPath("/work/src/qsp/bench/bench_fig15.cc"));
 }
 
 TEST(CollectStatusReturners, DemotesAmbiguousNames) {
@@ -226,9 +235,10 @@ TEST(LintFixtures, SuppressionMarkerIsRuleSpecific) {
       "  Flush();  // qsp-lint: allow(discarded-status) shutdown path\n"
       "}\n"
       "}\n";
-  const auto got = LinesAndRules(LintFiles({file}));
+  const LintResult result = Lint({file}, LayerSpec());
   const Expected want = {{3, "discarded-status"}};
-  EXPECT_EQ(want, got);
+  EXPECT_EQ(want, LinesAndRules(result.findings));
+  EXPECT_EQ(1u, result.suppressed);
 }
 
 TEST(LintFixtures, FindingsSortedByFileAndLine) {
@@ -240,7 +250,7 @@ TEST(LintFixtures, FindingsSortedByFileAndLine) {
   b.path = "src/a.cc";
   b.kind = FileKind::kLibrary;
   b.content = "void G() {\n  rand();\n}\n";
-  const auto findings = LintFiles({a, b});
+  const auto findings = Lint({a, b}, LayerSpec()).findings;
   ASSERT_EQ(2u, findings.size());
   EXPECT_EQ("src/a.cc", findings[0].file);
   EXPECT_EQ(2, findings[0].line);

@@ -10,6 +10,7 @@
 #include "merge/pair_merger.h"
 #include "merge/partition_merger.h"
 #include "merge/rgs.h"
+#include "obs/metrics.h"
 #include "query/merge_context.h"
 #include "query/merge_procedure.h"
 #include "stats/size_estimator.h"
@@ -482,26 +483,44 @@ TEST(ClusteringMergerTest, SeparatesFarComponentsExactly) {
   EXPECT_TRUE(IsValidPartition(c->partition, 4));
 }
 
-TEST(ClusteringMergerTest, LooseAndTightBoundsBothValid) {
+TEST(ClusteringMergerTest, UnionSizeBoundPlansAreValid) {
   for (uint64_t seed = 0; seed < 6; ++seed) {
     Instance inst(12, 1300 + seed);
-    ClusteringMerger tight(10, true), loose(10, false);
-    auto t = tight.Merge(*inst.ctx, inst.model);
-    auto l = loose.Merge(*inst.ctx, inst.model);
-    ASSERT_TRUE(t.ok());
-    ASSERT_TRUE(l.ok());
-    EXPECT_TRUE(IsValidPartition(t->partition, 12));
-    EXPECT_TRUE(IsValidPartition(l->partition, 12));
-    EXPECT_LE(t->cost, inst.model.InitialCost(*inst.ctx) + 1e-9);
+    auto result = ClusteringMerger().Merge(*inst.ctx, inst.model);
+    ASSERT_TRUE(result.ok());
+    EXPECT_TRUE(IsValidPartition(result->partition, 12));
+    EXPECT_LE(result->cost, inst.model.InitialCost(*inst.ctx) + 1e-9);
   }
 }
 
 TEST(ClusteringMergerTest, FallsBackToGreedyOnLargeComponents) {
-  Instance inst(20, 9);
-  ClusteringMerger clustering(4);  // Force greedy path for components > 4.
-  auto result = clustering.Merge(*inst.ctx, inst.model);
+  // A chain of heavily overlapping squares is one mergeable component,
+  // larger than kExactComponentLimit, so the pair merger solves it.
+  const size_t n = ClusteringMerger::kExactComponentLimit + 4;
+  std::vector<Rect> rects;
+  for (size_t i = 0; i < n; ++i) {
+    const double x = static_cast<double>(i);
+    rects.emplace_back(x, 0, x + 10, 10);
+  }
+  QuerySet qs(rects);
+  UniformDensityEstimator est(1.0);
+  BoundingRectProcedure proc;
+  MergeContext ctx(&qs, &est, &proc);
+  const CostModel model{10, 1, 1, 0};
+  obs::SetEnabled(true);
+  auto& registry = obs::MetricRegistry::Default();
+  registry.Reset();
+  auto result = ClusteringMerger().Merge(ctx, model);
+  const uint64_t exact =
+      registry.CounterValue("merge.clustering.subsolves_exact");
+  const uint64_t greedy =
+      registry.CounterValue("merge.clustering.subsolves_greedy");
+  registry.Reset();
+  obs::SetEnabled(false);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(IsValidPartition(result->partition, 20));
+  EXPECT_EQ(0u, exact);
+  EXPECT_EQ(1u, greedy);
+  EXPECT_TRUE(IsValidPartition(result->partition, n));
 }
 
 // -------------------------------------------- Heuristics vs exact optimum

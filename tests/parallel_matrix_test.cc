@@ -53,8 +53,7 @@ const MergerCase kMergers[] = {
      }},
     {"clustering",
      [](uint64_t, bool pruning) -> std::unique_ptr<Merger> {
-       return std::make_unique<ClusteringMerger>(
-           /*exact_component_limit=*/10, /*tight_bound=*/true, pruning);
+       return std::make_unique<ClusteringMerger>(pruning);
      }},
     {"directed-search",
      [](uint64_t seed, bool pruning) -> std::unique_ptr<Merger> {

@@ -106,13 +106,7 @@ const MergerCase kMergers[] = {
      }},
     {"clustering",
      [](uint64_t, bool pruning) -> std::unique_ptr<Merger> {
-       return std::make_unique<ClusteringMerger>(
-           /*exact_component_limit=*/10, /*tight_bound=*/true, pruning);
-     }},
-    {"clustering-loose",
-     [](uint64_t, bool pruning) -> std::unique_ptr<Merger> {
-       return std::make_unique<ClusteringMerger>(
-           /*exact_component_limit=*/10, /*tight_bound=*/false, pruning);
+       return std::make_unique<ClusteringMerger>(pruning);
      }},
     {"directed-search",
      [](uint64_t seed, bool pruning) -> std::unique_ptr<Merger> {
@@ -1124,13 +1118,9 @@ TEST(PlannerPruningTest, ClusteringPairsCoverHairlineAndEmptyBoxes) {
       UniformInstance plain_inst(
           dense ? DenseRects(seed) : DispersedRects(seed), density);
       const auto pruned =
-          ClusteringMerger(/*exact_component_limit=*/10, /*tight_bound=*/true,
-                           /*pruning=*/true)
-              .Merge(pruned_inst.ctx, model);
+          ClusteringMerger(/*pruning=*/true).Merge(pruned_inst.ctx, model);
       const auto plain =
-          ClusteringMerger(/*exact_component_limit=*/10, /*tight_bound=*/true,
-                           /*pruning=*/false)
-              .Merge(plain_inst.ctx, model);
+          ClusteringMerger(/*pruning=*/false).Merge(plain_inst.ctx, model);
       ASSERT_TRUE(pruned.ok());
       ASSERT_TRUE(plain.ok());
       const std::string label =

@@ -64,9 +64,7 @@ const MergerCase kMergers[] = {
      }},
     {"clustering",
      [](uint64_t) -> std::unique_ptr<Merger> {
-       return std::make_unique<ClusteringMerger>(
-           /*exact_component_limit=*/10, /*tight_bound=*/true,
-           /*pruning=*/true);
+       return std::make_unique<ClusteringMerger>(/*pruning=*/true);
      }},
     {"directed-search",
      [](uint64_t seed) -> std::unique_ptr<Merger> {
@@ -376,8 +374,7 @@ TEST(ShardedPlannerTest, PairPlansDoNotDependOnTheCallersMemo) {
 // merger none.
 TEST(ShardedPlannerTest, ShardContextsStoreOnlyForMergersThatRevisitGroups) {
   const CostModel model = bench::Fig16CostModel();
-  const ClusteringMerger clustering(/*exact_component_limit=*/10,
-                                    /*tight_bound=*/true, /*pruning=*/true);
+  const ClusteringMerger clustering(/*pruning=*/true);
   const PairMerger pair(/*use_heap=*/true, /*pruning=*/true);
   ASSERT_EQ(clustering.ContextMemo(), GroupMemo::kStore);
   auto& registry = obs::MetricRegistry::Default();

@@ -1,8 +1,8 @@
 #include "lint/include_graph.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <functional>
+#include <cstdint>
+#include <map>
 #include <utility>
 
 namespace qsp {
@@ -10,7 +10,6 @@ namespace lint {
 
 namespace {
 
-using text::IsSpace;
 using text::IsWordChar;
 using text::LineOf;
 using text::ReadIdent;
@@ -248,78 +247,11 @@ size_t StronglyConnected(const std::vector<std::vector<size_t>>& adj,
 
 }  // namespace
 
-bool ParseLayerSpec(const std::string& content, LayerSpec* spec,
-                    std::string* error) {
-  *spec = LayerSpec();
-  size_t pos = 0;
-  int lineno = 0;
-  while (pos <= content.size()) {
-    size_t eol = content.find('\n', pos);
-    if (eol == std::string::npos) eol = content.size();
-    std::string line = content.substr(pos, eol - pos);
-    ++lineno;
-    pos = eol + 1;
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    std::vector<std::string> words;
-    size_t i = 0;
-    while (i < line.size()) {
-      if (IsSpace(line[i])) {
-        ++i;
-        continue;
-      }
-      size_t end = i;
-      while (end < line.size() && !IsSpace(line[end])) ++end;
-      words.push_back(line.substr(i, end - i));
-      i = end;
-    }
-    if (words.empty()) {
-      if (eol == content.size()) break;
-      continue;
-    }
-    if (words[0] == "layer" && words.size() == 3) {
-      char* rest = nullptr;
-      const long rank = std::strtol(words[2].c_str(), &rest, 10);
-      if (rest == nullptr || *rest != '\0') {
-        *error = "line " + std::to_string(lineno) + ": non-numeric rank '" +
-                 words[2] + "'";
-        return false;
-      }
-      if (spec->declared(words[1])) {
-        *error = "line " + std::to_string(lineno) + ": duplicate layer '" +
-                 words[1] + "'";
-        return false;
-      }
-      spec->rank[words[1]] = static_cast<int>(rank);
-    } else if (words[0] == "crosscut" && words.size() == 2) {
-      if (spec->declared(words[1])) {
-        *error = "line " + std::to_string(lineno) + ": duplicate layer '" +
-                 words[1] + "'";
-        return false;
-      }
-      spec->crosscut.insert(words[1]);
-    } else {
-      *error = "line " + std::to_string(lineno) + ": expected 'layer <name> " +
-               "<rank>' or 'crosscut <name>', got '" + words[0] + "'";
-      return false;
-    }
-    if (eol == content.size()) break;
-  }
-  return true;
-}
-
 std::string LayerOf(const std::string& path) {
-  size_t at = 0;
-  if (path.rfind("src/", 0) == 0) {
-    at = 4;
-  } else {
-    const size_t mid = path.find("/src/");
-    if (mid == std::string::npos) return std::string();
-    at = mid + 5;
-  }
-  const size_t slash = path.find('/', at);
+  if (path.rfind("src/", 0) != 0) return std::string();
+  const size_t slash = path.find('/', 4);
   if (slash == std::string::npos) return std::string();
-  return path.substr(at, slash - at);
+  return path.substr(4, slash - 4);
 }
 
 std::vector<IncludeEdge> ExtractIncludes(
@@ -361,7 +293,7 @@ std::vector<IncludeEdge> ExtractIncludes(
   return edges;
 }
 
-std::vector<Finding> AuditIncludes(const std::vector<SourceFile>& files,
+std::vector<Finding> CheckIncludes(const std::vector<SourceFile>& files,
                                    const LayerSpec& spec) {
   std::vector<Finding> findings;
 
@@ -489,22 +421,25 @@ std::vector<Finding> AuditIncludes(const std::vector<SourceFile>& files,
   for (size_t i = 0; i < by_index.size(); ++i) {
     provided[i] = HarvestProvidedNames(*by_index[i], stripped[i]);
   }
-  // Transitive provided-name closure, for the "transitive-only" hint.
-  // Propagate to a fixed point; the include graph is shallow, so the
-  // simple iteration converges fast (cycles were reported above and
-  // saturate harmlessly).
-  std::vector<std::set<std::string>> reachable = provided;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (size_t i = 0; i < by_index.size(); ++i) {
-      for (const size_t w : adj[i]) {
-        for (const std::string& name : reachable[w]) {
-          if (reachable[i].insert(name).second) changed = true;
-        }
+  // Whether `used` holds a name some header reachable from h provides,
+  // for the "transitive-only" hint. Asked only for an include already
+  // found unused, so the closure is walked on demand.
+  const auto transitively_used = [&](const std::set<std::string>& used,
+                                     size_t h) {
+    std::vector<char> seen(by_index.size(), 0);
+    std::vector<size_t> stack(adj[h].begin(), adj[h].end());
+    while (!stack.empty()) {
+      const size_t v = stack.back();
+      stack.pop_back();
+      if (seen[v]) continue;
+      seen[v] = 1;
+      for (const std::string& name : provided[v]) {
+        if (used.count(name) > 0) return true;
       }
+      stack.insert(stack.end(), adj[v].begin(), adj[v].end());
     }
-  }
+    return false;
+  };
   for (size_t i = 0; i < by_index.size(); ++i) {
     const std::set<std::string> used = CollectUsedNames(stripped[i]);
     for (const IncludeEdge& edge : edges[i]) {
@@ -521,13 +456,7 @@ std::vector<Finding> AuditIncludes(const std::vector<SourceFile>& files,
         }
       }
       if (direct) continue;
-      bool transitive = false;
-      for (const std::string& name : reachable[h]) {
-        if (used.count(name) > 0) {
-          transitive = true;
-          break;
-        }
-      }
+      const bool transitive = transitively_used(used, h);
       findings.push_back(Finding{
           edge.from, edge.line, "unused-include",
           transitive

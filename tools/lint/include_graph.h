@@ -1,17 +1,16 @@
 #ifndef QSP_TOOLS_LINT_INCLUDE_GRAPH_H_
 #define QSP_TOOLS_LINT_INCLUDE_GRAPH_H_
 
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "lint/lint.h"
 
-/// Whole-program include analysis for qsp_audit (DESIGN.md §14): parses
-/// every `#include "..."` in the corpus once, resolves them against the
-/// corpus itself, and enforces the declared layer DAG plus structural
-/// include hygiene.
+/// qsp_lint's include rules (DESIGN.md §14): parses every
+/// `#include "..."` in the corpus once, resolves them against the corpus
+/// itself, and enforces the declared layer DAG plus structural include
+/// hygiene.
 ///
 /// Rules (ids are what suppression comments name):
 ///   layer-back-edge    A file in src/<A>/ includes a header in src/<B>/
@@ -36,26 +35,6 @@
 namespace qsp {
 namespace lint {
 
-/// The declared layering, parsed from docs/layers.conf. Ranks order the
-/// layers bottom (0) up; equal ranks are peer layers.
-struct LayerSpec {
-  std::map<std::string, int> rank;
-  std::set<std::string> crosscut;
-
-  bool declared(const std::string& layer) const {
-    return rank.count(layer) > 0 || crosscut.count(layer) > 0;
-  }
-};
-
-/// Parses the layer config. Grammar, one directive per line:
-///   layer <name> <rank>     # declares a layer at a rank
-///   crosscut <name>         # declares a cross-cutting layer
-/// '#' starts a comment; blank lines are skipped. Returns false and
-/// fills *error on malformed input (unknown directive, duplicate layer,
-/// non-numeric rank).
-bool ParseLayerSpec(const std::string& content, LayerSpec* spec,
-                    std::string* error);
-
 /// One `#include "..."` directive.
 struct IncludeEdge {
   std::string from;    // corpus path of the including file
@@ -71,14 +50,14 @@ struct IncludeEdge {
 std::vector<IncludeEdge> ExtractIncludes(
     const SourceFile& file, const std::set<std::string>& corpus_paths);
 
-/// The src/ subsystem of a corpus path ("src/geom/rect.h" -> "geom");
-/// empty for paths outside src/.
+/// The src/ subsystem of a root-relative path ("src/geom/rect.h" ->
+/// "geom"); empty for paths outside src/.
 std::string LayerOf(const std::string& path);
 
 /// Runs every include rule over the corpus. Findings are unsuppressed
-/// and unsorted; audit.cc applies the allow markers and the global
+/// and unsorted; Lint() (lint.h) applies the allow markers and the
 /// ordering.
-std::vector<Finding> AuditIncludes(const std::vector<SourceFile>& files,
+std::vector<Finding> CheckIncludes(const std::vector<SourceFile>& files,
                                    const LayerSpec& spec);
 
 }  // namespace lint

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdlib>
 #include <map>
+#include <tuple>
 #include <utility>
+
+#include "lint/include_graph.h"
 
 namespace qsp {
 namespace lint {
@@ -93,8 +97,9 @@ bool IsStatementKeyword(const std::string& word) {
   return false;
 }
 
-}  // namespace
-
+/// Per-line `// qsp-lint: allow(rule, rule)` suppression markers, parsed
+/// from the raw file content (they live inside comments, which the
+/// stripped text loses).
 std::map<int, std::set<std::string>> CollectAllowMarkers(
     const std::string& raw) {
   std::map<int, std::set<std::string>> allows;
@@ -128,25 +133,16 @@ std::map<int, std::set<std::string>> CollectAllowMarkers(
   return allows;
 }
 
-namespace {
-
 /// Shared per-file scanning state.
 struct FileScan {
   const SourceFile* file = nullptr;
   std::string stripped;
-  std::map<int, std::set<std::string>> allows;
   std::vector<Finding>* findings = nullptr;
-
-  bool Allowed(int line, const std::string& rule) const {
-    auto it = allows.find(line);
-    return it != allows.end() && it->second.count(rule) > 0;
-  }
 
   void Report(size_t pos, const std::string& rule,
               const std::string& message) const {
-    const int line = LineOf(stripped, pos);
-    if (Allowed(line, rule)) return;
-    findings->push_back(Finding{file->path, line, rule, message});
+    findings->push_back(
+        Finding{file->path, LineOf(stripped, pos), rule, message});
   }
 };
 
@@ -435,8 +431,7 @@ void CheckUngatedKnobs(const FileScan& scan) {
   static const char* const kKnobs[] = {
       "fault", "telemetry", "pruning", "client_cache", "threads",
   };
-  const bool in_core = scan.file->path.find("src/core/") != std::string::npos ||
-                       scan.file->path.rfind("core/", 0) == 0;
+  const bool in_core = scan.file->path.rfind("src/core/", 0) == 0;
   const bool has_gate = s.find("Engaged") != std::string::npos;
 
   for (const char* cfg : kConfigNames) {
@@ -714,17 +709,69 @@ std::string StripCommentsAndStrings(const std::string& content) {
 }
 
 FileKind ClassifyPath(const std::string& path) {
-  const auto contains = [&path](const char* needle) {
-    return path.find(needle) != std::string::npos;
-  };
-  const auto starts_with = [&path](const char* prefix) {
-    return path.rfind(prefix, 0) == 0;
-  };
-  if (contains("src/obs/") || starts_with("obs/")) return FileKind::kLibraryObs;
-  if (contains("/src/") || starts_with("src/")) return FileKind::kLibrary;
-  if (contains("/bench/") || starts_with("bench/")) return FileKind::kBench;
-  if (contains("/scripts/") || starts_with("scripts/")) return FileKind::kScript;
+  if (path.rfind("src/obs/", 0) == 0) return FileKind::kLibraryObs;
+  if (path.rfind("src/", 0) == 0) return FileKind::kLibrary;
   return FileKind::kOther;
+}
+
+bool ParseLayerSpec(const std::string& content, LayerSpec* spec,
+                    std::string* error) {
+  *spec = LayerSpec();
+  size_t pos = 0;
+  int lineno = 0;
+  while (pos <= content.size()) {
+    size_t eol = content.find('\n', pos);
+    if (eol == std::string::npos) eol = content.size();
+    std::string line = content.substr(pos, eol - pos);
+    ++lineno;
+    pos = eol + 1;
+    const size_t hash = line.find('#');
+    if (hash != std::string::npos) line = line.substr(0, hash);
+    std::vector<std::string> words;
+    size_t i = 0;
+    while (i < line.size()) {
+      if (IsSpace(line[i])) {
+        ++i;
+        continue;
+      }
+      size_t end = i;
+      while (end < line.size() && !IsSpace(line[end])) ++end;
+      words.push_back(line.substr(i, end - i));
+      i = end;
+    }
+    if (words.empty()) {
+      if (eol == content.size()) break;
+      continue;
+    }
+    if (words[0] == "layer" && words.size() == 3) {
+      char* rest = nullptr;
+      const long rank = std::strtol(words[2].c_str(), &rest, 10);
+      if (rest == nullptr || *rest != '\0') {
+        *error = "line " + std::to_string(lineno) + ": non-numeric rank '" +
+                 words[2] + "'";
+        return false;
+      }
+      if (spec->declared(words[1])) {
+        *error = "line " + std::to_string(lineno) + ": duplicate layer '" +
+                 words[1] + "'";
+        return false;
+      }
+      spec->rank[words[1]] = static_cast<int>(rank);
+    } else if (words[0] == "crosscut" && words.size() == 2) {
+      if (spec->declared(words[1])) {
+        *error = "line " + std::to_string(lineno) + ": duplicate layer '" +
+                 words[1] + "'";
+        return false;
+      }
+      spec->crosscut.insert(words[1]);
+    } else {
+      *error = "line " + std::to_string(lineno) + ": expected 'layer <name> " +
+               "<rank>' or 'crosscut <name>', got '" + words[0] + "'";
+      return false;
+    }
+    if (eol == content.size()) break;
+  }
+  return true;
 }
 
 std::set<std::string> CollectStatusReturners(
@@ -797,47 +844,57 @@ std::set<std::string> CollectStatusReturners(
   return unambiguous;
 }
 
-std::vector<Finding> LintFile(const SourceFile& file,
-                              const std::set<std::string>& status_returners) {
-  std::vector<Finding> findings;
+namespace {
+
+/// Appends what the per-file rules `file`'s kind admits find, unsuppressed.
+void CheckFile(const SourceFile& file,
+               const std::set<std::string>& status_returners,
+               std::vector<Finding>* findings) {
   FileScan scan;
   scan.file = &file;
   scan.stripped = StripCommentsAndStrings(file.content);
-  scan.allows = CollectAllowMarkers(file.content);
-  scan.findings = &findings;
+  scan.findings = findings;
 
   // discarded-status applies everywhere: a dropped Status in a test or
   // bench is exactly as silent as one in the library.
   CheckDiscardedStatus(scan, status_returners);
 
-  const bool library =
-      file.kind == FileKind::kLibrary || file.kind == FileKind::kLibraryObs;
-  if (library) {
+  if (file.kind != FileKind::kOther) {
     if (file.kind != FileKind::kLibraryObs) CheckNondeterminism(scan);
     CheckUnorderedIteration(scan);
     CheckUngatedKnobs(scan);
     CheckLibraryIo(scan);
     CheckMetricNames(scan);
   }
-
-  std::sort(findings.begin(), findings.end(),
-            [](const Finding& a, const Finding& b) {
-              return std::tie(a.line, a.rule) < std::tie(b.line, b.rule);
-            });
-  return findings;
 }
 
-std::vector<Finding> LintFiles(const std::vector<SourceFile>& files) {
+}  // namespace
+
+LintResult Lint(const std::vector<SourceFile>& files, const LayerSpec& spec) {
+  std::vector<Finding> raw = CheckIncludes(files, spec);
   const std::set<std::string> returners = CollectStatusReturners(files);
-  std::vector<Finding> all;
+  std::map<std::string, std::map<int, std::set<std::string>>> allows;
   for (const SourceFile& file : files) {
-    std::vector<Finding> findings = LintFile(file, returners);
-    all.insert(all.end(), findings.begin(), findings.end());
+    CheckFile(file, returners, &raw);
+    allows[file.path] = CollectAllowMarkers(file.content);
   }
-  std::sort(all.begin(), all.end(), [](const Finding& a, const Finding& b) {
-    return std::tie(a.file, a.line, a.rule) < std::tie(b.file, b.line, b.rule);
-  });
-  return all;
+
+  LintResult result;
+  for (Finding& f : raw) {
+    const auto& file_allows = allows[f.file];
+    const auto line_allows = file_allows.find(f.line);
+    if (line_allows != file_allows.end() && line_allows->second.count(f.rule)) {
+      ++result.suppressed;
+      continue;
+    }
+    result.findings.push_back(std::move(f));
+  }
+  std::sort(result.findings.begin(), result.findings.end(),
+            [](const Finding& a, const Finding& b) {
+              return std::tie(a.file, a.line, a.rule, a.message) <
+                     std::tie(b.file, b.line, b.rule, b.message);
+            });
+  return result;
 }
 
 }  // namespace lint

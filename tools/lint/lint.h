@@ -1,18 +1,21 @@
 #ifndef QSP_TOOLS_LINT_LINT_H_
 #define QSP_TOOLS_LINT_LINT_H_
 
+#include <cstddef>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
-/// qsp_lint: a token-level linter for project invariants that clang-tidy
-/// and the compiler wall cannot know (DESIGN.md §9). It deliberately has
-/// no libclang dependency — rules work on comment- and string-stripped
-/// source text, which keeps the tool buildable everywhere the library is
-/// and fast enough to run as a ctest over the whole tree.
+/// qsp_lint: the project checker (DESIGN.md §9, §14). One token-level
+/// pass (no libclang) over the tree's sources enforces the invariants
+/// clang-tidy and the compiler wall cannot know: six per-file rules
+/// below, and four include/layer rules over the whole corpus
+/// (include_graph.h). Rules work on comment- and string-stripped source
+/// text, which keeps the tool buildable everywhere the library is and
+/// fast enough to run as a ctest over the whole tree.
 ///
-/// Rules (ids are what suppression comments name):
+/// Per-file rules (ids are what suppression comments name):
 ///   discarded-status   A call returning qsp::Status / qsp::Result<T> as
 ///                      a bare expression statement, or laundered through
 ///                      a raw (void)/static_cast<void> cast. The one
@@ -53,7 +56,8 @@
 ///                      must be born well-formed.
 ///
 /// Suppression: a line containing `// qsp-lint: allow(<rule>) <reason>`
-/// silences that rule on that line. The reason is mandatory by
+/// silences that rule on that line, for all ten rules alike; Lint()
+/// applies the markers in one place. The reason is mandatory by
 /// convention and enforced in review, not by the tool.
 namespace qsp {
 namespace lint {
@@ -65,15 +69,8 @@ enum class FileKind {
   /// Library code under src/obs/ — the telemetry layer; exempt from
   /// `nondeterminism` (it owns the process's clocks) but nothing else.
   kLibraryObs,
-  /// Benchmark sources under bench/ — only `discarded-status` applies
-  /// (benches legitimately time things and print to stdout), but the
-  /// whole-program audit still includes them in the include graph.
-  kBench,
-  /// Sources emitted or driven by scripts/ (generated tables, harness
-  /// stubs). Same rule scope as kBench; classified explicitly so the
-  /// audit can attribute findings to the generator, not the output.
-  kScript,
-  /// Tests, tools, examples — only `discarded-status` applies.
+  /// Tests, tools, benches, examples — of the per-file rules only
+  /// `discarded-status` applies; the include rules apply everywhere.
   kOther,
 };
 
@@ -94,10 +91,46 @@ struct Finding {
   bool operator==(const Finding&) const = default;
 };
 
-/// Classifies a path by its directory: src/obs/ -> kLibraryObs, src/ ->
-/// kLibrary, bench/ -> kBench, scripts/ -> kScript, everything else ->
-/// kOther. Path separators may be '/' only (the tree is linted in-repo).
+/// Classifies a root-relative path by its leading directory: src/obs/
+/// -> kLibraryObs, src/ -> kLibrary, everything else -> kOther. Only a
+/// prefix counts, so a checkout that itself lives under some `src/`
+/// directory classifies the same. Path separators are '/'.
 FileKind ClassifyPath(const std::string& path);
+
+/// The declared layering, parsed from docs/layers.conf. Ranks order the
+/// layers bottom (0) up; equal ranks are peer layers.
+struct LayerSpec {
+  std::map<std::string, int> rank;
+  std::set<std::string> crosscut;
+
+  bool declared(const std::string& layer) const {
+    return rank.count(layer) > 0 || crosscut.count(layer) > 0;
+  }
+};
+
+/// Parses the layer config. Grammar, one directive per line:
+///   layer <name> <rank>     # declares a layer at a rank
+///   crosscut <name>         # declares a cross-cutting layer
+/// '#' starts a comment; blank lines are skipped. Returns false and
+/// fills *error on malformed input (unknown directive, duplicate layer,
+/// non-numeric rank).
+bool ParseLayerSpec(const std::string& content, LayerSpec* spec,
+                    std::string* error);
+
+/// What one checker run reports.
+struct LintResult {
+  /// Surviving findings, sorted by (file, line, rule, message).
+  std::vector<Finding> findings;
+  /// Findings silenced by allow markers.
+  size_t suppressed = 0;
+};
+
+/// The checker's one entry point. Runs the per-file rules each file's
+/// kind admits (Status returners are collected across all of `files`)
+/// and the include/layer rules under `spec` over the same files, drops
+/// every finding whose line carries an allow marker naming its rule, and
+/// sorts what is left once.
+LintResult Lint(const std::vector<SourceFile>& files, const LayerSpec& spec);
 
 /// Scans every file for function declarations returning qsp::Status or
 /// qsp::Result<T> and returns the function names. The set is what makes
@@ -106,28 +139,13 @@ FileKind ClassifyPath(const std::string& path);
 std::set<std::string> CollectStatusReturners(
     const std::vector<SourceFile>& files);
 
-/// Lints one file against every rule its kind admits.
-std::vector<Finding> LintFile(const SourceFile& file,
-                              const std::set<std::string>& status_returners);
-
-/// Two-pass convenience: collect returners across all files, then lint
-/// each. Findings are ordered by (file, line).
-std::vector<Finding> LintFiles(const std::vector<SourceFile>& files);
-
 /// Strips // and /* */ comments, string literals, and char literals,
 /// replacing them with spaces (newlines preserved, so line numbers and
 /// column positions survive). Exposed for tests.
 std::string StripCommentsAndStrings(const std::string& content);
 
-/// Per-line `// qsp-lint: allow(rule, rule)` suppression markers, parsed
-/// from the RAW file content (they live inside comments, which the
-/// stripped text loses). Shared by the per-file rules and the
-/// whole-program audit (audit.h), so one suppression syntax covers both.
-std::map<int, std::set<std::string>> CollectAllowMarkers(
-    const std::string& raw);
-
-/// Shared token utilities for the per-file rules and the audit's
-/// include_graph.cc. They operate on comment/string-stripped text.
+/// Shared token utilities for the per-file rules and the include rules
+/// (include_graph.cc). They operate on comment/string-stripped text.
 namespace text {
 bool IsWordChar(char c);
 bool IsSpace(char c);

@@ -11,7 +11,7 @@ struct RuleDoc {
   const char* description;
 };
 
-// Every rule qsp_lint or qsp_audit can emit, in catalogue order. SARIF
+// Every rule qsp_lint can emit, in catalogue order. SARIF
 // results reference rules by id (not index), so the order only affects
 // the document, not consumers.
 const RuleDoc kRules[] = {
@@ -52,10 +52,10 @@ std::string FindingsToSarif(const std::vector<Finding>& findings,
   w.BeginObject();
   w.Key("tool").BeginObject();
   w.Key("driver").BeginObject();
-  w.Key("name").String("qsp_audit");
+  w.Key("name").String("qsp_lint");
   w.Key("version").String(tool_version);
   w.Key("informationUri")
-      .String("https://example.invalid/qsp/DESIGN.md#14-whole-program-audit");
+      .String("https://example.invalid/qsp/DESIGN.md#14-the-project-checker");
   w.Key("rules").BeginArray();
   for (const RuleDoc& rule : kRules) {
     w.BeginObject();

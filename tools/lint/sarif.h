@@ -6,11 +6,11 @@
 
 #include "lint/lint.h"
 
-/// SARIF 2.1.0 output for qsp_audit, so CI can upload findings where code
+/// SARIF 2.1.0 output for qsp_lint, so CI can upload findings where code
 /// hosts render them inline on the PR diff. One run, one tool (driver
-/// "qsp_audit"), one result per finding; the rule catalogue under
-/// tool.driver.rules carries a short description for every rule either
-/// analyzer can emit. Written with qsp::JsonWriter and kept minimal —
+/// "qsp_lint"), one result per finding; the rule catalogue under
+/// tool.driver.rules carries a short description for each of the ten
+/// rules. Written with qsp::JsonWriter and kept minimal —
 /// exactly the fields the SARIF viewers need: ruleId, level, message.text,
 /// and a physicalLocation with artifactLocation.uri plus region.startLine.
 namespace qsp {
@@ -18,7 +18,7 @@ namespace lint {
 
 /// Serializes findings as a SARIF 2.1.0 document (compact, one line).
 /// `tool_version` lands in tool.driver.version. Findings are emitted in
-/// the order given; every finding is level "error" (the audit gate treats
+/// the order given; every finding is level "error" (the checker treats
 /// any finding as failure).
 std::string FindingsToSarif(const std::vector<Finding>& findings,
                             const std::string& tool_version);

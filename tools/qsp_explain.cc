@@ -40,15 +40,14 @@
 // Any other flag is an error (exit 2), so a typo is not silently
 // ignored.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
-#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
+#include "cli_args.h"
 #include "core/live_plan.h"
 #include "core/subscription_service.h"
 #include "merge/sharded_planner.h"
@@ -65,62 +64,13 @@ namespace qsp {
 namespace {
 
 /// Every flag the header documents.
-constexpr const char* kFlags[] = {
+const std::vector<std::string> kFlags = {
     "scenario", "queries", "seed", "merger", "shards", "no-pruning",
     "exact", "objects", "format", "cf", "sf", "df", "min-extent",
     "max-extent", "density", "km", "kt", "ku", "help"};
 
 /// The flags of kFlags that take no value.
-constexpr const char* kSwitches[] = {"no-pruning", "exact", "help"};
-
-/// Minimal --key value argument map (same shape as qspctl's), limited
-/// to kFlags. A switch takes no value; every other flag takes the next
-/// argument, which may start with a single '-' (a negative number), and
-/// exits 2 without one.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "unexpected argument '%s'\n", key.c_str());
-        std::exit(2);
-      }
-      key = key.substr(2);
-      if (std::find(std::begin(kFlags), std::end(kFlags), key) ==
-          std::end(kFlags)) {
-        std::fprintf(stderr, "unknown flag '--%s'\n", key.c_str());
-        std::exit(2);
-      }
-      if (std::find(std::begin(kSwitches), std::end(kSwitches), key) !=
-          std::end(kSwitches)) {
-        values_[key] = "true";
-      } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        std::fprintf(stderr, "flag '--%s' needs a value\n", key.c_str());
-        std::exit(2);
-      }
-    }
-  }
-
-  double F(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
-  int64_t I(const std::string& key, int64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoll(it->second.c_str());
-  }
-  std::string S(const std::string& key, const std::string& fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+const std::vector<std::string> kSwitches = {"no-pruning", "exact", "help"};
 
 MergerKind MergerFromArgs(const Args& args, std::string* name) {
   *name = args.S("merger", "pair");
@@ -303,7 +253,7 @@ int Run(const Args& args) {
 }  // namespace qsp
 
 int main(int argc, char** argv) {
-  const qsp::Args args(argc, argv, 1);
+  const qsp::Args args(argc, argv, 1, qsp::kFlags, qsp::kSwitches);
   if (args.Has("help")) {
     std::fputs("see the header of tools/qsp_explain.cc for options\n",
                stderr);

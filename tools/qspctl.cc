@@ -30,11 +30,11 @@
 #include <fstream>
 #include <initializer_list>
 #include <sstream>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "cli_args.h"
 #include "core/subscription_service.h"
 #include "relation/generator.h"
 #include "sim/scenario.h"
@@ -48,56 +48,6 @@ namespace {
 
 /// The flags that take no value.
 const std::vector<std::string> kSwitches = {"cache", "csv"};
-
-/// Minimal --key value argument map, limited to the flags the command
-/// reads: any other flag exits 2 naming it. A switch takes no value;
-/// every other flag takes the next argument, which may start with a
-/// single '-' (a negative number), and exits 2 without one.
-class Args {
- public:
-  Args(int argc, char** argv, int first,
-       const std::vector<std::string>& accepted) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "unexpected argument '%s'\n", key.c_str());
-        std::exit(2);
-      }
-      key = key.substr(2);
-      if (std::find(accepted.begin(), accepted.end(), key) ==
-          accepted.end()) {
-        std::fprintf(stderr, "unknown flag '--%s'\n", key.c_str());
-        std::exit(2);
-      }
-      if (std::find(kSwitches.begin(), kSwitches.end(), key) !=
-          kSwitches.end()) {
-        values_[key] = "true";
-      } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        std::fprintf(stderr, "flag '--%s' needs a value\n", key.c_str());
-        std::exit(2);
-      }
-    }
-  }
-
-  double F(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
-  int64_t I(const std::string& key, int64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoll(it->second.c_str());
-  }
-  std::string S(const std::string& key, const std::string& fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 /// The flags each reader below consumes.
 const std::vector<std::string> kWorkloadFlags = {
@@ -329,23 +279,26 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   if (command == "workload") {
     return qsp::CmdWorkload(
-        qsp::Args(argc, argv, 2, Flags({qsp::kWorkloadFlags, {"csv"}})));
+        qsp::Args(argc, argv, 2, Flags({qsp::kWorkloadFlags, {"csv"}}),
+                  qsp::kSwitches));
   }
   if (command == "plan") {
     return qsp::CmdPlan(qsp::Args(
         argc, argv, 2,
         Flags({qsp::kWorkloadFlags, qsp::kServiceFlags,
-               {"objects", "clients", "subs"}})));
+               {"objects", "clients", "subs"}}),
+        qsp::kSwitches));
   }
   if (command == "simulate") {
     return qsp::CmdSimulate(qsp::Args(
         argc, argv, 2,
         Flags({qsp::kWorkloadFlags, qsp::kServiceFlags,
-               {"objects", "clients", "cache", "rounds"}})));
+               {"objects", "clients", "cache", "rounds"}}),
+        qsp::kSwitches));
   }
   if (command == "space") {
     return qsp::CmdSpace(
-        qsp::Args(argc, argv, 2, {"n", "clients", "channels"}));
+        qsp::Args(argc, argv, 2, {"n", "clients", "channels"}, {}));
   }
   return qsp::Usage();
 }
